@@ -6,7 +6,6 @@ broadened cross sections, loss tangents aggregated over defect
 ensembles, and spontaneous-emission rates with moment extraction.
 """
 
-from ._kernels import BACKEND
 from .absorption import (
     absorption_coefficient,
     intensity_profile,
@@ -61,7 +60,6 @@ from .spin import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CODATA2018",
     "DefectLine",
     "DefectSpecies",

@@ -1,35 +1,9 @@
-"""Hot numeric kernels: numba-compiled fast path, pure numpy/python fallback.
-
-Set ``PARAMAG_LOSS_DISABLE_NUMBA=1`` before import to force the fallback
-implementations (the benchmark in benchmarks/bench_sweep.py times both).
-The selected backend is reported in ``BACKEND``.
-
-Both paths perform the same floating-point operations in the same order,
-so results are deterministic per backend.  The real-arithmetic mixer is
-bit-identical across backends; the Jacobi kernel agrees to rounding
-error only, because complex abs and divide compile to slightly
-different instruction sequences under numba.
-"""
-
-import os
+"""Hot numeric kernel: the fixed-order Lorentzian line mixer."""
 
 import numpy as np
 
-_DISABLE = os.environ.get("PARAMAG_LOSS_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
 
-njit = None
-if not _DISABLE:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-
-
-def _lorentzian_mix_numpy(omega, centers, gammas, amps, out):
+def lorentzian_mix(omega, centers, gammas, amps, out):
     """Accumulate amps[l] * L(omega - centers[l]; gammas[l]) into out.
 
     L is the unit-area Lorentzian (1/pi)(g/2)/(d^2 + (g/2)^2).  Lines are
@@ -41,100 +15,3 @@ def _lorentzian_mix_numpy(omega, centers, gammas, amps, out):
         d = omega - centers[l]
         out += amps[l] * (pref / (d * d + half * half))
     return out
-
-
-def _lorentzian_mix_loops(omega, centers, gammas, amps, out):
-    # Same operation sequence as the numpy version, written as scalar loops
-    # for numba.
-    for l in range(centers.shape[0]):
-        half = 0.5 * gammas[l]
-        pref = half / np.pi
-        for j in range(omega.shape[0]):
-            d = omega[j] - centers[l]
-            out[j] += amps[l] * (pref / (d * d + half * half))
-    return out
-
-
-def _jacobi_cycle(h, v, off_target, max_sweeps):
-    """Cyclic complex Jacobi diagonalization of Hermitian h, in place.
-
-    Each rotation zeroes one off-diagonal pair; v accumulates the unitary
-    (columns become eigenvectors, diagonal of h the eigenvalues).  Sweeps
-    run until the off-diagonal Frobenius norm drops below off_target.
-    Returns the number of sweeps used, or -1 if not converged.
-    """
-    n = h.shape[0]
-    skip = off_target / (n * n) if n > 1 else 0.0
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * (h[p, q].real ** 2 + h[p, q].imag ** 2)
-        if np.sqrt(off) <= off_target:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = h[p, q]
-                babs = abs(b)
-                if babs <= skip:
-                    continue
-                phase = b / babs
-                app = h[p, p].real
-                aqq = h[q, q].real
-                # Zero h[p,q]: rotation angle from tan(2 theta) = 2|b|/(app - aqq),
-                # taking the smaller-angle root for stability.
-                tau = (app - aqq) / (2.0 * babs)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                sm = s * phase.conjugate()
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    hip = h[i, p]
-                    hiq = h[i, q]
-                    h[i, p] = c * hip + sm * hiq
-                    h[i, q] = c * hiq - sp * hip
-                    # Mirror the updated column entries to keep h exactly
-                    # Hermitian.
-                    h[p, i] = h[i, p].conjugate()
-                    h[q, i] = h[i, q].conjugate()
-                h[p, p] = app + t * babs
-                h[q, q] = aqq - t * babs
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                for i in range(n):
-                    vip = v[i, p]
-                    viq = v[i, q]
-                    v[i, p] = c * vip + sm * viq
-                    v[i, q] = c * viq - sp * vip
-    # Final convergence check in case the last sweep finished the job.
-    off = 0.0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            off += 2.0 * (h[p, q].real ** 2 + h[p, q].imag ** 2)
-    if np.sqrt(off) <= off_target:
-        return max_sweeps
-    return -1
-
-
-lorentzian_mix_numpy = _lorentzian_mix_numpy
-lorentzian_mix_loops = _lorentzian_mix_loops
-jacobi_cycle_python = _jacobi_cycle
-
-if njit is not None:
-    lorentzian_mix_numba = njit(cache=True)(_lorentzian_mix_loops)
-    jacobi_cycle_numba = njit(cache=True)(_jacobi_cycle)
-    lorentzian_mix = lorentzian_mix_numba
-    jacobi_cycle = jacobi_cycle_numba
-    BACKEND = "numba"
-else:
-    lorentzian_mix_numba = None
-    jacobi_cycle_numba = None
-    lorentzian_mix = _lorentzian_mix_numpy
-    jacobi_cycle = _jacobi_cycle
-    BACKEND = "numpy"

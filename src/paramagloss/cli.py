@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .constants import ghz_to_angular
 from .ensemble import (
     default_db_path,
@@ -39,7 +38,7 @@ from .emission import (
     read_emission_table,
 )
 from .errors import InvalidInputs, InvalidRange, ParamagLossError
-from .ioformat import quantize, sci9, write_csv, write_json
+from .ioformat import finite_float, quantize, sci9, write_csv, write_json
 from .lineshape import PowerModel, tanh_factor, temperature_factor
 
 MAX_POINTS = 10**7
@@ -131,7 +130,7 @@ def _run_metadata(cfg: RunConfig, db) -> dict:
         "n_r": quantize(cfg.n_r),
         "temp_k": None if cfg.temp_k is None else quantize(cfg.temp_k),
         "p_over_pc": None if cfg.p_over_pc is None else quantize(cfg.p_over_pc),
-        "backend": _kernels.BACKEND,
+        "backend": "numpy",
         "weight_note": WEIGHT_NOTE,
         "species": _species_metadata(db),
     }
@@ -349,6 +348,17 @@ _COMMANDS = {
 }
 
 
+def _float_arg(text: str) -> float:
+    """argparse type for every float flag: NaN and +-inf exit 2 naming the flag."""
+    try:
+        value = finite_float(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_output_args(sub) -> None:
     sub.add_argument("--output", help="output file (default: stdout)")
     sub.add_argument(
@@ -377,20 +387,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep", help="loss-tangent spectrum over a GHz range")
     _add_db_arg(sub)
-    sub.add_argument("--fmin-ghz", type=float, default=1.0)
-    sub.add_argument("--fmax-ghz", type=float, default=15.0)
+    sub.add_argument("--fmin-ghz", type=_float_arg, default=1.0)
+    sub.add_argument("--fmax-ghz", type=_float_arg, default=15.0)
     sub.add_argument("--points", type=int, default=1401)
-    sub.add_argument("--n-r", type=float, default=1.0)
-    sub.add_argument("--temp-k", type=float)
-    sub.add_argument("--p-over-pc", type=float)
+    sub.add_argument("--n-r", type=_float_arg, default=1.0)
+    sub.add_argument("--temp-k", type=_float_arg)
+    sub.add_argument("--p-over-pc", type=_float_arg)
     _add_output_args(sub)
 
     sub = subs.add_parser("point", help="loss at a single frequency")
     _add_db_arg(sub)
-    sub.add_argument("--freq-ghz", type=float, required=True)
-    sub.add_argument("--n-r", type=float, default=1.0)
-    sub.add_argument("--temp-k", type=float)
-    sub.add_argument("--p-over-pc", type=float)
+    sub.add_argument("--freq-ghz", type=_float_arg, required=True)
+    sub.add_argument("--n-r", type=_float_arg, default=1.0)
+    sub.add_argument("--temp-k", type=_float_arg)
+    sub.add_argument("--p-over-pc", type=_float_arg)
     _add_output_args(sub)
 
     sub = subs.add_parser("emission", help="moment extraction from emission rates")
@@ -402,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub)
 
     sub = subs.add_parser("tempcurve", help="temperature factor over a T range")
-    sub.add_argument("--freq-ghz", type=float, required=True)
-    sub.add_argument("--tmin-k", type=float, default=0.01)
-    sub.add_argument("--tmax-k", type=float, default=10.0)
+    sub.add_argument("--freq-ghz", type=_float_arg, required=True)
+    sub.add_argument("--tmin-k", type=_float_arg, default=0.01)
+    sub.add_argument("--tmax-k", type=_float_arg, default=10.0)
     sub.add_argument("--points", type=int, default=101)
     _add_output_args(sub)
 
@@ -413,13 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--species", help="species name (default: first in database)")
     sub.add_argument(
         "--freq-ghz",
-        type=float,
+        type=_float_arg,
         required=True,
         help="detuned probe frequency for the second loss column",
     )
-    sub.add_argument("--pmax-over-pc", type=float, default=100.0)
+    sub.add_argument("--pmax-over-pc", type=_float_arg, default=100.0)
     sub.add_argument("--points", type=int, default=20)
-    sub.add_argument("--n-r", type=float, default=1.0)
+    sub.add_argument("--n-r", type=_float_arg, default=1.0)
     _add_output_args(sub)
 
     return parser

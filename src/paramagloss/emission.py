@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .constants import A0, ALPHA, C, TWO_PI
 from .errors import DatabaseError, InvalidInputs
-from .ioformat import sci9, write_csv
+from .ioformat import finite_float, sci9, write_csv
 
 # Rate prefactor: multiply by n_r^3, omega_if^3, and the squared moment.
 EMISSION_PREFACTOR = ALPHA**3 * A0**2 / C**2
@@ -143,20 +143,18 @@ def read_emission_table(path) -> list[EmissionLine]:
         label = entry.get("label")
         if not isinstance(label, str) or not label:
             raise DatabaseError(f"emission table entry {idx}: missing field 'label'")
-        for field in ("lambda_nm", "a_md_hz"):
-            if field not in entry:
+        numbers = []
+        for field, default in (("lambda_nm", None), ("a_md_hz", None), ("n_r", 1.0)):
+            if field not in entry and default is None:
                 raise DatabaseError(f"line {label!r}: missing field {field!r}")
-            if not isinstance(entry[field], (int, float)) or isinstance(
-                entry[field], bool
-            ):
-                raise DatabaseError(f"line {label!r}: field {field!r} must be a number")
-        n_r = entry.get("n_r", 1.0)
-        if not isinstance(n_r, (int, float)) or isinstance(n_r, bool):
-            raise DatabaseError(f"line {label!r}: field 'n_r' must be a number")
+            value = finite_float(entry.get(field, default))
+            if value is None:
+                raise DatabaseError(
+                    f"line {label!r}: field {field!r} must be a finite number"
+                )
+            numbers.append(value)
         try:
-            lines.append(
-                line_from_rate(label, float(entry["lambda_nm"]), float(entry["a_md_hz"]), float(n_r))
-            )
+            lines.append(line_from_rate(label, *numbers))
         except InvalidInputs as exc:
             raise DatabaseError(f"line {label!r}: {exc}") from exc
     return lines

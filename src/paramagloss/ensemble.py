@@ -21,6 +21,7 @@ from . import _kernels
 from .absorption import MD_PREFACTOR
 from .constants import C, ghz_to_angular, mhz_to_angular
 from .errors import DatabaseError, InvalidInputs, InvalidRange
+from .ioformat import finite_float
 from .lineshape import power_broadened_gamma, temperature_factor
 from .spin import basis_state, spin_operators, transition_moment, unpolarized_coupling
 
@@ -231,13 +232,17 @@ def sweep(
     return Spectrum(freqs_ghz=freqs, per_species=per_species, total=total)
 
 
-def _require_number(sp_name: str, entry: dict, field: str) -> float:
-    if field not in entry:
-        raise DatabaseError(f"species {sp_name!r}: missing field {field!r}")
-    value = entry[field]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise DatabaseError(f"species {sp_name!r}: field {field!r} must be a number")
-    return float(value)
+def _require_number(entry: dict, field: str, name: str, li=None) -> float:
+    """entry[field] as a finite float; errors name the species and line li."""
+    if field in entry:
+        value = finite_float(entry[field])
+        if value is not None:
+            return value
+        problem = f"field {field!r} must be a finite number"
+    else:
+        problem = f"missing field {field!r}"
+    where = f"species {name!r}" if li is None else f"species {name!r}: line {li}"
+    raise DatabaseError(f"{where}: {problem}")
 
 
 def parse_species(entry: dict, index: int) -> DefectSpecies:
@@ -250,8 +255,8 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
     two_s = entry.get("two_s")
     if not isinstance(two_s, int) or isinstance(two_s, bool):
         raise DatabaseError(f"species {name!r}: field 'two_s' must be an integer")
-    n_cm3 = _require_number(name, entry, "concentration_per_cm3")
-    linewidth_mhz = _require_number(name, entry, "linewidth_mhz")
+    n_cm3 = _require_number(entry, "concentration_per_cm3", name)
+    linewidth_mhz = _require_number(entry, "linewidth_mhz", name)
     convention = entry.get("linewidth_convention", "cyclic_times_2pi")
     if convention not in LINEWIDTH_CONVENTIONS:
         raise DatabaseError(
@@ -262,10 +267,10 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
     if (
         not isinstance(transition, list)
         or len(transition) != 2
-        or not all(isinstance(m, (int, float)) and not isinstance(m, bool) for m in transition)
+        or any(finite_float(m) is None for m in transition)
     ):
         raise DatabaseError(
-            f"species {name!r}: field 'transition' must be a pair of numbers"
+            f"species {name!r}: field 'transition' must be a pair of finite numbers"
         )
     raw_lines = entry.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
@@ -274,9 +279,9 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
     for li, raw in enumerate(raw_lines):
         if not isinstance(raw, dict):
             raise DatabaseError(f"species {name!r}: line {li} is not an object")
-        g = _require_number(name, raw, "g")
-        freq_ghz = _require_number(name, raw, "freq_ghz")
-        weight = _require_number(name, raw, "weight")
+        g = _require_number(raw, "g", name, li)
+        freq_ghz = _require_number(raw, "freq_ghz", name, li)
+        weight = _require_number(raw, "weight", name, li)
         try:
             lines.append(
                 DefectLine(g_e=g, omega_if=ghz_to_angular(freq_ghz), weight=weight)

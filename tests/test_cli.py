@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
+from paramagloss import cli
 
 CR_45 = 8.97232140725922e-09
 FE_45 = 2.1128703931021166e-08
@@ -127,6 +128,13 @@ def test_emission_malformed_table(tmp_path):
     code, _, err = run_cli(["emission", "--table", str(table)])
     assert code == 2
     assert "Xx" in err
+
+    table.write_text(json.dumps([{"label": "Nn", "lambda_nm": float("nan"), "a_md_hz": 1.0}]))
+    code, out, err = run_cli(["emission", "--table", str(table)])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "Nn" in err and "lambda_nm" in err
+    assert "Traceback" not in err
 
 
 def test_tempcurve_limits():
@@ -290,6 +298,28 @@ def test_db_flag_overrides_env(tmp_path):
     _, rows = _parse_csv(out)
     values = {row[0]: row[1] for row in rows}
     assert float(values["Cr"]) == pytest.approx(CR_45, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["point", "--freq-ghz", "nan"], "--freq-ghz"),
+        (["point", "--freq-ghz", "4.5", "--temp-k", "nan"], "--temp-k"),
+        (["point", "--freq-ghz", "4.5", "--p-over-pc", "nan"], "--p-over-pc"),
+        (["point", "--freq-ghz", "4.5", "--n-r", "nan"], "--n-r"),
+        (["sweep", "--fmax-ghz", "inf"], "--fmax-ghz"),
+        (["powercurve", "--freq-ghz", "9.0", "--pmax-over-pc", "inf"], "--pmax-over-pc"),
+        (["tempcurve", "--freq-ghz", "11.45", "--tmax-k", "inf"], "--tmax-k"),
+        (["tempcurve", "--freq-ghz", "inf"], "--freq-ghz"),
+    ],
+)
+def test_non_finite_flag_rejected(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and flag in captured.err
 
 
 def test_usage_errors():

@@ -184,6 +184,10 @@ def test_read_emission_table_errors(tmp_path):
     bad_type.write_text(json.dumps([{"label": "Yy", "lambda_nm": "wide", "a_md_hz": 1.0}]))
     with pytest.raises(DatabaseError, match="Yy"):
         read_emission_table(bad_type)
+    nan_field = tmp_path / "nan_field.json"
+    nan_field.write_text(json.dumps([{"label": "Nn", "lambda_nm": float("nan"), "a_md_hz": 1.0}]))
+    with pytest.raises(DatabaseError, match="'Nn'.*lambda_nm"):
+        read_emission_table(nan_field)
 
 
 def test_extraction_csv_format():

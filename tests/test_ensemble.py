@@ -336,6 +336,28 @@ def test_load_database_errors(tmp_path):
     with pytest.raises(DatabaseError, match="transition"):
         load_species_db(path)
 
+    path = _write_db(tmp_path, [_cr_entry(transition=[float("nan"), 0.5])], "nan_m.json")
+    with pytest.raises(DatabaseError, match="'Cr'.*transition"):
+        load_species_db(path)
+
+    path = _write_db(tmp_path, [_cr_entry(concentration_per_cm3=float("nan"))], "nan_n.json")
+    with pytest.raises(DatabaseError, match="'Cr'.*concentration_per_cm3"):
+        load_species_db(path)
+
+    path = _write_db(tmp_path, [_cr_entry(concentration_per_cm3=10**400)], "big_n.json")
+    with pytest.raises(DatabaseError, match="'Cr'.*concentration_per_cm3"):
+        load_species_db(path)
+
+    inf_line = _cr_entry(lines=[{"g": 1.984, "freq_ghz": float("inf"), "weight": 1.0}])
+    path = _write_db(tmp_path, [inf_line], "inf_f.json")
+    with pytest.raises(DatabaseError, match="'Cr': line 0.*freq_ghz"):
+        load_species_db(path)
+
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps([_cr_entry(linewidth_mhz=27.0)]).replace("27.0", "1e999"))
+    with pytest.raises(DatabaseError, match="'Cr'.*linewidth_mhz"):
+        load_species_db(path)
+
     path = tmp_path / "garbage.json"
     path.write_text("[{,")
     with pytest.raises(DatabaseError, match="JSON"):

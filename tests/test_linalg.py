@@ -2,7 +2,7 @@
 
 The characteristic-polynomial oracle expands det(lambda I - H) by brute
 cofactor recursion with polynomial entries and takes numpy roots, so it
-shares no code with the Jacobi iteration under test.
+shares no code with the LAPACK eigensolver under test.
 """
 
 import numpy as np
@@ -110,7 +110,8 @@ def test_repeat_calls_bit_identical():
 
 
 def test_ascending_order_with_stable_ties():
-    # Diagonal input needs no rotations, so ties keep original column order.
+    # eigh leaves a diagonal input's basis vectors in place, so ties keep
+    # their original column order.
     dec = diagonalize(np.diag([3.0, 1.0, 2.0, 1.0]))
     assert np.array_equal(dec.eigenvalues, [1.0, 1.0, 2.0, 3.0])
     assert dec.eigenvectors[1, 0] == 1.0
