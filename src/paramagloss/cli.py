@@ -39,7 +39,7 @@ from .emission import (
 )
 from .errors import InvalidInputs, InvalidRange, ParamagLossError
 from .ioformat import finite_float, quantize, sci9, write_csv, write_json
-from .lineshape import PowerModel, tanh_factor, temperature_factor
+from .lineshape import tanh_factor, temperature_factor
 
 MAX_POINTS = 10**7
 
@@ -85,24 +85,18 @@ def resolve_db_path(explicit: str | None) -> str:
     return default_db_path()
 
 
-def _check_points(points: int) -> None:
-    if not 2 <= points <= MAX_POINTS:
-        raise InvalidRange(
-            f"points must be between 2 and {MAX_POINTS}, got {points}"
-        )
-
-
-def _check_common(cfg: RunConfig) -> None:
+def _check_args(cfg: RunConfig) -> None:
+    """Range checks shared by the subcommands; argparse made every float finite."""
+    if cfg.points is not None and not 2 <= cfg.points <= MAX_POINTS:
+        raise InvalidRange(f"points must be between 2 and {MAX_POINTS}, got {cfg.points}")
+    if cfg.freq_ghz is not None and cfg.freq_ghz <= 0.0:
+        raise InvalidInputs(f"frequency must be positive, got {cfg.freq_ghz}")
     if cfg.n_r < 1.0:
         raise InvalidInputs(f"refractive index must be >= 1, got {cfg.n_r}")
     if cfg.temp_k is not None and cfg.temp_k < 0.0:
         raise InvalidInputs(f"temperature must be >= 0, got {cfg.temp_k}")
     if cfg.p_over_pc is not None and cfg.p_over_pc < 0.0:
         raise InvalidInputs(f"power ratio must be >= 0, got {cfg.p_over_pc}")
-
-
-def _power_model(cfg: RunConfig):
-    return None if cfg.p_over_pc is None else PowerModel(cfg.p_over_pc)
 
 
 def _species_metadata(db) -> list[dict]:
@@ -150,9 +144,21 @@ def _write_output(cfg: RunConfig, writer) -> int:
     return 0
 
 
+def _csv_rows(columns):
+    """One row of sci9 cells per grid point of equal-length column arrays."""
+    return ([sci9(x) for x in row] for row in zip(*columns))
+
+
+def _write_curve(cfg: RunConfig, header, columns, payload: dict) -> int:
+    """One CSV row per grid point, or payload plus one JSON list per column."""
+    if cfg.fmt == "csv":
+        rows = _csv_rows(columns)
+        return _write_output(cfg, lambda fh: write_csv(fh, header, rows))
+    payload.update({name: [quantize(x) for x in col] for name, col in zip(header, columns)})
+    return _write_output(cfg, lambda fh: write_json(fh, payload))
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
-    _check_common(cfg)
-    _check_points(cfg.points)
     db = load_species_db(resolve_db_path(cfg.db_path))
     spectrum = sweep(
         db,
@@ -161,17 +167,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
         cfg.points,
         n_r=cfg.n_r,
         temp_k=cfg.temp_k,
-        power=_power_model(cfg),
+        power=cfg.p_over_pc,
     )
     names = list(spectrum.per_species)
     if cfg.fmt == "csv":
-        header = ["freq_ghz"] + names + ["total"]
-        columns = [spectrum.freqs_ghz] + [
-            spectrum.per_species[name] for name in names
-        ] + [spectrum.total]
-        rows = (
-            [sci9(col[i]) for col in columns] for i in range(cfg.points)
-        )
+        header = ["freq_ghz", *names, "total"]
+        rows = _csv_rows([spectrum.freqs_ghz, *spectrum.per_species.values(), spectrum.total])
         return _write_output(cfg, lambda fh: write_csv(fh, header, rows))
     payload = {
         "command": "sweep",
@@ -186,14 +187,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_point(cfg: RunConfig) -> int:
-    _check_common(cfg)
-    if cfg.freq_ghz is None or cfg.freq_ghz <= 0.0:
-        raise InvalidInputs(f"frequency must be positive, got {cfg.freq_ghz}")
     db = load_species_db(resolve_db_path(cfg.db_path))
     omega = ghz_to_angular(cfg.freq_ghz)
-    power = _power_model(cfg)
     losses = {
-        sp.name: species_loss(sp, omega, n_r=cfg.n_r, temp_k=cfg.temp_k, power=power)
+        sp.name: species_loss(sp, omega, n_r=cfg.n_r, temp_k=cfg.temp_k, power=cfg.p_over_pc)
         for sp in db
     }
     total = 0.0
@@ -202,26 +199,20 @@ def cmd_point(cfg: RunConfig) -> int:
     metadata = _run_metadata(cfg, db)
     if cfg.fmt == "csv":
         rows = [["freq_ghz", sci9(cfg.freq_ghz)]]
-        for name, value in losses.items():
-            rows.append([name, sci9(value)])
-        rows.append(["total", sci9(total)])
-        rows.append(["n_r", sci9(cfg.n_r)])
-        rows.append(["temp_k", "none" if cfg.temp_k is None else sci9(cfg.temp_k)])
-        rows.append(
-            ["p_over_pc", "none" if cfg.p_over_pc is None else sci9(cfg.p_over_pc)]
-        )
-        for sp_meta in metadata["species"]:
-            prefix = sp_meta["name"]
-            rows.append([f"{prefix}.gamma_rad_per_s", sci9(sp_meta["gamma_rad_per_s"])])
-            rows.append(
-                [f"{prefix}.linewidth_convention", sp_meta["linewidth_convention"]]
-            )
-            rows.append(
-                [
-                    f"{prefix}.weights",
-                    ";".join(sci9(w) for w in sp_meta["weights"]),
-                ]
-            )
+        rows += [[name, sci9(value)] for name, value in losses.items()]
+        rows += [
+            ["total", sci9(total)],
+            ["n_r", sci9(cfg.n_r)],
+            ["temp_k", "none" if cfg.temp_k is None else sci9(cfg.temp_k)],
+            ["p_over_pc", "none" if cfg.p_over_pc is None else sci9(cfg.p_over_pc)],
+        ]
+        for meta in metadata["species"]:
+            name = meta["name"]
+            rows += [
+                [f"{name}.gamma_rad_per_s", sci9(meta["gamma_rad_per_s"])],
+                [f"{name}.linewidth_convention", meta["linewidth_convention"]],
+                [f"{name}.weights", ";".join(sci9(w) for w in meta["weights"])],
+            ]
         return _write_output(cfg, lambda fh: write_csv(fh, ["key", "value"], rows))
     payload = {
         "command": "point",
@@ -260,83 +251,38 @@ def cmd_emission(cfg: RunConfig) -> int:
 
 
 def cmd_tempcurve(cfg: RunConfig) -> int:
-    _check_common(cfg)
-    _check_points(cfg.points)
-    if cfg.freq_ghz is None or cfg.freq_ghz <= 0.0:
-        raise InvalidInputs(f"frequency must be positive, got {cfg.freq_ghz}")
-    if cfg.tmin_k < 0.0:
-        raise InvalidRange(f"tmin must be >= 0, got {cfg.tmin_k}")
-    if not cfg.tmin_k < cfg.tmax_k:
-        raise InvalidRange(
-            f"need tmin < tmax, got [{cfg.tmin_k}, {cfg.tmax_k}]"
-        )
+    if not 0.0 <= cfg.tmin_k < cfg.tmax_k:
+        raise InvalidRange(f"need 0 <= tmin < tmax, got [{cfg.tmin_k}, {cfg.tmax_k}]")
     omega_if = ghz_to_angular(cfg.freq_ghz)
     temps = np.linspace(cfg.tmin_k, cfg.tmax_k, cfg.points)
-    table = [
-        (t, temperature_factor(omega_if, t), tanh_factor(omega_if, t)) for t in temps
-    ]
-    if cfg.fmt == "csv":
-        rows = [[sci9(t), sci9(w), sci9(th)] for t, w, th in table]
-        return _write_output(
-            cfg,
-            lambda fh: write_csv(fh, ["temp_k", "w_factor", "tanh_factor"], rows),
-        )
-    payload = {
-        "command": "tempcurve",
-        "freq_ghz": quantize(cfg.freq_ghz),
-        "temp_k": [quantize(t) for t, _, _ in table],
-        "w_factor": [quantize(w) for _, w, _ in table],
-        "tanh_factor": [quantize(th) for _, _, th in table],
-    }
-    return _write_output(cfg, lambda fh: write_json(fh, payload))
+    columns = (temps, temperature_factor(omega_if, temps), tanh_factor(omega_if, temps))
+    payload = {"command": "tempcurve", "freq_ghz": quantize(cfg.freq_ghz)}
+    return _write_curve(cfg, ["temp_k", "w_factor", "tanh_factor"], columns, payload)
 
 
 def cmd_powercurve(cfg: RunConfig) -> int:
-    _check_common(cfg)
-    _check_points(cfg.points)
-    if cfg.freq_ghz is None or cfg.freq_ghz <= 0.0:
-        raise InvalidInputs(f"frequency must be positive, got {cfg.freq_ghz}")
     if cfg.pmax_over_pc <= 0.0:
         raise InvalidRange(f"pmax must be positive, got {cfg.pmax_over_pc}")
     db = load_species_db(resolve_db_path(cfg.db_path))
-    if cfg.species is None:
-        sp = db[0]
-    else:
-        matches = [s for s in db if s.name == cfg.species]
-        if not matches:
-            raise InvalidInputs(f"species {cfg.species!r} not in database")
-        sp = matches[0]
+    matches = [s for s in db if cfg.species in (None, s.name)]
+    if not matches:
+        raise InvalidInputs(f"species {cfg.species!r} not in database")
+    sp = matches[0]
     omega_res = sp.lines[0].omega_if
     omega_det = ghz_to_angular(cfg.freq_ghz)
     ratios = np.linspace(0.0, cfg.pmax_over_pc, cfg.points)
-    table = []
-    for ratio in ratios:
-        power = PowerModel(float(ratio))
-        table.append(
-            (
-                ratio,
-                species_loss(sp, omega_res, n_r=cfg.n_r, power=power),
-                species_loss(sp, omega_det, n_r=cfg.n_r, power=power),
-            )
-        )
-    if cfg.fmt == "csv":
-        rows = [[sci9(r), sci9(a), sci9(b)] for r, a, b in table]
-        return _write_output(
-            cfg,
-            lambda fh: write_csv(
-                fh, ["p_over_pc", "loss_on_resonance", "loss_detuned"], rows
-            ),
-        )
+    columns = (
+        ratios,
+        species_loss(sp, omega_res, n_r=cfg.n_r, power=ratios),
+        species_loss(sp, omega_det, n_r=cfg.n_r, power=ratios),
+    )
     payload = {
         "command": "powercurve",
         "species": sp.name,
         "resonance_ghz": quantize(omega_res / ghz_to_angular(1.0)),
         "detuned_ghz": quantize(cfg.freq_ghz),
-        "p_over_pc": [quantize(r) for r, _, _ in table],
-        "loss_on_resonance": [quantize(a) for _, a, _ in table],
-        "loss_detuned": [quantize(b) for _, _, b in table],
     }
-    return _write_output(cfg, lambda fh: write_json(fh, payload))
+    return _write_curve(cfg, ["p_over_pc", "loss_on_resonance", "loss_detuned"], columns, payload)
 
 
 _COMMANDS = {
@@ -447,6 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = config_from_args(args)
     try:
+        _check_args(cfg)
         return _COMMANDS[cfg.command](cfg)
     except ParamagLossError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -30,6 +32,10 @@ from .spin import basis_state, spin_operators, transition_moment, unpolarized_co
 LINEWIDTH_CONVENTIONS = ("cyclic_times_2pi", "angular_rate")
 
 WEIGHT_SUM_TOL = 1e-9
+
+# Largest angular frequency or half-width [rad/s] whose squares still sum to
+# a finite float, so no Lorentzian denominator overflows to a silent 0.
+MAX_RATE = math.sqrt(sys.float_info.max / 2.0)
 
 DEFAULT_DB_RESOURCE = "sapphire_defects.json"
 DEFAULT_EMISSION_RESOURCE = "rare_earth_lines.json"
@@ -60,12 +66,28 @@ class DefectLine:
     def __post_init__(self) -> None:
         if self.g_e <= 0.0:
             raise InvalidInputs(f"g-factor must be positive, got {self.g_e}")
-        if self.omega_if <= 0.0:
+        if not 0.0 < self.omega_if <= MAX_RATE:
             raise InvalidInputs(
-                f"line frequency must be positive, got {self.omega_if}"
+                f"line frequency must be in (0, {MAX_RATE:.3g}] rad/s, got {self.omega_if}"
             )
         if not 0.0 < self.weight <= 1.0:
             raise InvalidInputs(f"line weight must be in (0, 1], got {self.weight}")
+
+
+@dataclass(frozen=True)
+class LineTable:
+    """Per-line constants of one species, read-only, built once per species.
+
+    centers are the line frequencies omega_if and widths the FWHM before
+    power broadening, both in rad/s.  amps[l] = c * pi^2 alpha^3 a0^2 *
+    n_def * weight_l * coupling_l folds together everything that cancels or
+    is constant across a grid; times the thermal factor w_l(T) and the
+    unit-area Lorentzian it gives the line's loss-tangent contribution.
+    """
+
+    centers: np.ndarray
+    widths: np.ndarray
+    amps: np.ndarray
 
 
 def _is_valid_m(two_m: int, two_s: int) -> bool:
@@ -118,6 +140,23 @@ class DefectSpecies:
                 f"{self.name}: transition ({m_i}, {m_f}) must change m by 1"
             )
 
+    @functools.cached_property
+    def table(self) -> LineTable:
+        """The species' LineTable; the spin algebra runs once, on first use."""
+        rows = [
+            (
+                line.omega_if,
+                self.gamma,
+                C * MD_PREFACTOR * self.n_def * line.weight
+                * line_coupling_sq(self.two_s, self.transition, line.g_e),
+            )
+            for line in self.lines
+        ]
+        columns = [np.array(col, dtype=np.float64) for col in zip(*rows)]
+        for col in columns:
+            col.setflags(write=False)
+        return LineTable(*columns)
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -142,28 +181,6 @@ def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e: float) ->
     return unpolarized_coupling(transition_moment(psi_i, psi_f, ops, g_e))
 
 
-def _species_arrays(sp: DefectSpecies, temp_k, power):
-    """Line centers, widths, and loss amplitudes for the Lorentzian mix.
-
-    The amplitude folds together everything that cancels or is constant
-    across the sweep: amp_l = c * pi^2 alpha^3 a0^2 * n_def * weight_l *
-    coupling_l * w_l(T).  Multiplying by the unit-area Lorentzian yields
-    the line's loss-tangent contribution directly.
-    """
-    n_lines = len(sp.lines)
-    centers = np.empty(n_lines, dtype=np.float64)
-    gammas = np.empty(n_lines, dtype=np.float64)
-    amps = np.empty(n_lines, dtype=np.float64)
-    gamma = sp.gamma if power is None else power_broadened_gamma(sp.gamma, power)
-    for l, line in enumerate(sp.lines):
-        coupling = line_coupling_sq(sp.two_s, sp.transition, line.g_e)
-        w_t = 1.0 if temp_k is None else temperature_factor(line.omega_if, temp_k)
-        centers[l] = line.omega_if
-        gammas[l] = gamma
-        amps[l] = C * MD_PREFACTOR * sp.n_def * line.weight * coupling * w_t
-    return centers, gammas, amps
-
-
 def _check_n_r(n_r: float) -> None:
     if n_r < 1.0:
         raise InvalidInputs(f"refractive index must be >= 1, got {n_r}")
@@ -171,25 +188,40 @@ def _check_n_r(n_r: float) -> None:
 
 def species_loss(
     sp: DefectSpecies,
-    omega: float,
+    omega,
     n_r: float = 1.0,
     temp_k=None,
     power=None,
-) -> float:
-    """Loss-tangent contribution of one species at a probe frequency.
+):
+    """Loss-tangent contribution of one species over a grid.
 
-    n_r is accepted for interface symmetry but cancels exactly between
-    the cross section and the loss-tangent prefactor.
+    The probe frequency omega [rad/s] and the drive `power` (a PowerModel
+    or P/P_c) are scalars or arrays over one grid; scalars alone give a
+    float.  Every grid point sums the lines in listed order, so a point
+    equals the same point of a sweep bit for bit.  n_r is accepted for
+    interface symmetry but cancels exactly between the cross section and
+    the loss-tangent prefactor.
     """
-    if omega <= 0.0:
-        raise InvalidInputs(f"probe frequency must be positive, got {omega}")
+    omega = np.asarray(omega, dtype=np.float64)
+    if not (np.all(omega > 0.0) and np.max(omega) <= MAX_RATE):
+        raise InvalidInputs(
+            f"angular probe frequency must be in (0, {MAX_RATE:.3g}] rad/s, got {omega}"
+        )
     _check_n_r(n_r)
-    centers, gammas, amps = _species_arrays(sp, temp_k, power)
-    out = np.zeros(1, dtype=np.float64)
+    table = sp.table
+    amps = table.amps
+    if temp_k is not None:
+        amps = amps * temperature_factor(table.centers, temp_k)
+    # sqrt(1 + P/P_c), the broadened width of a unit-width line.
+    scale = 1.0 if power is None else power_broadened_gamma(1.0, power)
+    half = 0.5 * float(np.max(table.widths)) * float(np.max(scale))
+    if not half <= MAX_RATE:
+        raise InvalidRange(f"species {sp.name!r}: power-broadened linewidth overflows")
+    out = np.zeros(np.broadcast_shapes(omega.shape, np.shape(scale)))
     _kernels.lorentzian_mix(
-        np.array([omega], dtype=np.float64), centers, gammas, amps, out
+        np.broadcast_to(omega, out.shape), table.centers, table.widths, amps, out, scale
     )
-    return float(out[0])
+    return float(out) if out.ndim == 0 else out
 
 
 def sweep(
@@ -215,15 +247,15 @@ def sweep(
         raise InvalidRange(f"fmin must be positive, got {fmin_ghz}")
     if points < 2:
         raise InvalidRange(f"need at least 2 grid points, got {points}")
+    if not ghz_to_angular(float(fmax_ghz)) <= MAX_RATE:
+        raise InvalidRange(f"angular frequency of fmax {fmax_ghz} GHz overflows")
     _check_n_r(n_r)
     freqs = np.linspace(fmin_ghz, fmax_ghz, points)
     omegas = ghz_to_angular(freqs)
     per_species = {}
     total = np.zeros(points, dtype=np.float64)
     for sp in db:
-        centers, gammas, amps = _species_arrays(sp, temp_k, power)
-        out = np.zeros(points, dtype=np.float64)
-        _kernels.lorentzian_mix(omegas, centers, gammas, amps, out)
+        out = species_loss(sp, omegas, temp_k=temp_k, power=power)
         out.setflags(write=False)
         per_species[sp.name] = out
         total += out

@@ -98,33 +98,47 @@ def evaluate(spec: LineshapeSpec, detuning):
     )
 
 
-def temperature_factor(omega_if: float, temp: float) -> float:
+def _thermal_ratio(omega_if, temp, kt_scale):
+    """hbar omega_if / (kt_scale kB T) over the broadcast inputs.
+
+    Above 1e3 both thermal factors are exactly 1.0 in double precision
+    (exp(-1e3) underflows to 0, tanh saturates near 19), so there the ratio
+    takes its T -> 0 limit +inf.  That covers T = 0 and a T so small that
+    kB T underflows to 0, and no division overflows.
+    """
+    temp = np.asarray(temp, dtype=np.float64)
+    if not np.all(temp >= 0.0):
+        raise NegativeTemperature(f"temperature must be >= 0 K, got {np.min(temp)}")
+    omega_if = np.asarray(omega_if, dtype=np.float64)
+    if not np.all(omega_if > 0.0):
+        raise InvalidInputs(f"omega_if must be positive, got {np.min(omega_if)}")
+    energy = HBAR * omega_if
+    kt = kt_scale * KB * temp
+    out = np.full(np.broadcast_shapes(energy.shape, kt.shape), np.inf)
+    return np.divide(energy, kt, out=out, where=energy < 1e3 * kt)
+
+
+def temperature_factor(omega_if, temp):
     """Thermal occupation factor (1 + exp(-hbar omega / kB T))^-2.
 
     Equals 1 at T = 0 (by continuity), is monotonically decreasing in T,
-    and saturates to 1/4 at high temperature.
+    and saturates to 1/4 at high temperature.  Arguments broadcast; scalars
+    give a float.
     """
-    if temp < 0.0:
-        raise NegativeTemperature(f"temperature must be >= 0 K, got {temp}")
-    if not omega_if > 0.0:
-        raise InvalidInputs(f"omega_if must be positive, got {omega_if}")
-    if temp == 0.0:
-        return 1.0
-    return float((1.0 + np.exp(-HBAR * omega_if / (KB * temp))) ** -2)
+    # float_power is libm pow, the same bits for arrays as for scalars.
+    w = np.float_power(1.0 + np.exp(-_thermal_ratio(omega_if, temp, 1.0)), -2)
+    return float(w) if np.ndim(w) == 0 else w
 
 
-def tanh_factor(omega_if: float, temp: float) -> float:
+def tanh_factor(omega_if, temp):
     """Resonant two-level saturation factor tanh(hbar omega / 2 kB T).
 
     The standard fitting form for resonant absorbers: 1 at T = 0, falling
     to 0 at high temperature (unlike temperature_factor, which saturates
-    at 1/4).
+    at 1/4).  Arguments broadcast; scalars give a float.
     """
-    if temp < 0.0:
-        raise NegativeTemperature(f"temperature must be >= 0 K, got {temp}")
-    if temp == 0.0:
-        return 1.0
-    return float(np.tanh(HBAR * omega_if / (2.0 * KB * temp)))
+    th = np.tanh(_thermal_ratio(omega_if, temp, 2.0))
+    return float(th) if np.ndim(th) == 0 else th
 
 
 @dataclass(frozen=True)
@@ -139,14 +153,18 @@ class PowerModel:
             raise InvalidInputs(f"p_over_pc must be >= 0, got {self.p_over_pc}")
 
 
-def power_broadened_gamma(gamma0: float, power) -> float:
+def power_broadened_gamma(gamma0: float, power):
     """Power-broadened FWHM gamma0 * sqrt(1 + P/P_c).
 
-    `power` may be a PowerModel or a bare P/P_c ratio.
+    `power` may be a PowerModel, a bare P/P_c ratio, or an array of ratios
+    (a power grid), which gives an array of widths.
     """
     if not gamma0 > 0.0:
         raise NonPositiveWidth(f"gamma0 must be positive, got {gamma0}")
-    ratio = power.p_over_pc if isinstance(power, PowerModel) else float(power)
-    if ratio < 0.0:
-        raise InvalidInputs(f"p_over_pc must be >= 0, got {ratio}")
-    return float(gamma0 * np.sqrt(1.0 + ratio))
+    if isinstance(power, PowerModel):
+        power = power.p_over_pc
+    ratio = np.asarray(power, dtype=np.float64)
+    if np.any(ratio < 0.0):
+        raise InvalidInputs(f"p_over_pc must be >= 0, got {np.min(ratio)}")
+    width = gamma0 * np.sqrt(1.0 + ratio)
+    return float(width) if np.ndim(width) == 0 else width

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
-from paramagloss import cli
+from paramagloss import cli, ensemble
 
 CR_45 = 8.97232140725922e-09
 FE_45 = 2.1128703931021166e-08
@@ -329,3 +329,51 @@ def test_usage_errors():
     assert code == 2
     code, _, _ = run_cli(["sweep", "--no-such-flag"])
     assert code == 2
+
+
+def test_subnormal_temperature_is_cold_limit():
+    # kB T underflows to 0 for T = 1e-320 K: the T -> 0 limit, not a crash.
+    argv = ["point", "--freq-ghz", "4.5", "--temp-k", "1e-320"]
+    code, out, err = run_cli(argv, env=_clean_env())
+    assert code == 0
+    assert "Traceback" not in err
+    _, rows = _parse_csv(out)
+    values = {row[0]: row[1] for row in rows}
+    assert float(values["Cr"]) == pytest.approx(CR_45, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        (["sweep", "--fmax-ghz", "1e308", "--points", "3"], "angular frequency"),
+        (
+            ["powercurve", "--freq-ghz", "9", "--pmax-over-pc", "1e308", "--points", "3"],
+            "power-broadened linewidth",
+        ),
+    ],
+)
+def test_finite_overflow_rejected(argv, quantity, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and quantity in captured.err
+
+
+def test_powercurve_builds_couplings_once(monkeypatch, tmp_path):
+    calls = []
+    coupling = ensemble.line_coupling_sq
+
+    def counting(*args):
+        calls.append(args)
+        return coupling(*args)
+
+    monkeypatch.setattr(ensemble, "line_coupling_sq", counting)
+    monkeypatch.delenv("PARAMAG_LOSS_DB", raising=False)
+    argv = [
+        "powercurve", "--freq-ghz", "9", "--species", "V", "--points", "2000",
+        "--output", str(tmp_path / "power.csv"),
+    ]
+    assert cli.main(argv) == 0
+    db = ensemble.load_species_db(ensemble.default_db_path())
+    assert sum(len(sp.lines) for sp in db) == 10
+    assert 0 < len(calls) <= 10

@@ -172,6 +172,38 @@ def test_species_loss_power_broadening():
     assert broadened == pytest.approx(species_loss(wide, OMEGA_45), rel=1e-12)
 
 
+def test_species_loss_grids_match_points():
+    omegas = ghz_to_angular(np.linspace(8.0, 11.0, 301))
+    grid = species_loss(VA, omegas, temp_k=0.7, power=PowerModel(4.0))
+    points = [species_loss(VA, float(w), temp_k=0.7, power=PowerModel(4.0)) for w in omegas]
+    assert all(type(x) is float for x in points)
+    assert np.array_equal(grid, points)
+    ratios = np.linspace(0.0, 431.0, 200)
+    curve = species_loss(VA, OMEGA_45, power=ratios)
+    assert np.array_equal(curve, [species_loss(VA, OMEGA_45, power=float(p)) for p in ratios])
+
+
+def test_line_table_built_once():
+    table = VA.table
+    assert VA.table is table
+    assert table.centers.shape == table.widths.shape == table.amps.shape == (8,)
+    assert not table.amps.flags.writeable
+    assert np.array_equal(table.centers, [line.omega_if for line in VA.lines])
+
+
+def test_overflowing_rates_rejected():
+    with pytest.raises(InvalidInputs):
+        DefectLine(g_e=2.0, omega_if=float("inf"), weight=0.5)
+    with pytest.raises(InvalidInputs):
+        DefectLine(g_e=2.0, omega_if=1e200, weight=0.5)
+    with pytest.raises(InvalidInputs, match="angular probe frequency"):
+        species_loss(CR, float("inf"))
+    with pytest.raises(InvalidRange, match="linewidth"):
+        species_loss(CR, OMEGA_45, power=1e308)
+    with pytest.raises(InvalidRange, match="angular frequency"):
+        sweep([CR], 1.0, 1e150, 3)
+
+
 def test_species_loss_validation():
     with pytest.raises(InvalidInputs):
         species_loss(CR, 0.0)

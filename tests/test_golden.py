@@ -24,6 +24,15 @@ CASES = {
     "emission": ["emission"],
     "tempcurve_11p45": ["tempcurve", "--freq-ghz", "11.45"],
     "powercurve_9_v": ["powercurve", "--freq-ghz", "9.0", "--species", "V"],
+    "powercurve_3p1_cr_2000": [
+        "powercurve", "--freq-ghz", "3.1", "--species", "Cr", "--pmax-over-pc", "431",
+        "--points", "2000",
+    ],
+    "tempcurve_0p37_t0_2000": [
+        "tempcurve", "--freq-ghz", "0.37", "--tmin-k", "0", "--tmax-k", "17", "--points", "2000",
+    ],
+    "point_4p5_t0": ["point", "--freq-ghz", "4.5", "--temp-k", "0"],
+    "sweep_2001_t_p": ["sweep", "--points", "2001", "--temp-k", "0.7", "--p-over-pc", "4"],
 }
 FORMATS = ("csv", "json")
 

@@ -165,6 +165,37 @@ def test_temperature_factors_monotone_decreasing():
     assert np.all(w > 0.25)
 
 
+def test_temperature_factors_subnormal_temperature():
+    # kB T underflows to 0 here; both factors take their T -> 0 value.
+    omega = TWO_PI * 4.5e9
+    assert temperature_factor(omega, 1e-320) == 1.0
+    assert tanh_factor(omega, 1e-320) == 1.0
+
+
+def test_temperature_factors_arrays_match_scalars():
+    omega = TWO_PI * 0.37e9
+    temps = np.linspace(0.0, 17.0, 2000)
+    for factor in (temperature_factor, tanh_factor):
+        values = factor(omega, temps)
+        scalars = [factor(omega, float(t)) for t in temps]
+        assert all(type(x) is float for x in scalars)
+        assert np.array_equal(values, scalars)
+    omegas = TWO_PI * np.array([8.68e9, 9.25e9, 11.45e9])
+    assert np.array_equal(
+        temperature_factor(omegas, 0.7),
+        [temperature_factor(float(w), 0.7) for w in omegas],
+    )
+
+
+def test_power_broadened_gamma_grid():
+    gamma0 = TWO_PI * 27e6
+    ratios = np.linspace(0.0, 431.0, 50)
+    widths = power_broadened_gamma(gamma0, ratios)
+    assert np.array_equal(widths, [power_broadened_gamma(gamma0, float(p)) for p in ratios])
+    with pytest.raises(InvalidInputs):
+        power_broadened_gamma(gamma0, np.array([1.0, -1.0]))
+
+
 def test_negative_temperature_rejected():
     with pytest.raises(NegativeTemperature):
         temperature_factor(1.0, -0.1)
