@@ -38,7 +38,6 @@ from .errors import ParamagLossError
 from .linalg import EigenDecomposition, diagonalize
 from .lineshape import (
     LineshapeSpec,
-    PowerModel,
     gaussian,
     lorentzian,
     power_broadened_gamma,
@@ -68,7 +67,6 @@ __all__ = [
     "LineshapeSpec",
     "ParamagLossError",
     "PhysicalConstants",
-    "PowerModel",
     "SpinHamiltonianParams",
     "SpinOperators",
     "Spectrum",

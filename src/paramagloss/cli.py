@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,28 +52,6 @@ WEIGHT_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments of one CLI invocation."""
-
-    command: str
-    db_path: str | None = None
-    table_path: str | None = None
-    fmin_ghz: float | None = None
-    fmax_ghz: float | None = None
-    points: int | None = None
-    freq_ghz: float | None = None
-    n_r: float = 1.0
-    temp_k: float | None = None
-    p_over_pc: float | None = None
-    tmin_k: float | None = None
-    tmax_k: float | None = None
-    pmax_over_pc: float | None = None
-    species: str | None = None
-    output: str | None = None
-    fmt: str = "csv"
-
-
 def resolve_db_path(explicit: str | None) -> str:
     """Database precedence: --db flag, PARAMAG_LOSS_DB, bundled default."""
     if explicit is not None:
@@ -85,18 +62,23 @@ def resolve_db_path(explicit: str | None) -> str:
     return default_db_path()
 
 
-def _check_args(cfg: RunConfig) -> None:
-    """Range checks shared by the subcommands; argparse made every float finite."""
-    if cfg.points is not None and not 2 <= cfg.points <= MAX_POINTS:
-        raise InvalidRange(f"points must be between 2 and {MAX_POINTS}, got {cfg.points}")
-    if cfg.freq_ghz is not None and cfg.freq_ghz <= 0.0:
-        raise InvalidInputs(f"frequency must be positive, got {cfg.freq_ghz}")
-    if cfg.n_r < 1.0:
-        raise InvalidInputs(f"refractive index must be >= 1, got {cfg.n_r}")
-    if cfg.temp_k is not None and cfg.temp_k < 0.0:
-        raise InvalidInputs(f"temperature must be >= 0, got {cfg.temp_k}")
-    if cfg.p_over_pc is not None and cfg.p_over_pc < 0.0:
-        raise InvalidInputs(f"power ratio must be >= 0, got {cfg.p_over_pc}")
+def _check_args(args: argparse.Namespace) -> None:
+    """Range checks shared by the subcommands; argparse made every float finite.
+
+    n_r cancels from the loss, so it is only checked here and echoed into
+    the run metadata.
+    """
+    opt = vars(args).get
+    if opt("points") is not None and not 2 <= args.points <= MAX_POINTS:
+        raise InvalidRange(f"points must be between 2 and {MAX_POINTS}, got {args.points}")
+    if opt("freq_ghz") is not None and args.freq_ghz <= 0.0:
+        raise InvalidInputs(f"frequency must be positive, got {args.freq_ghz}")
+    if opt("n_r", 1.0) < 1.0:
+        raise InvalidInputs(f"refractive index must be >= 1, got {args.n_r}")
+    if opt("temp_k") is not None and args.temp_k < 0.0:
+        raise InvalidInputs(f"temperature must be >= 0, got {args.temp_k}")
+    if opt("p_over_pc") is not None and args.p_over_pc < 0.0:
+        raise InvalidInputs(f"power ratio must be >= 0, got {args.p_over_pc}")
 
 
 def _species_metadata(db) -> list[dict]:
@@ -119,27 +101,34 @@ def _species_metadata(db) -> list[dict]:
     return meta
 
 
-def _run_metadata(cfg: RunConfig, db) -> dict:
+def _run_metadata(args: argparse.Namespace, db) -> dict:
     return {
-        "n_r": quantize(cfg.n_r),
-        "temp_k": None if cfg.temp_k is None else quantize(cfg.temp_k),
-        "p_over_pc": None if cfg.p_over_pc is None else quantize(cfg.p_over_pc),
+        "n_r": quantize(args.n_r),
+        "temp_k": None if args.temp_k is None else quantize(args.temp_k),
+        "p_over_pc": None if args.p_over_pc is None else quantize(args.p_over_pc),
         "backend": "numpy",
         "weight_note": WEIGHT_NOTE,
         "species": _species_metadata(db),
     }
 
 
-def _write_output(cfg: RunConfig, writer) -> int:
+def _write_output(args: argparse.Namespace, writer) -> int:
     """Run writer(stream) against the output file or stdout; 3 if unwritable."""
-    if cfg.output is None:
-        writer(sys.stdout)
-        return 0
     try:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            writer(fh)
+        if args.output is None:
+            writer(sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                writer(fh)
     except OSError as exc:
-        print(f"error: cannot write {cfg.output}: {exc}", file=sys.stderr)
+        target = args.output
+        if target is None:
+            # A closed pipe or a full disk: send what is still buffered to
+            # devnull, so the flush at interpreter exit does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            target = "stdout"
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 3
     return 0
 
@@ -149,31 +138,30 @@ def _csv_rows(columns):
     return ([sci9(x) for x in row] for row in zip(*columns))
 
 
-def _write_curve(cfg: RunConfig, header, columns, payload: dict) -> int:
+def _write_curve(args: argparse.Namespace, header, columns, payload: dict) -> int:
     """One CSV row per grid point, or payload plus one JSON list per column."""
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = _csv_rows(columns)
-        return _write_output(cfg, lambda fh: write_csv(fh, header, rows))
+        return _write_output(args, lambda fh: write_csv(fh, header, rows))
     payload.update({name: [quantize(x) for x in col] for name, col in zip(header, columns)})
-    return _write_output(cfg, lambda fh: write_json(fh, payload))
+    return _write_output(args, lambda fh: write_json(fh, payload))
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    db = load_species_db(resolve_db_path(cfg.db_path))
+def cmd_sweep(args: argparse.Namespace) -> int:
+    db = load_species_db(resolve_db_path(args.db_path))
     spectrum = sweep(
         db,
-        cfg.fmin_ghz,
-        cfg.fmax_ghz,
-        cfg.points,
-        n_r=cfg.n_r,
-        temp_k=cfg.temp_k,
-        power=cfg.p_over_pc,
+        args.fmin_ghz,
+        args.fmax_ghz,
+        args.points,
+        temp_k=args.temp_k,
+        power=args.p_over_pc,
     )
     names = list(spectrum.per_species)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         header = ["freq_ghz", *names, "total"]
         rows = _csv_rows([spectrum.freqs_ghz, *spectrum.per_species.values(), spectrum.total])
-        return _write_output(cfg, lambda fh: write_csv(fh, header, rows))
+        return _write_output(args, lambda fh: write_csv(fh, header, rows))
     payload = {
         "command": "sweep",
         "freqs_ghz": [quantize(f) for f in spectrum.freqs_ghz],
@@ -181,30 +169,30 @@ def cmd_sweep(cfg: RunConfig) -> int:
             name: [quantize(x) for x in spectrum.per_species[name]] for name in names
         },
         "total": [quantize(x) for x in spectrum.total],
-        "metadata": _run_metadata(cfg, db),
+        "metadata": _run_metadata(args, db),
     }
-    return _write_output(cfg, lambda fh: write_json(fh, payload))
+    return _write_output(args, lambda fh: write_json(fh, payload))
 
 
-def cmd_point(cfg: RunConfig) -> int:
-    db = load_species_db(resolve_db_path(cfg.db_path))
-    omega = ghz_to_angular(cfg.freq_ghz)
+def cmd_point(args: argparse.Namespace) -> int:
+    db = load_species_db(resolve_db_path(args.db_path))
+    omega = ghz_to_angular(args.freq_ghz)
     losses = {
-        sp.name: species_loss(sp, omega, n_r=cfg.n_r, temp_k=cfg.temp_k, power=cfg.p_over_pc)
+        sp.name: species_loss(sp, omega, temp_k=args.temp_k, power=args.p_over_pc)
         for sp in db
     }
     total = 0.0
     for value in losses.values():
         total += value
-    metadata = _run_metadata(cfg, db)
-    if cfg.fmt == "csv":
-        rows = [["freq_ghz", sci9(cfg.freq_ghz)]]
+    metadata = _run_metadata(args, db)
+    if args.fmt == "csv":
+        rows = [["freq_ghz", sci9(args.freq_ghz)]]
         rows += [[name, sci9(value)] for name, value in losses.items()]
         rows += [
             ["total", sci9(total)],
-            ["n_r", sci9(cfg.n_r)],
-            ["temp_k", "none" if cfg.temp_k is None else sci9(cfg.temp_k)],
-            ["p_over_pc", "none" if cfg.p_over_pc is None else sci9(cfg.p_over_pc)],
+            ["n_r", sci9(args.n_r)],
+            ["temp_k", "none" if args.temp_k is None else sci9(args.temp_k)],
+            ["p_over_pc", "none" if args.p_over_pc is None else sci9(args.p_over_pc)],
         ]
         for meta in metadata["species"]:
             name = meta["name"]
@@ -213,24 +201,24 @@ def cmd_point(cfg: RunConfig) -> int:
                 [f"{name}.linewidth_convention", meta["linewidth_convention"]],
                 [f"{name}.weights", ";".join(sci9(w) for w in meta["weights"])],
             ]
-        return _write_output(cfg, lambda fh: write_csv(fh, ["key", "value"], rows))
+        return _write_output(args, lambda fh: write_csv(fh, ["key", "value"], rows))
     payload = {
         "command": "point",
-        "freq_ghz": quantize(cfg.freq_ghz),
+        "freq_ghz": quantize(args.freq_ghz),
         "species": {name: quantize(value) for name, value in losses.items()},
         "total": quantize(total),
         "metadata": metadata,
     }
-    return _write_output(cfg, lambda fh: write_json(fh, payload))
+    return _write_output(args, lambda fh: write_json(fh, payload))
 
 
-def cmd_emission(cfg: RunConfig) -> int:
-    path = cfg.table_path if cfg.table_path is not None else default_emission_path()
+def cmd_emission(args: argparse.Namespace) -> int:
+    path = args.table_path if args.table_path is not None else default_emission_path()
     lines = read_emission_table(path)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = extraction_rows(lines)
         return _write_output(
-            cfg, lambda fh: write_csv(fh, EXTRACTION_COLUMNS, rows)
+            args, lambda fh: write_csv(fh, EXTRACTION_COLUMNS, rows)
         )
     payload = {
         "command": "emission",
@@ -247,42 +235,42 @@ def cmd_emission(cfg: RunConfig) -> int:
         ],
         "metadata": {"moment_note": MOMENT_NOTE},
     }
-    return _write_output(cfg, lambda fh: write_json(fh, payload))
+    return _write_output(args, lambda fh: write_json(fh, payload))
 
 
-def cmd_tempcurve(cfg: RunConfig) -> int:
-    if not 0.0 <= cfg.tmin_k < cfg.tmax_k:
-        raise InvalidRange(f"need 0 <= tmin < tmax, got [{cfg.tmin_k}, {cfg.tmax_k}]")
-    omega_if = ghz_to_angular(cfg.freq_ghz)
-    temps = np.linspace(cfg.tmin_k, cfg.tmax_k, cfg.points)
+def cmd_tempcurve(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.tmin_k < args.tmax_k:
+        raise InvalidRange(f"need 0 <= tmin < tmax, got [{args.tmin_k}, {args.tmax_k}]")
+    omega_if = ghz_to_angular(args.freq_ghz)
+    temps = np.linspace(args.tmin_k, args.tmax_k, args.points)
     columns = (temps, temperature_factor(omega_if, temps), tanh_factor(omega_if, temps))
-    payload = {"command": "tempcurve", "freq_ghz": quantize(cfg.freq_ghz)}
-    return _write_curve(cfg, ["temp_k", "w_factor", "tanh_factor"], columns, payload)
+    payload = {"command": "tempcurve", "freq_ghz": quantize(args.freq_ghz)}
+    return _write_curve(args, ["temp_k", "w_factor", "tanh_factor"], columns, payload)
 
 
-def cmd_powercurve(cfg: RunConfig) -> int:
-    if cfg.pmax_over_pc <= 0.0:
-        raise InvalidRange(f"pmax must be positive, got {cfg.pmax_over_pc}")
-    db = load_species_db(resolve_db_path(cfg.db_path))
-    matches = [s for s in db if cfg.species in (None, s.name)]
+def cmd_powercurve(args: argparse.Namespace) -> int:
+    if args.pmax_over_pc <= 0.0:
+        raise InvalidRange(f"pmax must be positive, got {args.pmax_over_pc}")
+    db = load_species_db(resolve_db_path(args.db_path))
+    matches = [s for s in db if args.species in (None, s.name)]
     if not matches:
-        raise InvalidInputs(f"species {cfg.species!r} not in database")
+        raise InvalidInputs(f"species {args.species!r} not in database")
     sp = matches[0]
     omega_res = sp.lines[0].omega_if
-    omega_det = ghz_to_angular(cfg.freq_ghz)
-    ratios = np.linspace(0.0, cfg.pmax_over_pc, cfg.points)
+    omega_det = ghz_to_angular(args.freq_ghz)
+    ratios = np.linspace(0.0, args.pmax_over_pc, args.points)
     columns = (
         ratios,
-        species_loss(sp, omega_res, n_r=cfg.n_r, power=ratios),
-        species_loss(sp, omega_det, n_r=cfg.n_r, power=ratios),
+        species_loss(sp, omega_res, power=ratios),
+        species_loss(sp, omega_det, power=ratios),
     )
     payload = {
         "command": "powercurve",
         "species": sp.name,
         "resonance_ghz": quantize(omega_res / ghz_to_angular(1.0)),
-        "detuned_ghz": quantize(cfg.freq_ghz),
+        "detuned_ghz": quantize(args.freq_ghz),
     }
-    return _write_curve(cfg, ["p_over_pc", "loss_on_resonance", "loss_detuned"], columns, payload)
+    return _write_curve(args, ["p_over_pc", "loss_on_resonance", "loss_detuned"], columns, payload)
 
 
 _COMMANDS = {
@@ -381,20 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        key: value for key, value in vars(args).items() if key in RunConfig.__dataclass_fields__
-    }
-    return RunConfig(**fields)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        _check_args(cfg)
-        return _COMMANDS[cfg.command](cfg)
+        _check_args(args)
+        return _COMMANDS[args.command](args)
     except ParamagLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,15 +78,14 @@ class DefectLine:
 class LineTable:
     """Per-line constants of one species, read-only, built once per species.
 
-    centers are the line frequencies omega_if and widths the FWHM before
-    power broadening, both in rad/s.  amps[l] = c * pi^2 alpha^3 a0^2 *
+    centers are the line frequencies omega_if in rad/s; every line shares
+    the species' FWHM gamma.  amps[l] = c * pi^2 alpha^3 a0^2 *
     n_def * weight_l * coupling_l folds together everything that cancels or
     is constant across a grid; times the thermal factor w_l(T) and the
     unit-area Lorentzian it gives the line's loss-tangent contribution.
     """
 
     centers: np.ndarray
-    widths: np.ndarray
     amps: np.ndarray
 
 
@@ -146,7 +145,6 @@ class DefectSpecies:
         rows = [
             (
                 line.omega_if,
-                self.gamma,
                 C * MD_PREFACTOR * self.n_def * line.weight
                 * line_coupling_sq(self.two_s, self.transition, line.g_e),
             )
@@ -181,46 +179,34 @@ def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e: float) ->
     return unpolarized_coupling(transition_moment(psi_i, psi_f, ops, g_e))
 
 
-def _check_n_r(n_r: float) -> None:
-    if n_r < 1.0:
-        raise InvalidInputs(f"refractive index must be >= 1, got {n_r}")
-
-
 def species_loss(
     sp: DefectSpecies,
     omega,
-    n_r: float = 1.0,
     temp_k=None,
     power=None,
 ):
     """Loss-tangent contribution of one species over a grid.
 
-    The probe frequency omega [rad/s] and the drive `power` (a PowerModel
-    or P/P_c) are scalars or arrays over one grid; scalars alone give a
-    float.  Every grid point sums the lines in listed order, so a point
-    equals the same point of a sweep bit for bit.  n_r is accepted for
-    interface symmetry but cancels exactly between the cross section and
-    the loss-tangent prefactor.
+    The probe frequency omega [rad/s] and the drive `power` (P/P_c) are
+    scalars or arrays over one grid; scalars alone give a float.  Every
+    grid point sums the lines in listed order, so a point equals the same
+    point of a sweep bit for bit.
     """
     omega = np.asarray(omega, dtype=np.float64)
     if not (np.all(omega > 0.0) and np.max(omega) <= MAX_RATE):
         raise InvalidInputs(
             f"angular probe frequency must be in (0, {MAX_RATE:.3g}] rad/s, got {omega}"
         )
-    _check_n_r(n_r)
     table = sp.table
     amps = table.amps
     if temp_k is not None:
         amps = amps * temperature_factor(table.centers, temp_k)
-    # sqrt(1 + P/P_c), the broadened width of a unit-width line.
-    scale = 1.0 if power is None else power_broadened_gamma(1.0, power)
-    half = 0.5 * float(np.max(table.widths)) * float(np.max(scale))
-    if not half <= MAX_RATE:
+    with np.errstate(over="ignore"):  # an overflowing width is rejected just below
+        gamma = sp.gamma if power is None else power_broadened_gamma(sp.gamma, power)
+    if not 0.5 * np.max(gamma) <= MAX_RATE:
         raise InvalidRange(f"species {sp.name!r}: power-broadened linewidth overflows")
-    out = np.zeros(np.broadcast_shapes(omega.shape, np.shape(scale)))
-    _kernels.lorentzian_mix(
-        np.broadcast_to(omega, out.shape), table.centers, table.widths, amps, out, scale
-    )
+    out = np.zeros(np.broadcast_shapes(omega.shape, np.shape(gamma)))
+    _kernels.lorentzian_mix(np.broadcast_to(omega, out.shape), table.centers, gamma, amps, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -229,7 +215,6 @@ def sweep(
     fmin_ghz: float,
     fmax_ghz: float,
     points: int,
-    n_r: float = 1.0,
     temp_k=None,
     power=None,
 ) -> Spectrum:
@@ -249,7 +234,6 @@ def sweep(
         raise InvalidRange(f"need at least 2 grid points, got {points}")
     if not ghz_to_angular(float(fmax_ghz)) <= MAX_RATE:
         raise InvalidRange(f"angular frequency of fmax {fmax_ghz} GHz overflows")
-    _check_n_r(n_r)
     freqs = np.linspace(fmin_ghz, fmax_ghz, points)
     omegas = ghz_to_angular(freqs)
     per_species = {}
@@ -325,11 +309,14 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
         raise DatabaseError(
             f"species {name!r}: line weights sum to {weight_sum}, expected 1"
         )
+    n_def = n_cm3 * 1e6
+    if not math.isfinite(n_def):
+        raise DatabaseError(f"species {name!r}: field 'concentration_per_cm3' overflows: {n_cm3}")
     try:
-        return DefectSpecies(
+        species = DefectSpecies(
             name=name,
             two_s=two_s,
-            n_def=n_cm3 * 1e6,
+            n_def=n_def,
             gamma=linewidth_to_angular(linewidth_mhz, convention),
             transition=(float(transition[0]), float(transition[1])),
             lines=tuple(lines),
@@ -337,6 +324,21 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
         )
     except InvalidInputs as exc:
         raise DatabaseError(f"species {name!r}: {exc}") from exc
+    # The kernel divides by the squared half-width, and the loss never exceeds
+    # the on-resonance peak sum(amps) * 2 / (pi gamma): power broadening and
+    # the thermal factor only lower it.
+    half = 0.5 * species.gamma
+    if not (sys.float_info.min <= half * half and half <= MAX_RATE):
+        raise DatabaseError(
+            f"species {name!r}: field 'linewidth_mhz' gives a half-width of {half:.3g} rad/s, "
+            "too small or too large to square in double precision"
+        )
+    if not math.isfinite(sum(species.table.amps.tolist()) * 2.0 / (math.pi * species.gamma)):
+        raise DatabaseError(
+            f"species {name!r}: fields 'concentration_per_cm3' and 'linewidth_mhz' "
+            "give an infinite peak loss"
+        )
+    return species
 
 
 def load_species_db(path) -> list[DefectSpecies]:

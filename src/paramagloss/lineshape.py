@@ -141,28 +141,14 @@ def tanh_factor(omega_if, temp):
     return float(th) if np.ndim(th) == 0 else th
 
 
-@dataclass(frozen=True)
-class PowerModel:
-    """Drive strength as the dimensionless ratio P / P_c of power to the
-    critical power."""
-
-    p_over_pc: float = 0.0
-
-    def __post_init__(self):
-        if self.p_over_pc < 0.0:
-            raise InvalidInputs(f"p_over_pc must be >= 0, got {self.p_over_pc}")
-
-
 def power_broadened_gamma(gamma0: float, power):
     """Power-broadened FWHM gamma0 * sqrt(1 + P/P_c).
 
-    `power` may be a PowerModel, a bare P/P_c ratio, or an array of ratios
-    (a power grid), which gives an array of widths.
+    `power` is the ratio P/P_c of drive to critical power, or an array of
+    ratios (a power grid), which gives an array of widths.
     """
     if not gamma0 > 0.0:
         raise NonPositiveWidth(f"gamma0 must be positive, got {gamma0}")
-    if isinstance(power, PowerModel):
-        power = power.p_over_pc
     ratio = np.asarray(power, dtype=np.float64)
     if np.any(ratio < 0.0):
         raise InvalidInputs(f"p_over_pc must be >= 0, got {np.min(ratio)}")

@@ -20,7 +20,7 @@ from paramagloss.ensemble import (
     sweep,
 )
 from paramagloss.errors import DatabaseError, InvalidInputs, InvalidRange
-from paramagloss.lineshape import PowerModel, temperature_factor
+from paramagloss.lineshape import temperature_factor
 
 TWO_PI = 2.0 * math.pi
 GAMMA = TWO_PI * 27e6
@@ -160,7 +160,7 @@ def test_species_loss_temperature_factor():
 
 def test_species_loss_power_broadening():
     # P/P_c = 3 doubles the width, same as a species built with 2 gamma.
-    broadened = species_loss(CR, OMEGA_45, power=PowerModel(3.0))
+    broadened = species_loss(CR, OMEGA_45, power=3.0)
     wide = DefectSpecies(
         name="Cr",
         two_s=3,
@@ -174,8 +174,8 @@ def test_species_loss_power_broadening():
 
 def test_species_loss_grids_match_points():
     omegas = ghz_to_angular(np.linspace(8.0, 11.0, 301))
-    grid = species_loss(VA, omegas, temp_k=0.7, power=PowerModel(4.0))
-    points = [species_loss(VA, float(w), temp_k=0.7, power=PowerModel(4.0)) for w in omegas]
+    grid = species_loss(VA, omegas, temp_k=0.7, power=4.0)
+    points = [species_loss(VA, float(w), temp_k=0.7, power=4.0) for w in omegas]
     assert all(type(x) is float for x in points)
     assert np.array_equal(grid, points)
     ratios = np.linspace(0.0, 431.0, 200)
@@ -186,7 +186,7 @@ def test_species_loss_grids_match_points():
 def test_line_table_built_once():
     table = VA.table
     assert VA.table is table
-    assert table.centers.shape == table.widths.shape == table.amps.shape == (8,)
+    assert table.centers.shape == table.amps.shape == (8,)
     assert not table.amps.flags.writeable
     assert np.array_equal(table.centers, [line.omega_if for line in VA.lines])
 
@@ -207,8 +207,6 @@ def test_overflowing_rates_rejected():
 def test_species_loss_validation():
     with pytest.raises(InvalidInputs):
         species_loss(CR, 0.0)
-    with pytest.raises(InvalidInputs):
-        species_loss(CR, OMEGA_45, n_r=0.99)
 
 
 def test_sweep_range_validation():
@@ -378,6 +376,25 @@ def test_load_database_errors(tmp_path):
 
     path = _write_db(tmp_path, [_cr_entry(concentration_per_cm3=10**400)], "big_n.json")
     with pytest.raises(DatabaseError, match="'Cr'.*concentration_per_cm3"):
+        load_species_db(path)
+
+    path = _write_db(tmp_path, [_cr_entry(concentration_per_cm3=1e303)], "inf_n_def.json")
+    with pytest.raises(DatabaseError, match="'Cr'.*concentration_per_cm3"):
+        load_species_db(path)
+
+    # Subnormal: the squared half-width underflows to 0.
+    path = _write_db(tmp_path, [_cr_entry(linewidth_mhz=1e-320)], "tiny_width.json")
+    with pytest.raises(DatabaseError, match="'Cr'.*linewidth_mhz"):
+        load_species_db(path)
+
+    path = _write_db(tmp_path, [_cr_entry(linewidth_mhz=1e305)], "huge_width.json")
+    with pytest.raises(DatabaseError, match="'Cr'.*linewidth_mhz"):
+        load_species_db(path)
+
+    # Each field is fine alone; together the on-resonance peak overflows.
+    peaked = _cr_entry(concentration_per_cm3=1e290, linewidth_mhz=1e-150)
+    path = _write_db(tmp_path, [peaked], "inf_peak.json")
+    with pytest.raises(DatabaseError, match="'Cr'.*concentration_per_cm3.*linewidth_mhz"):
         load_species_db(path)
 
     inf_line = _cr_entry(lines=[{"g": 1.984, "freq_ghz": float("inf"), "weight": 1.0}])

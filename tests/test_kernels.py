@@ -5,12 +5,14 @@ import numpy as np
 from paramagloss import _kernels
 
 
-def _mix_reference(omega, centers, gammas, amps, out):
-    # Same operation sequence as the vectorised mixer, one point at a time.
+def _mix_reference(omega, centers, gamma, amps, out):
+    # Same operation sequence as the vectorised mixer, one point at a time;
+    # gamma is one shared FWHM or one FWHM per point.
+    gammas = np.broadcast_to(gamma, omega.shape)
     for l in range(centers.shape[0]):
-        half = 0.5 * gammas[l]
-        pref = half / np.pi
         for j in range(omega.shape[0]):
+            half = 0.5 * gammas[j]
+            pref = half / np.pi
             d = omega[j] - centers[l]
             out[j] += amps[l] * (pref / (d * d + half * half))
     return out
@@ -20,13 +22,24 @@ def _mix_inputs(n_points=257, n_lines=9, seed=42):
     rng = np.random.default_rng(seed)
     omega = np.linspace(0.5e10, 1.5e11, n_points)
     centers = rng.uniform(1e10, 1.4e11, n_lines)
-    gammas = rng.uniform(1e7, 5e8, n_lines)
     amps = rng.uniform(0.1, 2.0, n_lines)
-    return omega, centers, gammas, amps
+    return omega, centers, amps
 
 
 def test_numpy_and_loop_paths_identical():
-    omega, centers, gammas, amps = _mix_inputs()
-    a = _kernels.lorentzian_mix(omega, centers, gammas, amps, np.zeros_like(omega))
-    b = _mix_reference(omega, centers, gammas, amps, np.zeros_like(omega))
+    omega, centers, amps = _mix_inputs()
+    gamma = 2.0 * np.pi * 27e6
+    a = _kernels.lorentzian_mix(omega, centers, gamma, amps, np.zeros_like(omega))
+    b = _mix_reference(omega, centers, gamma, amps, np.zeros_like(omega))
+    assert np.array_equal(a, b)
+
+
+def test_power_grid_widths_match_reference():
+    # One probe frequency and one power-broadened width per grid point.
+    _, centers, amps = _mix_inputs()
+    ratios = np.linspace(0.0, 431.0, 257)
+    gamma = 2.0 * np.pi * 27e6 * np.sqrt(1.0 + ratios)
+    omega = np.full(ratios.shape, centers[3])
+    a = _kernels.lorentzian_mix(omega, centers, gamma, amps, np.zeros_like(omega))
+    b = _mix_reference(omega, centers, gamma, amps, np.zeros_like(omega))
     assert np.array_equal(a, b)

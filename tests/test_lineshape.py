@@ -14,7 +14,6 @@ from paramagloss.errors import (
 )
 from paramagloss.lineshape import (
     LineshapeSpec,
-    PowerModel,
     evaluate,
     gaussian,
     lorentzian,
@@ -207,8 +206,8 @@ def test_negative_temperature_rejected():
 
 def test_power_broadened_gamma_values():
     gamma0 = TWO_PI * 27e6
-    assert power_broadened_gamma(gamma0, PowerModel(0.0)) == gamma0
-    assert power_broadened_gamma(gamma0, PowerModel(3.0)) == pytest.approx(
+    assert power_broadened_gamma(gamma0, 0.0) == gamma0
+    assert power_broadened_gamma(gamma0, 3.0) == pytest.approx(
         2.0 * gamma0, rel=1e-14
     )
     assert power_broadened_gamma(gamma0, 1.0) == pytest.approx(
@@ -217,10 +216,8 @@ def test_power_broadened_gamma_values():
 
 
 def test_power_model_validation():
-    with pytest.raises(InvalidInputs):
-        PowerModel(-0.5)
     with pytest.raises(NonPositiveWidth):
-        power_broadened_gamma(0.0, PowerModel(1.0))
+        power_broadened_gamma(0.0, 1.0)
     with pytest.raises(InvalidInputs):
         power_broadened_gamma(1.0, -2.0)
 
