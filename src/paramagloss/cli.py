@@ -18,6 +18,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -115,35 +116,31 @@ def _run_metadata(args: argparse.Namespace, db) -> dict:
 def _write_output(args: argparse.Namespace, writer) -> int:
     """Run writer(stream) against the output file or stdout; 3 if unwritable."""
     try:
-        if args.output is None:
-            writer(sys.stdout)
-            sys.stdout.flush()
-        else:
+        if args.output is not None:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 writer(fh)
+        elif sys.stdout is None:
+            # Python leaves sys.stdout None when file descriptor 1 was closed.
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            writer(sys.stdout)
+            sys.stdout.flush()
     except OSError as exc:
-        target = args.output
-        if target is None:
+        if args.output is None and sys.stdout is not None:
             # A closed pipe or a full disk: send what is still buffered to
             # devnull, so the flush at interpreter exit does not fail again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            target = "stdout"
+        target = "stdout" if args.output is None else args.output
         print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 3
     return 0
 
 
-def _csv_rows(columns):
-    """One row of sci9 cells per grid point of equal-length column arrays."""
-    return ([sci9(x) for x in row] for row in zip(*columns))
-
-
 def _write_curve(args: argparse.Namespace, header, columns, payload: dict) -> int:
     """One CSV row per grid point, or payload plus one JSON list per column."""
     if args.fmt == "csv":
-        rows = _csv_rows(columns)
-        return _write_output(args, lambda fh: write_csv(fh, header, rows))
-    payload.update({name: [quantize(x) for x in col] for name, col in zip(header, columns)})
+        return _write_output(args, lambda fh: write_csv(fh, header, columns))
+    payload.update(zip(header, columns))
     return _write_output(args, lambda fh: write_json(fh, payload))
 
 
@@ -157,18 +154,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         temp_k=args.temp_k,
         power=args.p_over_pc,
     )
-    names = list(spectrum.per_species)
     if args.fmt == "csv":
-        header = ["freq_ghz", *names, "total"]
-        rows = _csv_rows([spectrum.freqs_ghz, *spectrum.per_species.values(), spectrum.total])
-        return _write_output(args, lambda fh: write_csv(fh, header, rows))
+        header = ["freq_ghz", *spectrum.per_species, "total"]
+        columns = [spectrum.freqs_ghz, *spectrum.per_species.values(), spectrum.total]
+        return _write_output(args, lambda fh: write_csv(fh, header, columns))
     payload = {
         "command": "sweep",
-        "freqs_ghz": [quantize(f) for f in spectrum.freqs_ghz],
-        "species": {
-            name: [quantize(x) for x in spectrum.per_species[name]] for name in names
-        },
-        "total": [quantize(x) for x in spectrum.total],
+        "freqs_ghz": spectrum.freqs_ghz,
+        "species": spectrum.per_species,
+        "total": spectrum.total,
         "metadata": _run_metadata(args, db),
     }
     return _write_output(args, lambda fh: write_json(fh, payload))

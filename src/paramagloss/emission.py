@@ -132,7 +132,7 @@ def read_emission_table(path) -> list[EmissionLine]:
             raw = json.load(fh)
     except OSError as exc:
         raise DatabaseError(f"cannot read emission table {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax or encoding, or an int over 4300 digits
         raise DatabaseError(f"emission table {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise DatabaseError(f"emission table {path} must be a JSON array")

@@ -37,6 +37,10 @@ WEIGHT_SUM_TOL = 1e-9
 # a finite float, so no Lorentzian denominator overflows to a silent 0.
 MAX_RATE = math.sqrt(sys.float_info.max / 2.0)
 
+# Largest database 2S.  The couplings build (2S+1) x (2S+1) complex spin
+# matrices, 1 MiB each at this cap; real paramagnetic ions have 2S <= 8.
+MAX_TWO_S = 255
+
 DEFAULT_DB_RESOURCE = "sapphire_defects.json"
 DEFAULT_EMISSION_RESOURCE = "rare_earth_lines.json"
 
@@ -269,8 +273,10 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
     if not isinstance(name, str) or not name:
         raise DatabaseError(f"species entry {index}: missing field 'name'")
     two_s = entry.get("two_s")
-    if not isinstance(two_s, int) or isinstance(two_s, bool):
-        raise DatabaseError(f"species {name!r}: field 'two_s' must be an integer")
+    if not isinstance(two_s, int) or isinstance(two_s, bool) or not 1 <= two_s <= MAX_TWO_S:
+        raise DatabaseError(
+            f"species {name!r}: field 'two_s' must be an integer in [1, {MAX_TWO_S}]"
+        )
     n_cm3 = _require_number(entry, "concentration_per_cm3", name)
     linewidth_mhz = _require_number(entry, "linewidth_mhz", name)
     convention = entry.get("linewidth_convention", "cyclic_times_2pi")
@@ -296,6 +302,13 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
         if not isinstance(raw, dict):
             raise DatabaseError(f"species {name!r}: line {li} is not an object")
         g = _require_number(raw, "g", name, li)
+        # Every spin matrix element is below (two_s + 1) / 2, so this bound
+        # keeps the squared moments in line_coupling_sq finite.
+        if not g * (two_s + 1) <= MAX_RATE:
+            raise DatabaseError(
+                f"species {name!r}: line {li}: field 'g' must be at most "
+                f"{MAX_RATE / (two_s + 1):.3g} for two_s={two_s}, got {g}"
+            )
         freq_ghz = _require_number(raw, "freq_ghz", name, li)
         weight = _require_number(raw, "weight", name, li)
         try:
@@ -348,7 +361,7 @@ def load_species_db(path) -> list[DefectSpecies]:
             raw = json.load(fh)
     except OSError as exc:
         raise DatabaseError(f"cannot read database {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax or encoding, or an int over 4300 digits
         raise DatabaseError(f"database {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise DatabaseError(f"database {path} must be a JSON array of species")

@@ -8,7 +8,6 @@ from line center, omega - omega_if.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .constants import HBAR, KB
 from .errors import (
@@ -77,6 +76,10 @@ def voigt(detuning, gamma, sigma):
         raise NonPositiveWidth(f"gamma must be positive, got {gamma}")
     if not sigma > 0.0:
         raise NonPositiveWidth(f"sigma must be positive, got {sigma}")
+    # scipy.special costs more start-up than all else the CLI imports, and
+    # only this profile needs it.
+    from scipy.special import wofz  # noqa: PLC0415
+
     z = (detuning + 0.5j * gamma) / (sigma * _SQRT2)
     return wofz(z).real / (sigma * _SQRT2PI)
 

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: formats, determinism, and exit codes."""
 
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -254,6 +256,34 @@ def test_closed_stdout_exit_code():
     assert proc.wait(timeout=120) == 3
     assert "Traceback" not in err and "Exception ignored" not in err
     assert "cannot write stdout" in err
+
+
+def test_closed_stdout_descriptor_exit_code():
+    # With file descriptor 1 closed at start-up, Python sets sys.stdout to None.
+    cmd = shlex.join([sys.executable, "-m", "paramagloss.cli", "point", "--freq-ghz", "4.5"])
+    proc = subprocess.run(
+        cmd + " >&-", shell=True, stderr=subprocess.PIPE, text=True, env=_clean_env(), timeout=120
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "import paramagloss.cli\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "from paramagloss import voigt\n"
+        "print(repr(float(voigt(0.0, 2.0, 1.0))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_clean_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    # At zero detuning w(i/sqrt2) = exp(1/2) erfc(1/sqrt2).
+    expected = math.exp(0.5) * math.erfc(1.0 / math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
+    assert float(proc.stdout) == pytest.approx(expected, rel=1e-12)
 
 
 def test_malformed_database_names_species(tmp_path):

@@ -178,6 +178,10 @@ def test_read_emission_table_errors(tmp_path):
     bad_json.write_text("[{")
     with pytest.raises(DatabaseError, match="JSON"):
         read_emission_table(bad_json)
+    for text in (b"\xff\xfe[", b"[" + b"9" * 5000 + b"]"):  # not UTF-8; int over 4300 digits
+        bad_json.write_bytes(text)
+        with pytest.raises(DatabaseError, match="JSON"):
+            read_emission_table(bad_json)
     with pytest.raises(DatabaseError):
         read_emission_table(tmp_path / "nonexistent.json")
     bad_type = tmp_path / "bad_type.json"

@@ -9,6 +9,7 @@ import pytest
 
 from paramagloss.constants import ghz_to_angular
 from paramagloss.ensemble import (
+    MAX_TWO_S,
     DefectLine,
     DefectSpecies,
     default_db_path,
@@ -362,6 +363,22 @@ def test_load_database_errors(tmp_path):
     with pytest.raises(DatabaseError, match="two_s"):
         load_species_db(path)
 
+    for two_s in (MAX_TWO_S + 1, 10**400):
+        path = _write_db(tmp_path, [_cr_entry(two_s=two_s)], "huge_twos.json")
+        with pytest.raises(DatabaseError, match="'Cr'.*two_s"):
+            load_species_db(path)
+    # Spins above the eigensolver's dimension limit still load: the couplings
+    # need no diagonalisation.
+    path = _write_db(tmp_path, [_cr_entry(two_s=MAX_TWO_S)], "big_twos.json")
+    assert load_species_db(path)[0].two_s == MAX_TWO_S
+
+    # The squared moment of such a g would overflow in the spin algebra, with
+    # a RuntimeWarning (an error in this suite) before the species is rejected.
+    huge_g = _cr_entry(lines=[{"g": 1e200, "freq_ghz": 11.45, "weight": 1.0}])
+    path = _write_db(tmp_path, [huge_g], "huge_g.json")
+    with pytest.raises(DatabaseError, match="'Cr': line 0: field 'g'"):
+        load_species_db(path)
+
     path = _write_db(tmp_path, [_cr_entry(transition=[1.5])], "trans.json")
     with pytest.raises(DatabaseError, match="transition"):
         load_species_db(path)
@@ -408,9 +425,10 @@ def test_load_database_errors(tmp_path):
         load_species_db(path)
 
     path = tmp_path / "garbage.json"
-    path.write_text("[{,")
-    with pytest.raises(DatabaseError, match="JSON"):
-        load_species_db(path)
+    for text in (b"[{,", b"\xff\xfe[", b"[" + b"9" * 5000 + b"]"):
+        path.write_bytes(text)
+        with pytest.raises(DatabaseError, match="JSON"):
+            load_species_db(path)
 
     with pytest.raises(DatabaseError, match="cannot read"):
         load_species_db(tmp_path / "nope.json")

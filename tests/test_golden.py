@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from paramagloss import cli
+from paramagloss import cli, ioformat
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -48,6 +48,14 @@ def test_cli_output_matches_golden(name, fmt, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.{fmt}"
     assert cli.main(_argv(name, fmt, out)) == 0
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_small_chunks_match_golden(name, fmt, tmp_path, monkeypatch):
+    # Every grid case then spans many chunks, most of them full.
+    monkeypatch.setattr(ioformat, "CHUNK", 7)
+    test_cli_output_matches_golden(name, fmt, tmp_path, monkeypatch)
 
 
 if __name__ == "__main__":
