@@ -144,6 +144,17 @@ def _write_curve(args: argparse.Namespace, header, columns, payload: dict) -> in
     return _write_output(args, lambda fh: write_json(fh, payload))
 
 
+def _grid(start: float, stop: float, points: int) -> np.ndarray:
+    """np.linspace(start, stop, points) for any finite range.
+
+    Near the float maximum the last step of linspace overflows to inf
+    before linspace overwrites that element with stop, so the grid is
+    right and only the overflow warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        return np.linspace(start, stop, points)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     db = load_species_db(resolve_db_path(args.db_path))
     spectrum = sweep(
@@ -236,7 +247,7 @@ def cmd_tempcurve(args: argparse.Namespace) -> int:
     if not 0.0 <= args.tmin_k < args.tmax_k:
         raise InvalidRange(f"need 0 <= tmin < tmax, got [{args.tmin_k}, {args.tmax_k}]")
     omega_if = ghz_to_angular(args.freq_ghz)
-    temps = np.linspace(args.tmin_k, args.tmax_k, args.points)
+    temps = _grid(args.tmin_k, args.tmax_k, args.points)
     columns = (temps, temperature_factor(omega_if, temps), tanh_factor(omega_if, temps))
     payload = {"command": "tempcurve", "freq_ghz": quantize(args.freq_ghz)}
     return _write_curve(args, ["temp_k", "w_factor", "tanh_factor"], columns, payload)
@@ -252,7 +263,7 @@ def cmd_powercurve(args: argparse.Namespace) -> int:
     sp = matches[0]
     omega_res = sp.lines[0].omega_if
     omega_det = ghz_to_angular(args.freq_ghz)
-    ratios = np.linspace(0.0, args.pmax_over_pc, args.points)
+    ratios = _grid(0.0, args.pmax_over_pc, args.points)
     columns = (
         ratios,
         species_loss(sp, omega_res, power=ratios),

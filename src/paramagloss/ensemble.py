@@ -25,7 +25,7 @@ from .constants import C, ghz_to_angular, mhz_to_angular
 from .errors import DatabaseError, InvalidInputs, InvalidRange
 from .ioformat import finite_float
 from .lineshape import power_broadened_gamma, temperature_factor
-from .spin import basis_state, spin_operators, transition_moment, unpolarized_coupling
+from .spin import basis_state, spin_operators
 
 # Interpretation of the database linewidth_mhz field: a cyclic frequency
 # to be multiplied by 2*pi, or already an angular rate in 1e6 rad/s.
@@ -146,18 +146,14 @@ class DefectSpecies:
     @functools.cached_property
     def table(self) -> LineTable:
         """The species' LineTable; the spin algebra runs once, on first use."""
-        rows = [
-            (
-                line.omega_if,
-                C * MD_PREFACTOR * self.n_def * line.weight
-                * line_coupling_sq(self.two_s, self.transition, line.g_e),
-            )
-            for line in self.lines
-        ]
-        columns = [np.array(col, dtype=np.float64) for col in zip(*rows)]
-        for col in columns:
+        centers = np.array([line.omega_if for line in self.lines])
+        weights = np.array([line.weight for line in self.lines])
+        g = np.array([line.g_e for line in self.lines])
+        coupling = line_coupling_sq(self.two_s, self.transition, g)
+        amps = C * MD_PREFACTOR * self.n_def * weights * coupling
+        for col in (centers, amps):
             col.setflags(write=False)
-        return LineTable(*columns)
+        return LineTable(centers, amps)
 
 
 @dataclass(frozen=True)
@@ -174,13 +170,24 @@ def _cached_operators(two_s: int):
     return spin_operators(two_s)
 
 
-def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e: float) -> float:
-    """Unpolarized squared coupling of a pure-spin sublevel transition."""
+def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e):
+    """Unpolarized squared coupling of a pure-spin sublevel transition.
+
+    g_e is one g-factor, which gives a float, or a 1-D array of them, which
+    gives one coupling per entry.  The spin matrix elements are computed
+    once and each entry runs the operation sequence of transition_moment
+    and unpolarized_coupling, so it equals
+    unpolarized_coupling(transition_moment(psi_i, psi_f, ops, g)) bit for bit.
+    """
     ops = _cached_operators(two_s)
     m_i, m_f = transition
     psi_i = basis_state(two_s, m_i)
-    psi_f = basis_state(two_s, m_f)
-    return unpolarized_coupling(transition_moment(psi_i, psi_f, ops, g_e))
+    bra = basis_state(two_s, m_f).conj()
+    elems = np.array([bra @ (ops.sx @ psi_i), bra @ (ops.sy @ psi_i), bra @ (ops.sz @ psi_i)])
+    g = np.asarray(g_e, dtype=np.float64)
+    moments = g.reshape(-1, 1) * elems
+    coupling = np.sum(np.abs(moments) ** 2, axis=1) / 3.0
+    return float(coupling[0]) if g.ndim == 0 else coupling
 
 
 def species_loss(

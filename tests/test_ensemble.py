@@ -22,6 +22,7 @@ from paramagloss.ensemble import (
 )
 from paramagloss.errors import DatabaseError, InvalidInputs, InvalidRange
 from paramagloss.lineshape import temperature_factor
+from paramagloss.spin import basis_state, spin_operators, transition_moment, unpolarized_coupling
 
 TWO_PI = 2.0 * math.pi
 GAMMA = TWO_PI * 27e6
@@ -129,6 +130,28 @@ def test_line_coupling_values():
     assert line_coupling_sq(3, (1.5, 0.5), 2.029) == pytest.approx(
         2.029**2 / 2.0, rel=1e-12
     )
+    for g_e in (1.984, np.float64(2.02), 2):
+        assert type(line_coupling_sq(3, (1.5, 0.5), g_e)) is float
+
+
+@pytest.mark.parametrize("two_s", [*range(1, 10), MAX_TWO_S])
+def test_line_coupling_array_matches_scalar_calls(two_s):
+    # Every Delta m = +-1 pair of the ladder, random and 6-decimal g values;
+    # each entry equals the scalar call and the spin module's own algebra.
+    rng = np.random.default_rng(two_s)
+    n = 12 if two_s < 10 else 1
+    g = np.concatenate([rng.uniform(0.5, 4.0, n), np.round(rng.uniform(1.9, 2.1, n), 6)])
+    ops = spin_operators(two_s)
+    ms = [(two_s - 2 * k) / 2.0 for k in range(two_s + 1)]
+    pairs = list(zip(ms, ms[1:]))
+    pairs += [(b, a) for a, b in pairs]
+    for m_i, m_f in pairs:
+        batch = line_coupling_sq(two_s, (m_i, m_f), g)
+        assert batch.shape == g.shape
+        assert np.array_equal(batch, [line_coupling_sq(two_s, (m_i, m_f), x) for x in g])
+        psi_i, psi_f = basis_state(two_s, m_i), basis_state(two_s, m_f)
+        reference = [unpolarized_coupling(transition_moment(psi_i, psi_f, ops, x)) for x in g]
+        assert np.array_equal(batch, reference)
 
 
 def test_species_loss_values():

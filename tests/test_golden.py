@@ -33,6 +33,11 @@ CASES = {
     ],
     "point_4p5_t0": ["point", "--freq-ghz", "4.5", "--temp-k", "0"],
     "sweep_2001_t_p": ["sweep", "--points", "2001", "--temp-k", "0.7", "--p-over-pc", "4"],
+    # 3 species x ~200 lines (two_s 2, 3 and 5, both linewidth conventions).
+    "sweep_many_lines_t": [
+        "sweep", "--db", str(GOLDEN_DIR / "many_lines_db.json"), "--fmin-ghz", "1.5",
+        "--fmax-ghz", "12.5", "--points", "1201", "--temp-k", "0.4",
+    ],
 }
 FORMATS = ("csv", "json")
 

@@ -43,3 +43,47 @@ def test_power_grid_widths_match_reference():
     a = _kernels.lorentzian_mix(omega, centers, gamma, amps, np.zeros_like(omega))
     b = _mix_reference(omega, centers, gamma, amps, np.zeros_like(omega))
     assert np.array_equal(a, b)
+
+
+def test_scalar_point_matches_reference():
+    # The point path: 0-d omega and out.
+    omega, centers, amps = _mix_inputs()
+    gamma = 2.0 * np.pi * 27e6
+    for w in (omega[0], centers[2], omega[-1]):
+        out = np.zeros(())
+        result = _kernels.lorentzian_mix(np.asarray(w), centers, gamma, amps, out)
+        assert result is out and out.shape == ()
+        ref = _mix_reference(np.array([w]), centers, gamma, amps, np.zeros(1))
+        assert out[()] == ref[0]
+
+
+def test_accumulates_into_existing_out():
+    omega, centers, amps = _mix_inputs(seed=7)
+    gamma = 2.0 * np.pi * 9e6
+    start = np.random.default_rng(3).uniform(-1e-9, 1e-9, omega.shape)
+    a = _kernels.lorentzian_mix(omega, centers, gamma, amps, start.copy())
+    b = _mix_reference(omega, centers, gamma, amps, start.copy())
+    assert np.array_equal(a, b)
+
+
+def test_many_lines_match_reference():
+    omega, centers, amps = _mix_inputs(n_points=97, n_lines=600, seed=11)
+    gamma = 2.0 * np.pi * 27e6
+    a = _kernels.lorentzian_mix(omega, centers, gamma, amps, np.zeros_like(omega))
+    b = _mix_reference(omega, centers, gamma, amps, np.zeros_like(omega))
+    assert np.array_equal(a, b)
+
+
+def test_read_only_and_broadcast_inputs_left_unchanged():
+    _, centers, amps = _mix_inputs()
+    ratios = np.linspace(0.0, 50.0, 129)
+    gamma = 2.0 * np.pi * 27e6 * np.sqrt(1.0 + ratios)
+    omega = np.broadcast_to(centers[4], ratios.shape)
+    for arr in (centers, amps, gamma):
+        arr.setflags(write=False)
+    saved = [arr.copy() for arr in (omega, centers, amps, gamma)]
+    a = _kernels.lorentzian_mix(omega, centers, gamma, amps, np.zeros_like(ratios))
+    b = _mix_reference(omega, centers, gamma, amps, np.zeros_like(ratios))
+    assert np.array_equal(a, b)
+    for arr, before in zip((omega, centers, amps, gamma), saved):
+        assert np.array_equal(arr, before)
