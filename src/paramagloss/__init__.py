@@ -24,8 +24,8 @@ from .emission import (
     wavelength_to_angular,
 )
 from .ensemble import (
-    DefectLine,
     DefectSpecies,
+    SpeciesLines,
     Spectrum,
     default_db_path,
     default_emission_path,
@@ -60,13 +60,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CODATA2018",
-    "DefectLine",
     "DefectSpecies",
     "EigenDecomposition",
     "EmissionLine",
     "LineshapeSpec",
     "ParamagLossError",
     "PhysicalConstants",
+    "SpeciesLines",
     "SpinHamiltonianParams",
     "SpinOperators",
     "Spectrum",

@@ -94,9 +94,9 @@ def _species_metadata(db) -> list[dict]:
                 "linewidth_convention": sp.linewidth_convention,
                 "transition": [sp.transition[0], sp.transition[1]],
                 "line_freqs_ghz": [
-                    quantize(line.omega_if / ghz_to_angular(1.0)) for line in sp.lines
+                    quantize(omega / ghz_to_angular(1.0)) for omega in sp.lines.centers.tolist()
                 ],
-                "weights": [quantize(line.weight) for line in sp.lines],
+                "weights": [quantize(w) for w in sp.lines.weights.tolist()],
             }
         )
     return meta
@@ -261,7 +261,7 @@ def cmd_powercurve(args: argparse.Namespace) -> int:
     if not matches:
         raise InvalidInputs(f"species {args.species!r} not in database")
     sp = matches[0]
-    omega_res = sp.lines[0].omega_if
+    omega_res = float(sp.lines.centers[0])
     omega_det = ghz_to_angular(args.freq_ghz)
     ratios = _grid(0.0, args.pmax_over_pc, args.points)
     columns = (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .constants import A0, ALPHA, C, TWO_PI
 from .errors import DatabaseError, InvalidInputs
-from .ioformat import finite_float, sci9, write_csv
+from .ioformat import finite_float, sci9
 
 # Rate prefactor: multiply by n_r^3, omega_if^3, and the squared moment.
 EMISSION_PREFACTOR = ALPHA**3 * A0**2 / C**2
@@ -175,7 +175,3 @@ def extraction_rows(lines) -> list[list[str]]:
             ]
         )
     return rows
-
-
-def write_extraction_csv(stream, lines) -> None:
-    write_csv(stream, EXTRACTION_COLUMNS, extraction_rows(lines))

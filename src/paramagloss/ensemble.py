@@ -14,22 +14,23 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from . import _kernels
 from .absorption import MD_PREFACTOR
-from .constants import C, ghz_to_angular, mhz_to_angular
+from .constants import TWO_PI, C, ghz_to_angular
 from .errors import DatabaseError, InvalidInputs, InvalidRange
 from .ioformat import finite_float
 from .lineshape import power_broadened_gamma, temperature_factor
 from .spin import basis_state, spin_operators
 
-# Interpretation of the database linewidth_mhz field: a cyclic frequency
-# to be multiplied by 2*pi, or already an angular rate in 1e6 rad/s.
-LINEWIDTH_CONVENTIONS = ("cyclic_times_2pi", "angular_rate")
+# Angular FWHM [rad/s] per unit of the database linewidth_mhz field, by
+# linewidth_convention: a cyclic frequency in MHz times 2*pi, or an angular
+# rate in 1e6 rad/s.
+LINEWIDTH_SCALES = {"cyclic_times_2pi": TWO_PI * 1.0e6, "angular_rate": 1.0e6}
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -45,66 +46,50 @@ DEFAULT_DB_RESOURCE = "sapphire_defects.json"
 DEFAULT_EMISSION_RESOURCE = "rare_earth_lines.json"
 
 
-def linewidth_to_angular(linewidth_mhz: float, convention: str) -> float:
-    """Angular FWHM [rad/s] from a database linewidth entry."""
-    if linewidth_mhz <= 0.0:
-        raise InvalidInputs(f"linewidth must be positive, got {linewidth_mhz}")
-    if convention == "cyclic_times_2pi":
-        return mhz_to_angular(linewidth_mhz)
-    if convention == "angular_rate":
-        return linewidth_mhz * 1e6
-    raise InvalidInputs(
-        f"unknown linewidth convention {convention!r}, "
-        f"expected one of {LINEWIDTH_CONVENTIONS}"
-    )
-
-
 @dataclass(frozen=True)
-class DefectLine:
-    """One transition line: g-factor, angular frequency, population weight."""
+class SpeciesLines:
+    """The transition lines of one species as read-only float64 arrays.
 
-    g_e: float
-    omega_if: float
-    weight: float
-
-    def __post_init__(self) -> None:
-        if self.g_e <= 0.0:
-            raise InvalidInputs(f"g-factor must be positive, got {self.g_e}")
-        if not 0.0 < self.omega_if <= MAX_RATE:
-            raise InvalidInputs(
-                f"line frequency must be in (0, {MAX_RATE:.3g}] rad/s, got {self.omega_if}"
-            )
-        if not 0.0 < self.weight <= 1.0:
-            raise InvalidInputs(f"line weight must be in (0, 1], got {self.weight}")
-
-
-@dataclass(frozen=True)
-class LineTable:
-    """Per-line constants of one species, read-only, built once per species.
-
-    centers are the line frequencies omega_if in rad/s; every line shares
-    the species' FWHM gamma.  amps[l] = c * pi^2 alpha^3 a0^2 *
-    n_def * weight_l * coupling_l folds together everything that cancels or
-    is constant across a grid; times the thermal factor w_l(T) and the
-    unit-area Lorentzian it gives the line's loss-tangent contribution.
+    centers are the line frequencies omega_if [rad/s], g the g-factors and
+    weights the population weights, one entry per line; every line shares
+    the species' FWHM.  The arrays are copied, so the caller's stay writable.
     """
 
     centers: np.ndarray
-    amps: np.ndarray
+    g: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        shapes = []
+        for name in ("centers", "g", "weights"):
+            col = np.array(getattr(self, name), dtype=np.float64)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+            shapes.append(col.shape)
+        if not (len(shapes[0]) == 1 and shapes[0] == shapes[1] == shapes[2]):
+            raise InvalidInputs(
+                f"line arrays must be 1-D and of equal length, got shapes {shapes}"
+            )
+
+    def __len__(self) -> int:
+        return self.centers.shape[0]
 
 
-def _is_valid_m(two_m: int, two_s: int) -> bool:
-    return abs(two_m) <= two_s and (two_m - two_s) % 2 == 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefectSpecies:
-    """A defect population with its transition lines.
+    """A defect population with its transition lines, checked on construction.
 
     The transition field names the (m_i, m_f) sublevel pair whose coupling
     is used for every line; the +-m partners are one Kramers-degenerate
-    line at the same frequency, so n_def is the total spin concentration
-    and lines are not double-counted.
+    line at the same frequency, so n_def [m^-3] is the total spin
+    concentration and lines are not double-counted.  gamma is the angular
+    FWHM [rad/s].  A failed check raises InvalidInputs naming the species,
+    the first bad line and the database field the value comes from.
+
+    amps[l] = c * pi^2 alpha^3 a0^2 * n_def * weight_l * coupling_l folds
+    together everything that cancels or is constant across a grid; times
+    the thermal factor w_l(T) and the unit-area Lorentzian it gives line
+    l's loss-tangent contribution.  It is computed here, once per species.
     """
 
     name: str
@@ -112,48 +97,68 @@ class DefectSpecies:
     n_def: float
     gamma: float
     transition: tuple[float, float]
-    lines: tuple[DefectLine, ...]
+    lines: SpeciesLines
     # How the database spelled the linewidth; kept for run metadata only,
     # gamma is already angular.
     linewidth_convention: str = "cyclic_times_2pi"
+    amps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.two_s < 1:
-            raise InvalidInputs(f"{self.name}: two_s must be >= 1, got {self.two_s}")
-        if self.n_def < 0.0:
-            raise InvalidInputs(f"{self.name}: concentration must be >= 0")
-        if self.gamma <= 0.0:
-            raise InvalidInputs(f"{self.name}: linewidth must be positive")
-        if len(self.lines) == 0:
-            raise InvalidInputs(f"{self.name}: species needs at least one line")
-        m_i, m_f = self.transition
-        two_mi = round(2.0 * m_i)
-        two_mf = round(2.0 * m_f)
-        if abs(2.0 * m_i - two_mi) > 1e-9 or abs(2.0 * m_f - two_mf) > 1e-9:
-            raise InvalidInputs(
-                f"{self.name}: transition values must be half-integers"
-            )
-        if not (_is_valid_m(two_mi, self.two_s) and _is_valid_m(two_mf, self.two_s)):
-            raise InvalidInputs(
-                f"{self.name}: transition ({m_i}, {m_f}) outside the "
-                f"two_s={self.two_s} ladder"
-            )
-        if abs(two_mi - two_mf) != 2:
-            raise InvalidInputs(
-                f"{self.name}: transition ({m_i}, {m_f}) must change m by 1"
-            )
+        two_s, lines = self.two_s, self.lines
 
-    @functools.cached_property
-    def table(self) -> LineTable:
-        """The species' LineTable; the spin algebra runs once, on first use."""
-        centers = np.array([line.omega_if for line in self.lines])
-        weights = np.array([line.weight for line in self.lines])
-        g = np.array([line.g_e for line in self.lines])
-        coupling = line_coupling_sq(self.two_s, self.transition, g)
-        amps = C * MD_PREFACTOR * self.n_def * weights * coupling
-        for col in (centers, amps):
-            col.setflags(write=False)
-        return LineTable(centers, amps)
+        def fail(problem, li=None):
+            where = f"species {self.name!r}" + ("" if li is None else f": line {li}")
+            raise InvalidInputs(f"{where}: {problem}")
+
+        if isinstance(two_s, bool) or not (isinstance(two_s, int) and 1 <= two_s <= MAX_TWO_S):
+            fail(f"field 'two_s' must be an integer in [1, {MAX_TWO_S}]")
+        if not 0.0 <= self.n_def < math.inf:
+            fail(
+                "field 'concentration_per_cm3' must give a finite concentration >= 0, "
+                f"got {self.n_def:.6g} m^-3"
+            )
+        # The kernel divides by the squared half-width.
+        half = 0.5 * self.gamma
+        if not (0.0 < half <= MAX_RATE and half * half >= sys.float_info.min):
+            fail(
+                "field 'linewidth_mhz' must give a positive FWHM whose half-width squares to a "
+                f"normal double, got {self.gamma:.6g} rad/s"
+            )
+        m_i, m_f = self.transition
+        try:
+            for m in (m_i, m_f):
+                basis_state(two_s, m)
+        except (ValueError, OverflowError) as exc:  # InvalidParams, or a non-finite m
+            fail(f"field 'transition' ({m_i}, {m_f}): {exc}")
+        if abs(round(2.0 * m_i) - round(2.0 * m_f)) != 2:
+            fail(f"field 'transition' ({m_i}, {m_f}) must change m by 1")
+        if len(lines) == 0:
+            fail("field 'lines' must hold at least one line")
+        # Every spin matrix element is below (two_s + 1) / 2, so this g bound
+        # keeps the squared moments in line_coupling_sq finite.
+        g_max = MAX_RATE / (two_s + 1)
+        for key, values, upper, rule in (
+            ("g", lines.g, g_max, f"must be in (0, {g_max:.3g}] for two_s={two_s}"),
+            ("freq_ghz", lines.centers, MAX_RATE,
+             f"must give a line frequency in (0, {MAX_RATE:.3g}] rad/s"),
+            ("weight", lines.weights, 1.0, "must be in (0, 1]"),
+        ):
+            ok = (values > 0.0) & (values <= upper)
+            if not ok.all():
+                li = int(np.argmin(ok))
+                fail(f"field {key!r} {rule}, got {values[li]:.6g}", li)
+        weight_sum = sum(lines.weights.tolist())
+        if abs(weight_sum - 1.0) > WEIGHT_SUM_TOL:
+            fail(f"field 'weight': line weights sum to {weight_sum}, expected 1")
+        coupling = line_coupling_sq(two_s, self.transition, lines.g)
+        with np.errstate(over="ignore"):  # an overflowing amplitude fails the peak bound
+            amps = C * MD_PREFACTOR * self.n_def * lines.weights * coupling
+        amps.setflags(write=False)
+        object.__setattr__(self, "amps", amps)
+        # The loss never exceeds the on-resonance peak sum(amps) * 2 / (pi gamma):
+        # power broadening and the thermal factor only lower it.
+        if not math.isfinite(sum(amps.tolist()) * 2.0 / (math.pi * float(self.gamma))):
+            fail("fields 'concentration_per_cm3' and 'linewidth_mhz' give an infinite peak loss")
 
 
 @dataclass(frozen=True)
@@ -208,16 +213,15 @@ def species_loss(
         raise InvalidInputs(
             f"angular probe frequency must be in (0, {MAX_RATE:.3g}] rad/s, got {omega}"
         )
-    table = sp.table
-    amps = table.amps
+    centers, amps = sp.lines.centers, sp.amps
     if temp_k is not None:
-        amps = amps * temperature_factor(table.centers, temp_k)
+        amps = amps * temperature_factor(centers, temp_k)
     with np.errstate(over="ignore"):  # an overflowing width is rejected just below
         gamma = sp.gamma if power is None else power_broadened_gamma(sp.gamma, power)
     if not 0.5 * np.max(gamma) <= MAX_RATE:
         raise InvalidRange(f"species {sp.name!r}: power-broadened linewidth overflows")
     out = np.zeros(np.broadcast_shapes(omega.shape, np.shape(gamma)))
-    _kernels.lorentzian_mix(np.broadcast_to(omega, out.shape), table.centers, gamma, amps, out)
+    _kernels.lorentzian_mix(np.broadcast_to(omega, out.shape), centers, gamma, amps, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -259,38 +263,37 @@ def sweep(
     return Spectrum(freqs_ghz=freqs, per_species=per_species, total=total)
 
 
-def _require_number(entry: dict, field: str, name: str, li=None) -> float:
-    """entry[field] as a finite float; errors name the species and line li."""
-    if field in entry:
-        value = finite_float(entry[field])
+def _require_number(entry: dict, key: str, name: str, li=None) -> float:
+    """entry[key] as a finite float; errors name the species and line li."""
+    if key in entry:
+        value = finite_float(entry[key])
         if value is not None:
             return value
-        problem = f"field {field!r} must be a finite number"
+        problem = f"field {key!r} must be a finite number"
     else:
-        problem = f"missing field {field!r}"
+        problem = f"missing field {key!r}"
     where = f"species {name!r}" if li is None else f"species {name!r}: line {li}"
     raise DatabaseError(f"{where}: {problem}")
 
 
 def parse_species(entry: dict, index: int) -> DefectSpecies:
-    """Build one DefectSpecies from a decoded database entry."""
+    """Build one DefectSpecies from a decoded database entry.
+
+    Only the JSON types are read here; DefectSpecies checks every range and
+    its message, naming the species, line and field, is re-raised as is.
+    """
     if not isinstance(entry, dict):
         raise DatabaseError(f"species entry {index} is not an object")
     name = entry.get("name")
     if not isinstance(name, str) or not name:
         raise DatabaseError(f"species entry {index}: missing field 'name'")
-    two_s = entry.get("two_s")
-    if not isinstance(two_s, int) or isinstance(two_s, bool) or not 1 <= two_s <= MAX_TWO_S:
-        raise DatabaseError(
-            f"species {name!r}: field 'two_s' must be an integer in [1, {MAX_TWO_S}]"
-        )
     n_cm3 = _require_number(entry, "concentration_per_cm3", name)
     linewidth_mhz = _require_number(entry, "linewidth_mhz", name)
     convention = entry.get("linewidth_convention", "cyclic_times_2pi")
-    if convention not in LINEWIDTH_CONVENTIONS:
+    if not isinstance(convention, str) or convention not in LINEWIDTH_SCALES:
         raise DatabaseError(
             f"species {name!r}: field 'linewidth_convention' must be one of "
-            f"{LINEWIDTH_CONVENTIONS}, got {convention!r}"
+            f"{tuple(LINEWIDTH_SCALES)}, got {convention!r}"
         )
     transition = entry.get("transition")
     if (
@@ -302,63 +305,31 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
             f"species {name!r}: field 'transition' must be a pair of finite numbers"
         )
     raw_lines = entry.get("lines")
-    if not isinstance(raw_lines, list) or not raw_lines:
-        raise DatabaseError(f"species {name!r}: field 'lines' must be a non-empty array")
-    lines = []
+    if not isinstance(raw_lines, list):
+        raise DatabaseError(f"species {name!r}: field 'lines' must be an array")
+    columns = ([], [], [])
     for li, raw in enumerate(raw_lines):
         if not isinstance(raw, dict):
-            raise DatabaseError(f"species {name!r}: line {li} is not an object")
-        g = _require_number(raw, "g", name, li)
-        # Every spin matrix element is below (two_s + 1) / 2, so this bound
-        # keeps the squared moments in line_coupling_sq finite.
-        if not g * (two_s + 1) <= MAX_RATE:
             raise DatabaseError(
-                f"species {name!r}: line {li}: field 'g' must be at most "
-                f"{MAX_RATE / (two_s + 1):.3g} for two_s={two_s}, got {g}"
+                f"species {name!r}: line {li}: entry of field 'lines' is not an object"
             )
-        freq_ghz = _require_number(raw, "freq_ghz", name, li)
-        weight = _require_number(raw, "weight", name, li)
-        try:
-            lines.append(
-                DefectLine(g_e=g, omega_if=ghz_to_angular(freq_ghz), weight=weight)
-            )
-        except InvalidInputs as exc:
-            raise DatabaseError(f"species {name!r}: line {li}: {exc}") from exc
-    weight_sum = sum(line.weight for line in lines)
-    if abs(weight_sum - 1.0) > WEIGHT_SUM_TOL:
-        raise DatabaseError(
-            f"species {name!r}: line weights sum to {weight_sum}, expected 1"
-        )
-    n_def = n_cm3 * 1e6
-    if not math.isfinite(n_def):
-        raise DatabaseError(f"species {name!r}: field 'concentration_per_cm3' overflows: {n_cm3}")
+        for column, key in zip(columns, ("g", "freq_ghz", "weight")):
+            column.append(_require_number(raw, key, name, li))
+    g, freq_ghz, weights = columns
+    with np.errstate(over="ignore"):  # an overflowing frequency fails the species' bound
+        centers = ghz_to_angular(np.array(freq_ghz))
     try:
-        species = DefectSpecies(
+        return DefectSpecies(
             name=name,
-            two_s=two_s,
-            n_def=n_def,
-            gamma=linewidth_to_angular(linewidth_mhz, convention),
+            two_s=entry.get("two_s"),
+            n_def=n_cm3 * 1e6,
+            gamma=LINEWIDTH_SCALES[convention] * linewidth_mhz,
             transition=(float(transition[0]), float(transition[1])),
-            lines=tuple(lines),
+            lines=SpeciesLines(centers, g, weights),
             linewidth_convention=convention,
         )
     except InvalidInputs as exc:
-        raise DatabaseError(f"species {name!r}: {exc}") from exc
-    # The kernel divides by the squared half-width, and the loss never exceeds
-    # the on-resonance peak sum(amps) * 2 / (pi gamma): power broadening and
-    # the thermal factor only lower it.
-    half = 0.5 * species.gamma
-    if not (sys.float_info.min <= half * half and half <= MAX_RATE):
-        raise DatabaseError(
-            f"species {name!r}: field 'linewidth_mhz' gives a half-width of {half:.3g} rad/s, "
-            "too small or too large to square in double precision"
-        )
-    if not math.isfinite(sum(species.table.amps.tolist()) * 2.0 / (math.pi * species.gamma)):
-        raise DatabaseError(
-            f"species {name!r}: fields 'concentration_per_cm3' and 'linewidth_mhz' "
-            "give an infinite peak loss"
-        )
-    return species
+        raise DatabaseError(str(exc)) from exc
 
 
 def load_species_db(path) -> list[DefectSpecies]:

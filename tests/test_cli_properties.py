@@ -1,15 +1,20 @@
-"""Property tests of the CLI exit-code contract over generated argv.
+"""Property tests of the CLI exit-code contract over generated argv and databases.
 
 For any argv, every subcommand exits 0, 2 or 3 without a traceback.  On
 exit 0 every number it prints is finite, the JSON parses under a parser
 that rejects NaN and Infinity, and the CSV and JSON carry the same values.
-Each example runs in-process through ``cli.main``, once per format.
+For a database with one field of one species or line replaced, `point` and
+`sweep` exit 0 or 2 without a traceback or a RuntimeWarning, and an exit 2
+prints one line naming that species and field.  Each example runs
+in-process through ``cli.main``.
 """
 
 import contextlib
 import io
 import json
 import math
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -178,3 +183,72 @@ def test_any_argv_keeps_exit_contract(command, data):
     assert all(math.isfinite(x) for x in _numbers(csv_columns))
     assert all(math.isfinite(x) for x in _numbers(payload))
     assert csv_columns == _json_columns(command, payload)
+
+
+# A database field replaced by one of these, or deleted (MISSING).  The
+# lists are wrong-length transitions, or the wrong type for any other field.
+MISSING = object()
+BAD_VALUES = st.sampled_from(
+    [
+        True, False, "2", None, MISSING, 0, 0.0, -1, -2.5, 5e-324, 1e-310, 1e154, 1e300,
+        1.7976931348623157e308, 10**400, [], [0.5], [1.5, 0.5, -0.5],
+    ]
+)
+SPECIES_FIELDS = [
+    "two_s", "concentration_per_cm3", "linewidth_mhz", "linewidth_convention",
+    "transition", "lines",
+]
+LINE_FIELDS = ["g", "freq_ghz", "weight"]
+DB_ARGV = [
+    ["point", "--freq-ghz=9.0"],
+    ["point", "--freq-ghz=11.45", "--temp-k=0.5", "--p-over-pc=3"],
+    ["sweep", "--points=41"],
+    ["sweep", "--points=41", "--temp-k=4", "--p-over-pc=3"],
+]
+
+
+@st.composite
+def mutated_databases(draw):
+    """The bundled database with one field replaced: (entries, species, field)."""
+    db = json.loads(Path(default_db_path()).read_text())
+    sp = db[draw(st.integers(0, len(db) - 1))]
+    field = draw(st.sampled_from(SPECIES_FIELDS + LINE_FIELDS))
+    if field in LINE_FIELDS:
+        holder, key = sp["lines"][draw(st.integers(0, len(sp["lines"]) - 1))], field
+    elif field == "transition" and draw(st.booleans()):
+        holder, key = sp["transition"], draw(st.integers(0, 1))
+    else:
+        holder, key = sp, field
+    value = draw(BAD_VALUES)
+    if value is MISSING:
+        del holder[key]
+    else:
+        holder[key] = value
+    return db, sp["name"], field
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=mutated_databases(),
+    argv=st.sampled_from(DB_ARGV),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_any_database_keeps_exit_contract(tmp_path_factory, case, argv, fmt):
+    db, name, field = case
+    path = tmp_path_factory.getbasetemp() / "mutated_db.json"
+    path.write_text(json.dumps(db))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _run([*argv, f"--db={path}", f"--format={fmt}"])
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith(f"error: species {name!r}") and err.count("\n") == 1, err
+        assert f"'{field}'" in err
+        return
+    assert err == ""
+    if fmt == "csv":
+        numbers = _numbers(_csv_columns(argv[0], out))
+    else:
+        numbers = _numbers(json.loads(out, parse_constant=_reject_constant))
+    assert all(math.isfinite(x) for x in numbers)

@@ -1,6 +1,5 @@
 """Emission rates, moment extraction, and detailed balance."""
 
-import io
 import json
 import math
 
@@ -18,7 +17,6 @@ from paramagloss.emission import (
     photon_dos,
     read_emission_table,
     wavelength_to_angular,
-    write_extraction_csv,
 )
 from paramagloss.absorption import sigma_md
 from paramagloss.ensemble import default_emission_path
@@ -205,8 +203,3 @@ def test_extraction_csv_format():
         "1.08128045e-02",
         "1.03984636e-01",
     ]
-    buf = io.StringIO()
-    write_extraction_csv(buf, lines)
-    text = buf.getvalue()
-    assert text.startswith("label,lambda_nm,freq_thz,a_md_hz,m_sq,m_abs\n")
-    assert text.endswith("\n")

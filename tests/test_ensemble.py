@@ -7,15 +7,15 @@ import os
 import numpy as np
 import pytest
 
-from paramagloss.constants import ghz_to_angular
+from paramagloss import ensemble
+from paramagloss.constants import ghz_to_angular, mhz_to_angular
 from paramagloss.ensemble import (
     MAX_TWO_S,
-    DefectLine,
     DefectSpecies,
+    SpeciesLines,
     default_db_path,
     default_emission_path,
     line_coupling_sq,
-    linewidth_to_angular,
     load_species_db,
     species_loss,
     sweep,
@@ -27,13 +27,20 @@ from paramagloss.spin import basis_state, spin_operators, transition_moment, unp
 TWO_PI = 2.0 * math.pi
 GAMMA = TWO_PI * 27e6
 
+
+def _lines(*rows):
+    """SpeciesLines from (g, freq_ghz, weight) rows."""
+    g, freq_ghz, weights = zip(*rows)
+    return SpeciesLines(centers=ghz_to_angular(np.array(freq_ghz)), g=g, weights=weights)
+
+
 CR = DefectSpecies(
     name="Cr",
     two_s=3,
     n_def=1e23,
     gamma=GAMMA,
     transition=(1.5, 0.5),
-    lines=(DefectLine(g_e=1.984, omega_if=ghz_to_angular(11.45), weight=1.0),),
+    lines=_lines((1.984, 11.45, 1.0)),
 )
 FE = DefectSpecies(
     name="Fe",
@@ -41,7 +48,7 @@ FE = DefectSpecies(
     n_def=1e23,
     gamma=GAMMA,
     transition=(0.5, 1.5),
-    lines=(DefectLine(g_e=2.02, omega_if=ghz_to_angular(12.03), weight=1.0),),
+    lines=_lines((2.02, 12.03, 1.0)),
 )
 V_LINES = (
     (2.029, 8.68),
@@ -59,9 +66,7 @@ VA = DefectSpecies(
     n_def=1e22,
     gamma=GAMMA,
     transition=(1.5, 0.5),
-    lines=tuple(
-        DefectLine(g_e=g, omega_if=ghz_to_angular(f), weight=0.125) for g, f in V_LINES
-    ),
+    lines=_lines(*((g, f, 0.125) for g, f in V_LINES)),
 )
 
 OMEGA_45 = ghz_to_angular(4.5)
@@ -71,53 +76,108 @@ FE_45 = 2.1128703931021166e-08
 V_45 = 1.9480116532842068e-09
 
 
-def test_linewidth_conventions():
-    assert linewidth_to_angular(27.0, "cyclic_times_2pi") == pytest.approx(
-        TWO_PI * 27e6, rel=1e-15
+def test_linewidth_conventions(tmp_path):
+    # The same bits as the MHz -> rad/s conversions, for either spelling.
+    for convention, gamma in (
+        ("cyclic_times_2pi", mhz_to_angular(27.0)),
+        ("angular_rate", 27.0 * 1e6),
+    ):
+        path = _write_db(tmp_path, [_cr_entry(linewidth_convention=convention)])
+        (sp,) = load_species_db(path)
+        assert sp.gamma == gamma
+        assert sp.linewidth_convention == convention
+    for field, value in (("linewidth_convention", "fwhm_ghz"), ("linewidth_mhz", 0.0)):
+        path = _write_db(tmp_path, [_cr_entry(**{field: value})])
+        with pytest.raises(DatabaseError, match=f"^species 'Cr': .*'{field}'"):
+            load_species_db(path)
+
+
+def _species(**overrides):
+    """A one-line species built in code (its line at 1 rad/s), with overrides."""
+    kwargs = dict(
+        name="x",
+        two_s=3,
+        n_def=1.0,
+        gamma=1.0,
+        transition=(1.5, 0.5),
+        lines=SpeciesLines(centers=[1.0], g=[2.0], weights=[1.0]),
     )
-    assert linewidth_to_angular(27.0, "angular_rate") == pytest.approx(2.7e7, rel=1e-15)
-    with pytest.raises(InvalidInputs):
-        linewidth_to_angular(27.0, "fwhm_ghz")
-    with pytest.raises(InvalidInputs):
-        linewidth_to_angular(0.0, "cyclic_times_2pi")
+    kwargs.update(overrides)
+    return DefectSpecies(**kwargs)
+
+
+def _bad_lines(centers=1.0, g=2.0, weights=1.0):
+    return {"lines": SpeciesLines(centers=[centers], g=[g], weights=[weights])}
+
+
+INVALID_SPECIES = [
+    ({"lines": SpeciesLines(centers=[], g=[], weights=[])}, "lines"),
+    ({"gamma": 0.0}, "linewidth_mhz"),
+    ({"gamma": float("nan")}, "linewidth_mhz"),
+    ({"n_def": -1.0}, "concentration_per_cm3"),
+    ({"n_def": float("nan")}, "concentration_per_cm3"),
+    ({"two_s": 0}, "two_s"),
+    ({"two_s": MAX_TWO_S + 1}, "two_s"),
+    ({"two_s": 3.0}, "two_s"),
+    ({"two_s": True}, "two_s"),
+    # Transition must be a |delta m| = 1 pair inside the ladder.
+    ({"transition": (1.5, -0.5)}, "transition"),
+    ({"transition": (2.5, 1.5)}, "transition"),
+    ({"transition": (1.0, 0.5)}, "transition"),
+    ({"transition": (float("nan"), 0.5)}, "transition"),
+    ({"transition": (float("inf"), 0.5)}, "transition"),
+    # Database checks that species built in code once skipped: a half-width
+    # whose square underflows to 0 (a division by zero on resonance), a g
+    # whose squared moment overflows, an infinite loss and weights summing
+    # to 0.5.
+    ({"gamma": 1e-320}, "linewidth_mhz"),
+    (_bad_lines(g=1e200), "g"),
+    ({"n_def": float("inf")}, "concentration_per_cm3"),
+    (
+        {"lines": SpeciesLines(centers=[1.0, 2.0], g=[2.0, 2.0], weights=[0.25, 0.25])},
+        "weight",
+    ),
+]
+
+
+# Per-line ranges.
+INVALID_LINES = [
+    (_bad_lines(weights=0.0), "weight"),
+    (_bad_lines(weights=1.2), "weight"),
+    (_bad_lines(g=0.0), "g"),
+    (_bad_lines(g=float("nan")), "g"),
+    (_bad_lines(centers=-1.0), "freq_ghz"),
+]
 
 
 def test_defect_line_validation():
-    with pytest.raises(InvalidInputs):
-        DefectLine(g_e=2.0, omega_if=1.0, weight=0.0)
-    with pytest.raises(InvalidInputs):
-        DefectLine(g_e=2.0, omega_if=1.0, weight=1.2)
-    with pytest.raises(InvalidInputs):
-        DefectLine(g_e=0.0, omega_if=1.0, weight=0.5)
-    with pytest.raises(InvalidInputs):
-        DefectLine(g_e=2.0, omega_if=-1.0, weight=0.5)
+    for overrides, field in INVALID_LINES:
+        with pytest.raises(InvalidInputs, match=f"^species 'x': line 0: field '{field}'"):
+            _species(**overrides)
 
 
 def test_defect_species_validation():
-    line = DefectLine(g_e=2.0, omega_if=1.0, weight=1.0)
-    with pytest.raises(InvalidInputs):
-        DefectSpecies(name="x", two_s=3, n_def=1.0, gamma=1.0, transition=(1.5, 0.5), lines=())
-    with pytest.raises(InvalidInputs):
-        DefectSpecies(
-            name="x", two_s=3, n_def=1.0, gamma=0.0, transition=(1.5, 0.5), lines=(line,)
-        )
-    with pytest.raises(InvalidInputs):
-        DefectSpecies(
-            name="x", two_s=3, n_def=-1.0, gamma=1.0, transition=(1.5, 0.5), lines=(line,)
-        )
-    # Transition must be a |delta m| = 1 pair inside the ladder.
-    with pytest.raises(InvalidInputs):
-        DefectSpecies(
-            name="x", two_s=3, n_def=1.0, gamma=1.0, transition=(1.5, -0.5), lines=(line,)
-        )
-    with pytest.raises(InvalidInputs):
-        DefectSpecies(
-            name="x", two_s=3, n_def=1.0, gamma=1.0, transition=(2.5, 1.5), lines=(line,)
-        )
-    with pytest.raises(InvalidInputs):
-        DefectSpecies(
-            name="x", two_s=3, n_def=1.0, gamma=1.0, transition=(1.0, 0.5), lines=(line,)
-        )
+    for overrides, field in INVALID_SPECIES:
+        with pytest.raises(InvalidInputs, match=f"^species 'x': (line 0: )?field '{field}'"):
+            _species(**overrides)
+    # Every value in range, but the amplitude overflows: an infinite peak loss.
+    lines = SpeciesLines(centers=[1.0], g=[1e150], weights=[1.0])
+    with pytest.raises(InvalidInputs, match="'concentration_per_cm3' and 'linewidth_mhz'"):
+        _species(n_def=1e300, lines=lines)
+
+
+def test_species_lines_arrays():
+    g = np.array([2.0, 2.1])
+    lines = SpeciesLines(centers=[1.0, 2.0], g=g, weights=(0.5, 0.5))
+    assert len(lines) == 2
+    for col in (lines.centers, lines.g, lines.weights):
+        assert col.dtype == np.float64 and not col.flags.writeable
+    g[0] = 5.0  # the caller's array is copied, not frozen
+    assert lines.g[0] == 2.0
+    with pytest.raises(InvalidInputs, match="equal length"):
+        SpeciesLines(centers=[1.0, 2.0], g=[2.0], weights=[0.5, 0.5])
+    with pytest.raises(InvalidInputs, match="1-D"):
+        SpeciesLines(centers=[[1.0]], g=[[2.0]], weights=[[1.0]])
 
 
 def test_line_coupling_values():
@@ -170,7 +230,7 @@ def test_species_loss_zero_concentration():
         n_def=0.0,
         gamma=GAMMA,
         transition=(1.5, 0.5),
-        lines=(DefectLine(g_e=2.0, omega_if=ghz_to_angular(10.0), weight=1.0),),
+        lines=_lines((2.0, 10.0, 1.0)),
     )
     assert species_loss(empty, OMEGA_45) == 0.0
 
@@ -178,7 +238,7 @@ def test_species_loss_zero_concentration():
 def test_species_loss_temperature_factor():
     warm = species_loss(CR, OMEGA_45, temp_k=0.5)
     cold = species_loss(CR, OMEGA_45)
-    expected = temperature_factor(CR.lines[0].omega_if, 0.5)
+    expected = temperature_factor(CR.lines.centers[0], 0.5)
     assert warm == pytest.approx(cold * expected, rel=1e-12)
 
 
@@ -207,19 +267,34 @@ def test_species_loss_grids_match_points():
     assert np.array_equal(curve, [species_loss(VA, OMEGA_45, power=float(p)) for p in ratios])
 
 
-def test_line_table_built_once():
-    table = VA.table
-    assert VA.table is table
-    assert table.centers.shape == table.amps.shape == (8,)
-    assert not table.amps.flags.writeable
-    assert np.array_equal(table.centers, [line.omega_if for line in VA.lines])
+def test_line_table_built_once(monkeypatch):
+    calls = []
+    coupling = ensemble.line_coupling_sq
+
+    def counting(*args):
+        calls.append(args)
+        return coupling(*args)
+
+    monkeypatch.setattr(ensemble, "line_coupling_sq", counting)
+    va = DefectSpecies(
+        name="V", two_s=3, n_def=1e22, gamma=GAMMA, transition=(1.5, 0.5), lines=VA.lines
+    )
+    # One array call per species, at construction; evaluating reuses amps.
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][2], VA.lines.g)
+    species_loss(va, OMEGA_45, temp_k=0.5)
+    sweep([va], 8.0, 11.0, 11, power=2.0)
+    assert len(calls) == 1
+    assert np.array_equal(va.amps, VA.amps)
+    assert va.amps.shape == va.lines.centers.shape == (len(va.lines),) == (8,)
+    assert not va.amps.flags.writeable
+    assert np.array_equal(va.lines.centers, [ghz_to_angular(f) for _, f in V_LINES])
 
 
 def test_overflowing_rates_rejected():
-    with pytest.raises(InvalidInputs):
-        DefectLine(g_e=2.0, omega_if=float("inf"), weight=0.5)
-    with pytest.raises(InvalidInputs):
-        DefectLine(g_e=2.0, omega_if=1e200, weight=0.5)
+    for omega in (float("inf"), 1e200):
+        with pytest.raises(InvalidInputs, match="line 0: field 'freq_ghz'"):
+            _species(**_bad_lines(centers=omega))
     with pytest.raises(InvalidInputs, match="angular probe frequency"):
         species_loss(CR, float("inf"))
     with pytest.raises(InvalidRange, match="linewidth"):
@@ -289,20 +364,23 @@ def test_hyperfine_manifold_maxima():
 
 
 def test_weight_concentration_scaling():
-    halved = DefectSpecies(
+    # amps scale with n_def * weight: each line split into two half-weight
+    # lines changes nothing, and a doubled concentration doubles the loss.
+    split = DefectSpecies(
         name="V",
         two_s=3,
-        n_def=2e22,
+        n_def=1e22,
         gamma=GAMMA,
         transition=(1.5, 0.5),
-        lines=tuple(
-            DefectLine(g_e=g, omega_if=ghz_to_angular(f), weight=0.0625)
-            for g, f in V_LINES
-        ),
+        lines=_lines(*((g, f, 0.0625) for g, f in V_LINES for _ in range(2))),
+    )
+    doubled = DefectSpecies(
+        name="V", two_s=3, n_def=2e22, gamma=GAMMA, transition=(1.5, 0.5), lines=VA.lines
     )
     base = sweep([VA], 8.0, 11.0, 501).total
-    scaled = sweep([halved], 8.0, 11.0, 501).total
-    assert np.abs(scaled - base).max() <= 1e-12 * base.max()
+    assert np.abs(sweep([split], 8.0, 11.0, 501).total - base).max() <= 1e-12 * base.max()
+    scaled = sweep([doubled], 8.0, 11.0, 501).total
+    assert np.abs(scaled - 2.0 * base).max() <= 1e-12 * base.max()
 
 
 def test_sweep_argmax_at_line_center():
@@ -327,9 +405,9 @@ def test_load_default_database():
     assert cr.gamma == pytest.approx(TWO_PI * 27e6, rel=1e-15)
     assert cr.linewidth_convention == "cyclic_times_2pi"
     assert len(va.lines) == 8
-    assert all(line.weight == 0.125 for line in va.lines)
-    assert va.lines[0].g_e == 2.029
-    assert va.lines[-1].omega_if == pytest.approx(ghz_to_angular(10.40), rel=1e-15)
+    assert all(w == 0.125 for w in va.lines.weights)
+    assert va.lines.g[0] == 2.029
+    assert va.lines.centers[-1] == ghz_to_angular(10.40)
     assert os.path.isfile(default_emission_path())
 
 
@@ -446,6 +524,29 @@ def test_load_database_errors(tmp_path):
     path.write_text(json.dumps([_cr_entry(linewidth_mhz=27.0)]).replace("27.0", "1e999"))
     with pytest.raises(DatabaseError, match="'Cr'.*linewidth_mhz"):
         load_species_db(path)
+
+    # Each range error names the species once, the first bad line and the field.
+    line = {"g": 1.984, "freq_ghz": 11.45, "weight": 1.0}
+    for overrides, pattern in (
+        ({"concentration_per_cm3": -1.0}, "'Cr': .*'concentration_per_cm3'"),
+        ({"transition": [2.5, 1.5]}, "'Cr': .*'transition'"),
+        ({"transition": [1.5, -0.5]}, "'Cr': .*'transition'"),
+        ({"linewidth_mhz": 0.0}, "'Cr': .*'linewidth_mhz'"),
+        ({"lines": [dict(line, freq_ghz=-1.0)]}, "'Cr': line 0: .*'freq_ghz'"),
+        ({"lines": [dict(line, freq_ghz=1e200)]}, "'Cr': line 0: .*'freq_ghz'"),
+        ({"lines": [dict(line, weight=0.0)]}, "'Cr': line 0: .*'weight'"),
+        ({"lines": [dict(line, weight=1.2)]}, "'Cr': line 0: .*'weight'"),
+        ({"lines": [dict(line, g=0.0)]}, "'Cr': line 0: .*'g'"),
+        (
+            {"lines": [dict(line, weight=0.5), *(dict(line, g=g, weight=0.25) for g in (0, -1))]},
+            "'Cr': line 1: .*'g'",
+        ),
+        ({"lines": []}, "'Cr': .*'lines'"),
+    ):
+        path = _write_db(tmp_path, [_cr_entry(**overrides)], "fields.json")
+        with pytest.raises(DatabaseError, match=pattern) as exc:
+            load_species_db(path)
+        assert str(exc.value).count("Cr") == 1, str(exc.value)
 
     path = tmp_path / "garbage.json"
     for text in (b"[{,", b"\xff\xfe[", b"[" + b"9" * 5000 + b"]"):

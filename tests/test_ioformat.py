@@ -108,7 +108,7 @@ def _powercurve_columns(points):
     ratios = np.linspace(0.0, 100.0, points)
     columns = [
         ratios,
-        species_loss(sp, sp.lines[0].omega_if, power=ratios),
+        species_loss(sp, float(sp.lines.centers[0]), power=ratios),
         species_loss(sp, ghz_to_angular(9.0), power=ratios),
     ]
     return ["p_over_pc", "loss_on_resonance", "loss_detuned"], columns
