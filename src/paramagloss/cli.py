@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import argparse
 import errno
+import math
 import os
 import sys
 
 import numpy as np
 
-from .constants import ghz_to_angular
+from .constants import angular_to_ghz, ghz_to_angular
 from .ensemble import (
+    database_loss,
     default_db_path,
     default_emission_path,
     load_species_db,
@@ -38,7 +40,7 @@ from .emission import (
     read_emission_table,
 )
 from .errors import InvalidInputs, InvalidRange, ParamagLossError
-from .ioformat import finite_float, quantize, sci9, write_csv, write_json
+from .ioformat import quantize, sci9, write_csv, write_json
 from .lineshape import tanh_factor, temperature_factor
 
 MAX_POINTS = 10**7
@@ -63,25 +65,6 @@ def resolve_db_path(explicit: str | None) -> str:
     return default_db_path()
 
 
-def _check_args(args: argparse.Namespace) -> None:
-    """Range checks shared by the subcommands; argparse made every float finite.
-
-    n_r cancels from the loss, so it is only checked here and echoed into
-    the run metadata.
-    """
-    opt = vars(args).get
-    if opt("points") is not None and not 2 <= args.points <= MAX_POINTS:
-        raise InvalidRange(f"points must be between 2 and {MAX_POINTS}, got {args.points}")
-    if opt("freq_ghz") is not None and args.freq_ghz <= 0.0:
-        raise InvalidInputs(f"frequency must be positive, got {args.freq_ghz}")
-    if opt("n_r", 1.0) < 1.0:
-        raise InvalidInputs(f"refractive index must be >= 1, got {args.n_r}")
-    if opt("temp_k") is not None and args.temp_k < 0.0:
-        raise InvalidInputs(f"temperature must be >= 0, got {args.temp_k}")
-    if opt("p_over_pc") is not None and args.p_over_pc < 0.0:
-        raise InvalidInputs(f"power ratio must be >= 0, got {args.p_over_pc}")
-
-
 def _species_metadata(db) -> list[dict]:
     meta = []
     for sp in db:
@@ -94,7 +77,7 @@ def _species_metadata(db) -> list[dict]:
                 "linewidth_convention": sp.linewidth_convention,
                 "transition": [sp.transition[0], sp.transition[1]],
                 "line_freqs_ghz": [
-                    quantize(omega / ghz_to_angular(1.0)) for omega in sp.lines.centers.tolist()
+                    quantize(f) for f in angular_to_ghz(sp.lines.centers).tolist()
                 ],
                 "weights": [quantize(w) for w in sp.lines.weights.tolist()],
             }
@@ -181,14 +164,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_point(args: argparse.Namespace) -> int:
     db = load_species_db(resolve_db_path(args.db_path))
-    omega = ghz_to_angular(args.freq_ghz)
-    losses = {
-        sp.name: species_loss(sp, omega, temp_k=args.temp_k, power=args.p_over_pc)
-        for sp in db
-    }
-    total = 0.0
-    for value in losses.values():
-        total += value
+    losses, total = database_loss(
+        db, ghz_to_angular(args.freq_ghz), temp_k=args.temp_k, power=args.p_over_pc
+    )
     metadata = _run_metadata(args, db)
     if args.fmt == "csv":
         rows = [["freq_ghz", sci9(args.freq_ghz)]]
@@ -219,24 +197,17 @@ def cmd_point(args: argparse.Namespace) -> int:
 
 def cmd_emission(args: argparse.Namespace) -> int:
     path = args.table_path if args.table_path is not None else default_emission_path()
-    lines = read_emission_table(path)
+    rows = extraction_rows(read_emission_table(path))
     if args.fmt == "csv":
-        rows = extraction_rows(lines)
         return _write_output(
             args, lambda fh: write_csv(fh, EXTRACTION_COLUMNS, rows)
         )
+    # quantize(x) is float(sci9(x)), so the JSON numbers are the CSV cells.
     payload = {
         "command": "emission",
         "lines": [
-            {
-                "label": line.label,
-                "lambda_nm": quantize(line.lambda_vac * 1e9),
-                "freq_thz": quantize(line.omega_if / ghz_to_angular(1000.0)),
-                "a_md_hz": quantize(line.a_md),
-                "m_sq": quantize(line.m_sq),
-                "m_abs": quantize(line.m_abs),
-            }
-            for line in lines
+            dict(zip(EXTRACTION_COLUMNS, [label, *map(float, cells)]))
+            for label, *cells in rows
         ],
         "metadata": {"moment_note": MOMENT_NOTE},
     }
@@ -244,8 +215,8 @@ def cmd_emission(args: argparse.Namespace) -> int:
 
 
 def cmd_tempcurve(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.tmin_k < args.tmax_k:
-        raise InvalidRange(f"need 0 <= tmin < tmax, got [{args.tmin_k}, {args.tmax_k}]")
+    if not args.tmin_k < args.tmax_k:
+        raise InvalidRange(f"need tmin < tmax, got [{args.tmin_k}, {args.tmax_k}]")
     omega_if = ghz_to_angular(args.freq_ghz)
     temps = _grid(args.tmin_k, args.tmax_k, args.points)
     columns = (temps, temperature_factor(omega_if, temps), tanh_factor(omega_if, temps))
@@ -254,8 +225,6 @@ def cmd_tempcurve(args: argparse.Namespace) -> int:
 
 
 def cmd_powercurve(args: argparse.Namespace) -> int:
-    if args.pmax_over_pc <= 0.0:
-        raise InvalidRange(f"pmax must be positive, got {args.pmax_over_pc}")
     db = load_species_db(resolve_db_path(args.db_path))
     matches = [s for s in db if args.species in (None, s.name)]
     if not matches:
@@ -272,7 +241,7 @@ def cmd_powercurve(args: argparse.Namespace) -> int:
     payload = {
         "command": "powercurve",
         "species": sp.name,
-        "resonance_ghz": quantize(omega_res / ghz_to_angular(1.0)),
+        "resonance_ghz": quantize(angular_to_ghz(omega_res)),
         "detuned_ghz": quantize(args.freq_ghz),
     }
     return _write_curve(args, ["p_over_pc", "loss_on_resonance", "loss_detuned"], columns, payload)
@@ -287,15 +256,29 @@ _COMMANDS = {
 }
 
 
-def _float_arg(text: str) -> float:
-    """argparse type for every float flag: NaN and +-inf exit 2 naming the flag."""
-    try:
-        value = finite_float(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if value is None:
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _number(kind, rule, ok):
+    """argparse type: kind(text) where ok(value) holds, the whole check of a flag.
+
+    A rejection exits 2 naming the flag; each ok also fails NaN and +-inf.
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    # argparse reports a ValueError from kind(text) as "invalid <__name__> value: 'x'".
+    parse.__name__ = kind.__name__
+    return parse
+
+
+FINITE = _number(float, "a finite number", math.isfinite)
+POSITIVE = _number(float, "a finite number > 0", lambda x: 0.0 < x < math.inf)
+NON_NEGATIVE = _number(float, "a finite number >= 0", lambda x: 0.0 <= x < math.inf)
+# n_r cancels from the loss; it is only checked and echoed into the run metadata.
+REFRACTIVE_INDEX = _number(float, "a finite number >= 1", lambda x: 1.0 <= x < math.inf)
+POINTS = _number(int, f"between 2 and {MAX_POINTS}", lambda n: 2 <= n <= MAX_POINTS)
 
 
 def _add_output_args(sub) -> None:
@@ -326,20 +309,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep", help="loss-tangent spectrum over a GHz range")
     _add_db_arg(sub)
-    sub.add_argument("--fmin-ghz", type=_float_arg, default=1.0)
-    sub.add_argument("--fmax-ghz", type=_float_arg, default=15.0)
-    sub.add_argument("--points", type=int, default=1401)
-    sub.add_argument("--n-r", type=_float_arg, default=1.0)
-    sub.add_argument("--temp-k", type=_float_arg)
-    sub.add_argument("--p-over-pc", type=_float_arg)
+    sub.add_argument("--fmin-ghz", type=POSITIVE, default=1.0)
+    sub.add_argument("--fmax-ghz", type=FINITE, default=15.0)
+    sub.add_argument("--points", type=POINTS, default=1401)
+    sub.add_argument("--n-r", type=REFRACTIVE_INDEX, default=1.0)
+    sub.add_argument("--temp-k", type=NON_NEGATIVE)
+    sub.add_argument("--p-over-pc", type=NON_NEGATIVE)
     _add_output_args(sub)
 
     sub = subs.add_parser("point", help="loss at a single frequency")
     _add_db_arg(sub)
-    sub.add_argument("--freq-ghz", type=_float_arg, required=True)
-    sub.add_argument("--n-r", type=_float_arg, default=1.0)
-    sub.add_argument("--temp-k", type=_float_arg)
-    sub.add_argument("--p-over-pc", type=_float_arg)
+    sub.add_argument("--freq-ghz", type=POSITIVE, required=True)
+    sub.add_argument("--n-r", type=REFRACTIVE_INDEX, default=1.0)
+    sub.add_argument("--temp-k", type=NON_NEGATIVE)
+    sub.add_argument("--p-over-pc", type=NON_NEGATIVE)
     _add_output_args(sub)
 
     sub = subs.add_parser("emission", help="moment extraction from emission rates")
@@ -351,10 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub)
 
     sub = subs.add_parser("tempcurve", help="temperature factor over a T range")
-    sub.add_argument("--freq-ghz", type=_float_arg, required=True)
-    sub.add_argument("--tmin-k", type=_float_arg, default=0.01)
-    sub.add_argument("--tmax-k", type=_float_arg, default=10.0)
-    sub.add_argument("--points", type=int, default=101)
+    sub.add_argument("--freq-ghz", type=POSITIVE, required=True)
+    sub.add_argument("--tmin-k", type=NON_NEGATIVE, default=0.01)
+    sub.add_argument("--tmax-k", type=FINITE, default=10.0)
+    sub.add_argument("--points", type=POINTS, default=101)
     _add_output_args(sub)
 
     sub = subs.add_parser("powercurve", help="loss versus drive power")
@@ -362,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--species", help="species name (default: first in database)")
     sub.add_argument(
         "--freq-ghz",
-        type=_float_arg,
+        type=POSITIVE,
         required=True,
         help="detuned probe frequency for the second loss column",
     )
-    sub.add_argument("--pmax-over-pc", type=_float_arg, default=100.0)
-    sub.add_argument("--points", type=int, default=20)
-    sub.add_argument("--n-r", type=_float_arg, default=1.0)
+    sub.add_argument("--pmax-over-pc", type=POSITIVE, default=100.0)
+    sub.add_argument("--points", type=POINTS, default=20)
+    sub.add_argument("--n-r", type=REFRACTIVE_INDEX, default=1.0)
     _add_output_args(sub)
 
     return parser
@@ -377,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_args(args)
         return _COMMANDS[args.command](args)
     except ParamagLossError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -89,7 +89,9 @@ class DefectSpecies:
     amps[l] = c * pi^2 alpha^3 a0^2 * n_def * weight_l * coupling_l folds
     together everything that cancels or is constant across a grid; times
     the thermal factor w_l(T) and the unit-area Lorentzian it gives line
-    l's loss-tangent contribution.  It is computed here, once per species.
+    l's loss-tangent contribution.  It is computed here, once per species,
+    with peak_loss = sum(amps) * 2 / (pi gamma), which bounds the species'
+    loss at any probe frequency, temperature and drive power.
     """
 
     name: str
@@ -102,6 +104,7 @@ class DefectSpecies:
     # gamma is already angular.
     linewidth_convention: str = "cyclic_times_2pi"
     amps: np.ndarray = field(init=False, repr=False)
+    peak_loss: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         two_s, lines = self.two_s, self.lines
@@ -157,8 +160,10 @@ class DefectSpecies:
         object.__setattr__(self, "amps", amps)
         # The loss never exceeds the on-resonance peak sum(amps) * 2 / (pi gamma):
         # power broadening and the thermal factor only lower it.
-        if not math.isfinite(sum(amps.tolist()) * 2.0 / (math.pi * float(self.gamma))):
+        peak_loss = sum(amps.tolist()) * 2.0 / (math.pi * float(self.gamma))
+        if not math.isfinite(peak_loss):
             fail("fields 'concentration_per_cm3' and 'linewidth_mhz' give an infinite peak loss")
+        object.__setattr__(self, "peak_loss", peak_loss)
 
 
 @dataclass(frozen=True)
@@ -225,6 +230,25 @@ def species_loss(
     return float(out) if out.ndim == 0 else out
 
 
+def database_loss(db, omega, temp_k=None, power=None):
+    """Loss tangent of each species in db and their total, as (per_species, total).
+
+    omega [rad/s] is one probe frequency, which gives floats, or a grid
+    array; power (P/P_c) is a scalar or an array over that grid.  Species are
+    added in list order, so runs are bit-identical.  The sum of the species'
+    peak_loss bounds the total, and is checked to be finite first.
+    """
+    if not math.isfinite(sum(sp.peak_loss for sp in db)):
+        names = ", ".join(repr(sp.name) for sp in db)
+        raise InvalidInputs(f"species {names}: peak losses sum to an infinite total loss")
+    per_species = {}
+    total = np.zeros(np.shape(omega))
+    for sp in db:
+        per_species[sp.name] = species_loss(sp, omega, temp_k, power)
+        total += per_species[sp.name]
+    return per_species, (float(total) if total.ndim == 0 else total)
+
+
 def sweep(
     db,
     fmin_ghz: float,
@@ -235,9 +259,8 @@ def sweep(
 ) -> Spectrum:
     """Loss-tangent spectrum of a species list on a uniform GHz grid.
 
-    Species are evaluated in list order and the total is accumulated in
-    that order, so repeated runs are bit-identical and a sweep over a
-    concatenated database equals the elementwise sum of partial sweeps.
+    The losses and their total come from database_loss over the grid, so
+    a sweep point equals the same point evaluated alone bit for bit.
     """
     if not fmin_ghz < fmax_ghz:
         raise InvalidRange(
@@ -250,16 +273,9 @@ def sweep(
     if not ghz_to_angular(float(fmax_ghz)) <= MAX_RATE:
         raise InvalidRange(f"angular frequency of fmax {fmax_ghz} GHz overflows")
     freqs = np.linspace(fmin_ghz, fmax_ghz, points)
-    omegas = ghz_to_angular(freqs)
-    per_species = {}
-    total = np.zeros(points, dtype=np.float64)
-    for sp in db:
-        out = species_loss(sp, omegas, temp_k=temp_k, power=power)
-        out.setflags(write=False)
-        per_species[sp.name] = out
-        total += out
-    freqs.setflags(write=False)
-    total.setflags(write=False)
+    per_species, total = database_loss(db, ghz_to_angular(freqs), temp_k, power)
+    for arr in (freqs, total, *per_species.values()):
+        arr.setflags(write=False)
     return Spectrum(freqs_ghz=freqs, per_species=per_species, total=total)
 
 

@@ -361,6 +361,15 @@ def test_db_flag_overrides_env(tmp_path):
         (["powercurve", "--freq-ghz", "9.0", "--pmax-over-pc", "inf"], "--pmax-over-pc"),
         (["tempcurve", "--freq-ghz", "11.45", "--tmax-k", "inf"], "--tmax-k"),
         (["tempcurve", "--freq-ghz", "inf"], "--freq-ghz"),
+        # Finite values outside a flag's range are rejected by the same type.
+        (["point", "--freq-ghz", "0"], "--freq-ghz"),
+        (["point", "--freq-ghz", "4.5", "--temp-k", "-1"], "--temp-k"),
+        (["point", "--freq-ghz", "4.5", "--p-over-pc", "-1"], "--p-over-pc"),
+        (["point", "--freq-ghz", "4.5", "--n-r", "0.5"], "--n-r"),
+        (["sweep", "--points", "1"], "--points"),
+        (["tempcurve", "--freq-ghz", "11.45", "--tmin-k", "-1"], "--tmin-k"),
+        (["powercurve", "--freq-ghz", "9", "--pmax-over-pc", "0"], "--pmax-over-pc"),
+        (["tempcurve", "--freq-ghz", "-3"], "--freq-ghz"),
     ],
 )
 def test_non_finite_flag_rejected(argv, flag, capsys):
@@ -369,7 +378,47 @@ def test_non_finite_flag_rejected(argv, flag, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err and flag in captured.err
+    assert "error:" in captured.err and f"argument {flag}: " in captured.err
+
+
+def _huge_species_db(tmp_path, names):
+    """Species whose peak losses are ~1.2e308 each: finite alone, infinite summed."""
+    entries = [
+        {
+            "name": name,
+            "two_s": 3,
+            "concentration_per_cm3": 1e290,
+            "linewidth_mhz": 5.35e-37,
+            "transition": [1.5, 0.5],
+            "lines": [{"g": 1.984, "freq_ghz": 11.45, "weight": 1.0}],
+        }
+        for name in names
+    ]
+    db = tmp_path / f"{''.join(names)}.json"
+    db.write_text(json.dumps(entries))
+    return str(db)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--freq-ghz", "11.45"],
+        ["point", "--freq-ghz", "11.45", "--format", "json"],
+        ["sweep", "--fmin-ghz", "11.45", "--fmax-ghz", "12", "--points", "3"],
+    ],
+)
+def test_database_total_overflow_rejected(argv, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*argv, "--db", _huge_species_db(tmp_path, ["A", "B"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: species ") and captured.err.count("\n") == 1
+    assert "'A'" in captured.err and "'B'" in captured.err
+    for name in ("A", "B"):
+        assert cli.main([*argv, "--db", _huge_species_db(tmp_path, [name])]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "inf" not in captured.out
 
 
 def test_usage_errors():

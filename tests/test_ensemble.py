@@ -13,6 +13,7 @@ from paramagloss.ensemble import (
     MAX_TWO_S,
     DefectSpecies,
     SpeciesLines,
+    database_loss,
     default_db_path,
     default_emission_path,
     line_coupling_sq,
@@ -20,7 +21,7 @@ from paramagloss.ensemble import (
     species_loss,
     sweep,
 )
-from paramagloss.errors import DatabaseError, InvalidInputs, InvalidRange
+from paramagloss.errors import DatabaseError, InvalidInputs, InvalidRange, ParamagLossError
 from paramagloss.lineshape import temperature_factor
 from paramagloss.spin import basis_state, spin_operators, transition_moment, unpolarized_coupling
 
@@ -337,6 +338,43 @@ def test_sweep_total_is_exact_sum():
         spectrum.per_species["Cr"] + spectrum.per_species["Fe"] + spectrum.per_species["V"]
     )
     assert np.array_equal(spectrum.total, manual)
+
+
+def test_point_and_sweep_share_one_sum():
+    per_species, total = database_loss([CR, FE, VA], OMEGA_45)
+    assert list(per_species) == ["Cr", "Fe", "V"]
+    assert all(isinstance(v, float) for v in [*per_species.values(), total])
+    assert total == 0.0 + per_species["Cr"] + per_species["Fe"] + per_species["V"]
+    spectrum = sweep([CR, FE, VA], 4.0, 5.0, 3)
+    assert spectrum.freqs_ghz[1] == 4.5
+    assert spectrum.total[1] == total
+    for name, value in per_species.items():
+        assert spectrum.per_species[name][1] == value
+
+
+def _huge(name):
+    """Cr with a peak loss of ~1.2e308: finite alone, infinite twice over."""
+    return DefectSpecies(
+        name=name,
+        two_s=3,
+        n_def=1e296,
+        gamma=mhz_to_angular(5.35e-37),
+        transition=(1.5, 0.5),
+        lines=CR.lines,
+    )
+
+
+def test_database_total_overflow_rejected():
+    a, b = _huge("A"), _huge("B")
+    assert a.peak_loss == sum(a.amps.tolist()) * 2.0 / (math.pi * a.gamma)
+    assert math.isfinite(a.peak_loss) and not math.isfinite(a.peak_loss + b.peak_loss)
+    with pytest.raises(ParamagLossError, match=r"^species 'A', 'B': .*infinite"):
+        sweep([a, b], 11.45, 12.0, 3)
+    with pytest.raises(ParamagLossError, match=r"^species 'A', 'B': .*infinite"):
+        database_loss([a, b], ghz_to_angular(11.45))
+    for sp in (a, b):
+        alone = sweep([sp], 11.45, 12.0, 3)
+        assert np.all(np.isfinite(alone.total)) and alone.total[0] <= sp.peak_loss
 
 
 def test_sweep_additivity():
