@@ -235,9 +235,15 @@ def database_loss(db, omega, temp_k=None, power=None):
 
     omega [rad/s] is one probe frequency, which gives floats, or a grid
     array; power (P/P_c) is a scalar or an array over that grid.  Species are
-    added in list order, so runs are bit-identical.  The sum of the species'
+    added in list order, so runs are bit-identical.  Species names must be
+    unique, since per_species is keyed by name.  The sum of the species'
     peak_loss bounds the total, and is checked to be finite first.
     """
+    names = [sp.name for sp in db]
+    repeated = dict.fromkeys(name for name in names if names.count(name) > 1)
+    if repeated:
+        listed = ", ".join(map(repr, repeated))
+        raise InvalidInputs(f"species {listed}: listed more than once")
     if not math.isfinite(sum(sp.peak_loss for sp in db)):
         names = ", ".join(repr(sp.name) for sp in db)
         raise InvalidInputs(f"species {names}: peak losses sum to an infinite total loss")

@@ -377,6 +377,27 @@ def test_database_total_overflow_rejected():
         assert np.all(np.isfinite(alone.total)) and alone.total[0] <= sp.peak_loss
 
 
+def test_repeated_species_rejected():
+    # per_species is keyed by name, so a repeated species would be summed
+    # into the total twice but shown once.
+    for db in ([CR, CR], [CR, FE, CR, FE]):
+        names = "'Cr'" if len(db) == 2 else "'Cr', 'Fe'"
+        with pytest.raises(InvalidInputs, match=rf"^species {names}: listed more than once"):
+            sweep(db, 4.0, 5.0, 3)
+        with pytest.raises(InvalidInputs, match=rf"^species {names}: listed more than once"):
+            database_loss(db, OMEGA_45)
+    renamed = DefectSpecies(
+        name="Cr2",
+        two_s=CR.two_s,
+        n_def=CR.n_def,
+        gamma=CR.gamma,
+        transition=CR.transition,
+        lines=CR.lines,
+    )
+    per_species, total = database_loss([CR, renamed], OMEGA_45)
+    assert total == 0.0 + per_species["Cr"] + per_species["Cr2"]
+
+
 def test_sweep_additivity():
     combined = sweep([CR, FE], 4.0, 13.0, 301)
     only_cr = sweep([CR], 4.0, 13.0, 301)

@@ -2,11 +2,14 @@
 
 The references here format one cell at a time, the way the writers did
 before they worked in chunks: f"{x:.8e}" per CSV cell, and
-json.dumps(indent=2) of the quantized lists for JSON.
+json.dumps(indent=2) of the quantized lists for JSON.  The CSV digit kernel
+(ioformat.sci9_block) is held to "%.8e" % x byte for byte on ~2e6
+adversarial values.
 """
 
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,3 +145,155 @@ def test_chunk_boundaries_match_reference(command, points, tmp_path, monkeypatch
         payload.update(payload.pop("species"), freq_ghz=payload.pop("freqs_ghz"))
     for name, column in zip(header, columns):
         assert payload[name] == [quantize(x) for x in column]
+
+
+# --- the CSV digit kernel ---------------------------------------------------
+
+# Largest distance between the kernel's scaled significand and the exact
+# one: two roundings of a value below 1e9.
+SCALE_ERROR = 2.3e-7
+
+
+def _assert_kernel_exact(values, cols=4):
+    """sci9_block spells every value as "%.8e" % x, without falling back."""
+    values = np.asarray(values, dtype=np.float64)
+    values = np.concatenate([values, np.ones(-len(values) % cols)])
+    row = ",".join(["%.8e"] * cols) + "\n"
+    step = 16_384 * cols
+    for start in range(0, len(values), step):
+        part = values[start : start + step]
+        text = ioformat.sci9_block(part.reshape(-1, cols))
+        assert text is not None, "a fast-class block fell back to '%'"
+        expected = (row * (len(part) // cols)) % tuple(part.tolist())
+        if text != expected:
+            got = text.replace("\n", ",").split(",")
+            want = expected.replace("\n", ",").split(",")
+            bad = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+            pytest.fail(f"{part[bad]!r}: kernel {got[bad]!r}, '%.8e' {want[bad]!r}")
+
+
+def _fast_range(values):
+    """The values the kernel takes: [1e-99, 1e100) and below a 1e+100 carry."""
+    return values[(values >= 1e-99) & (values < 9.9e99)]
+
+
+def _decimal_ties(digits, exponents):
+    """The doubles nearest to (D + 0.5) * 10**k, exact for 0 <= k <= 9."""
+    return np.array([float(f"{d}5e{k - 1}") for d, k in zip(digits.tolist(), exponents.tolist())])
+
+
+def _neighbours(values, ulps):
+    """values and their neighbours up to ulps steps away on either side."""
+    out = [values]
+    for direction in (-np.inf, np.inf):
+        step = values
+        for _ in range(ulps):
+            step = np.nextafter(step, direction)
+            out.append(step)
+    return np.concatenate(out)
+
+
+def test_kernel_matches_printf_on_random_values():
+    rng = np.random.default_rng(20260)
+    # Random bit patterns over every binary exponent of the fast range.
+    mantissa = rng.integers(0, 2**52, 1_200_000, dtype=np.uint64)
+    exponent = rng.integers(1023 - 330, 1023 + 333, len(mantissa)).astype(np.uint64)
+    values = _fast_range((exponent << np.uint64(52) | mantissa).view(np.float64))
+    assert len(values) > 1_100_000
+    _assert_kernel_exact(values)
+
+
+def test_kernel_matches_printf_at_ties():
+    rng = np.random.default_rng(20261)
+    digits = rng.integers(10**8, 10**9, 200_000)
+    binary = np.ldexp(digits + 0.5, rng.integers(-355, 300, len(digits)))
+    decimal = _decimal_ties(digits, rng.integers(-99 - 8, 99 - 8, len(digits)))
+    exact = _decimal_ties(digits[:20_000], rng.integers(0, 10, 20_000))
+    values = np.concatenate([binary, _neighbours(decimal, 1), exact])
+    _assert_kernel_exact(_fast_range(values))
+
+
+def test_kernel_matches_printf_at_powers_of_ten_and_carries():
+    powers = np.array([float(f"1e{k}") for k in range(-99, 100)])
+    carries = np.array([float(f"{m}e{k}") for k in range(-99, 99) for m in ("9.999999995", "9.9999999949999999")])
+    values = np.concatenate([_neighbours(powers, 8), _neighbours(carries, 8)])
+    _assert_kernel_exact(_fast_range(values))
+    assert ioformat.sci9_block(np.array([[1e-99, 9.9999999949e99]])) == "1.00000000e-99,9.99999999e+99\n"
+
+
+@pytest.mark.parametrize(
+    "value", SPECIAL_FLOATS + [9.9999999995e99, np.nextafter(1e100, 0), 1e100, np.nextafter(1e-99, 0)]
+)
+def test_kernel_fast_class(value):
+    """Finite +0.0 or positive cells with |exponent| <= 99 stay in the kernel."""
+    block = np.array([[value, 1.5]])
+    fast = len("%.8e" % value) == 14 and not 0 < value < 1e-99  # d.dddddddde+XX
+    text = ioformat.sci9_block(block)
+    if fast:
+        assert text == "%.8e,1.50000000e+00\n" % value
+    else:
+        assert text is None
+    assert _written(write_csv, ["a", "b"], list(block.T)) == _csv_reference(["a", "b"], list(block.T))
+
+
+def test_kernel_redoes_every_cell_near_a_tie():
+    """A cell is spelled by the kernel only when it is farther from a
+    rounding tie than the error of its scaled significand."""
+    rng = np.random.default_rng(20262)
+    digits = rng.integers(10**8, 10**9, 3000).tolist()
+    shifts = rng.integers(-30, 31, 3000).tolist()  # tenths of a millionth off the tie
+    powers = rng.integers(-99 - 8, 99 - 8, 3000).tolist()
+    exact = [Fraction(2 * d + 1, 2) + Fraction(m, 10**7) for d, m in zip(digits, shifts)]
+    values = np.array([float(t * Fraction(10) ** k) for t, k in zip(exact, powers)])
+    _, _, near = ioformat._significands(values)
+    near = set(near.tolist())
+    for i, x in enumerate(values.tolist()):
+        scaled = Fraction(x) * Fraction(10) ** (-powers[i])  # within 1e8..1e9
+        distance = abs(scaled - int(scaled) - Fraction(1, 2))
+        if i not in near:
+            assert distance > ioformat.TIE_BAND - SCALE_ERROR > SCALE_ERROR, x
+        elif distance > ioformat.TIE_BAND + SCALE_ERROR:
+            pytest.fail(f"{x!r} is {float(distance):.3g} from a tie but was redone")
+    assert 0 < len(near) < len(values)
+    ties = _decimal_ties(np.array(digits), np.arange(3000) % 10)
+    assert len(ioformat._significands(ties)[2]) == len(ties)
+
+
+def _assert_kernel_takes_every_chunk(monkeypatch, header, columns):
+    results = []
+    kernel = ioformat.sci9_block
+
+    def recording(block):
+        results.append(kernel(block))
+        return results[-1]
+
+    monkeypatch.setattr(ioformat, "sci9_block", recording)
+    assert _written(write_csv, header, columns).count("\n") == len(columns[0]) + 1
+    assert results and all(text is not None for text in results)
+
+
+def test_bulk_sweep_takes_the_digit_kernel(monkeypatch):
+    _assert_kernel_takes_every_chunk(monkeypatch, *_sweep_columns(100_000))
+
+
+def test_powercurve_from_zero_takes_the_digit_kernel(monkeypatch):
+    header, columns = _powercurve_columns(2000)
+    assert columns[0][0] == 0.0 and not np.signbit(columns[0][0])
+    _assert_kernel_takes_every_chunk(monkeypatch, header, columns)
+    assert _written(write_csv, header, [c[:1] for c in columns]).split("\n")[1].startswith(
+        "0.00000000e+00,"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1e100, exclude_max=True), min_size=1, max_size=30),
+    st.lists(st.floats(), max_size=3),
+)
+def test_csv_column_matches_per_cell_reference(fast, mixed):
+    """Chunks of fast-class cells go through the kernel, the rest to '%'."""
+    columns = [np.array(fast + mixed, dtype=np.float64)]
+    columns.append(columns[0][::-1].copy())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ioformat, "CHUNK", 7)
+        assert _written(write_csv, ["a", "b"], columns) == _csv_reference(["a", "b"], columns)
