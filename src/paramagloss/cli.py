@@ -9,8 +9,10 @@ tempcurve   temperature factor and its tanh comparison over a T range
 powercurve  on-resonance and detuned loss versus drive power
 
 All user input is in GHz / MHz / K / cm^-3; conversions happen here.
-Numeric output is lowercase scientific with 9 significant digits and
-files end lines with '\\n', so identical invocations are byte-identical.
+Each command returns a CSV table and a JSON payload of plain numbers,
+arrays and strings, and main writes the one the format asks for; numbers
+are spelled only by the ioformat writers, so identical invocations are
+byte-identical.
 Exit codes: 0 success, 2 bad usage or malformed input, 3 unwritable
 output.
 """
@@ -40,7 +42,7 @@ from .emission import (
     read_emission_table,
 )
 from .errors import InvalidInputs, InvalidRange, ParamagLossError
-from .ioformat import quantize, sci9, write_csv, write_json
+from .ioformat import sci9, write_csv, write_json
 from .lineshape import tanh_factor, temperature_factor
 
 MAX_POINTS = 10**7
@@ -65,48 +67,40 @@ def resolve_db_path(explicit: str | None) -> str:
     return default_db_path()
 
 
-def _species_metadata(db) -> list[dict]:
-    meta = []
-    for sp in db:
-        meta.append(
+def _run_metadata(args: argparse.Namespace, db) -> dict:
+    return {
+        "n_r": args.n_r,
+        "temp_k": args.temp_k,
+        "p_over_pc": args.p_over_pc,
+        "backend": "numpy",
+        "weight_note": WEIGHT_NOTE,
+        "species": [
             {
                 "name": sp.name,
                 "two_s": sp.two_s,
-                "concentration_per_cm3": quantize(sp.n_def / 1e6),
-                "gamma_rad_per_s": quantize(sp.gamma),
+                "concentration_per_cm3": sp.n_def / 1e6,
+                "gamma_rad_per_s": sp.gamma,
                 "linewidth_convention": sp.linewidth_convention,
-                "transition": [sp.transition[0], sp.transition[1]],
-                "line_freqs_ghz": [
-                    quantize(f) for f in angular_to_ghz(sp.lines.centers).tolist()
-                ],
-                "weights": [quantize(w) for w in sp.lines.weights.tolist()],
+                "transition": sp.transition,
+                "line_freqs_ghz": angular_to_ghz(sp.lines.centers),
+                "weights": sp.lines.weights,
             }
-        )
-    return meta
-
-
-def _run_metadata(args: argparse.Namespace, db) -> dict:
-    return {
-        "n_r": quantize(args.n_r),
-        "temp_k": None if args.temp_k is None else quantize(args.temp_k),
-        "p_over_pc": None if args.p_over_pc is None else quantize(args.p_over_pc),
-        "backend": "numpy",
-        "weight_note": WEIGHT_NOTE,
-        "species": _species_metadata(db),
+            for sp in db
+        ],
     }
 
 
-def _write_output(args: argparse.Namespace, writer) -> int:
-    """Run writer(stream) against the output file or stdout; 3 if unwritable."""
+def _write_output(args: argparse.Namespace, writer, *data) -> int:
+    """Run writer(stream, *data) against the output file or stdout; 3 if unwritable."""
     try:
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                writer(fh)
+                writer(fh, *data)
         elif sys.stdout is None:
             # Python leaves sys.stdout None when file descriptor 1 was closed.
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
-            writer(sys.stdout)
+            writer(sys.stdout, *data)
             sys.stdout.flush()
     except OSError as exc:
         if args.output is None and sys.stdout is not None:
@@ -117,14 +111,6 @@ def _write_output(args: argparse.Namespace, writer) -> int:
         print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def _write_curve(args: argparse.Namespace, header, columns, payload: dict) -> int:
-    """One CSV row per grid point, or payload plus one JSON list per column."""
-    if args.fmt == "csv":
-        return _write_output(args, lambda fh: write_csv(fh, header, columns))
-    payload.update(zip(header, columns))
-    return _write_output(args, lambda fh: write_json(fh, payload))
 
 
 def _grid(start: float, stop: float, points: int) -> np.ndarray:
@@ -138,20 +124,13 @@ def _grid(start: float, stop: float, points: int) -> np.ndarray:
         return np.linspace(start, stop, points)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace):
     db = load_species_db(resolve_db_path(args.db_path))
     spectrum = sweep(
-        db,
-        args.fmin_ghz,
-        args.fmax_ghz,
-        args.points,
-        temp_k=args.temp_k,
-        power=args.p_over_pc,
+        db, args.fmin_ghz, args.fmax_ghz, args.points, temp_k=args.temp_k, power=args.p_over_pc
     )
-    if args.fmt == "csv":
-        header = ["freq_ghz", *spectrum.per_species, "total"]
-        columns = [spectrum.freqs_ghz, *spectrum.per_species.values(), spectrum.total]
-        return _write_output(args, lambda fh: write_csv(fh, header, columns))
+    header = ["freq_ghz", *spectrum.per_species, "total"]
+    columns = [spectrum.freqs_ghz, *spectrum.per_species.values(), spectrum.total]
     payload = {
         "command": "sweep",
         "freqs_ghz": spectrum.freqs_ghz,
@@ -159,72 +138,57 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "total": spectrum.total,
         "metadata": _run_metadata(args, db),
     }
-    return _write_output(args, lambda fh: write_json(fh, payload))
+    return header, columns, payload
 
 
-def cmd_point(args: argparse.Namespace) -> int:
+def cmd_point(args: argparse.Namespace):
     db = load_species_db(resolve_db_path(args.db_path))
     losses, total = database_loss(
         db, ghz_to_angular(args.freq_ghz), temp_k=args.temp_k, power=args.p_over_pc
     )
     metadata = _run_metadata(args, db)
-    if args.fmt == "csv":
-        rows = [["freq_ghz", sci9(args.freq_ghz)]]
-        rows += [[name, sci9(value)] for name, value in losses.items()]
+    rows = [["freq_ghz", args.freq_ghz], *losses.items(), ["total", total]]
+    for key in ("n_r", "temp_k", "p_over_pc"):
+        rows.append([key, "none" if metadata[key] is None else metadata[key]])
+    for sp in db:
         rows += [
-            ["total", sci9(total)],
-            ["n_r", sci9(args.n_r)],
-            ["temp_k", "none" if args.temp_k is None else sci9(args.temp_k)],
-            ["p_over_pc", "none" if args.p_over_pc is None else sci9(args.p_over_pc)],
+            [f"{sp.name}.gamma_rad_per_s", sp.gamma],
+            [f"{sp.name}.linewidth_convention", sp.linewidth_convention],
+            [f"{sp.name}.weights", ";".join(sci9(w) for w in sp.lines.weights)],
         ]
-        for meta in metadata["species"]:
-            name = meta["name"]
-            rows += [
-                [f"{name}.gamma_rad_per_s", sci9(meta["gamma_rad_per_s"])],
-                [f"{name}.linewidth_convention", meta["linewidth_convention"]],
-                [f"{name}.weights", ";".join(sci9(w) for w in meta["weights"])],
-            ]
-        return _write_output(args, lambda fh: write_csv(fh, ["key", "value"], rows))
     payload = {
         "command": "point",
-        "freq_ghz": quantize(args.freq_ghz),
-        "species": {name: quantize(value) for name, value in losses.items()},
-        "total": quantize(total),
+        "freq_ghz": args.freq_ghz,
+        "species": losses,
+        "total": total,
         "metadata": metadata,
     }
-    return _write_output(args, lambda fh: write_json(fh, payload))
+    return ["key", "value"], rows, payload
 
 
-def cmd_emission(args: argparse.Namespace) -> int:
+def cmd_emission(args: argparse.Namespace):
     path = args.table_path if args.table_path is not None else default_emission_path()
     rows = extraction_rows(read_emission_table(path))
-    if args.fmt == "csv":
-        return _write_output(
-            args, lambda fh: write_csv(fh, EXTRACTION_COLUMNS, rows)
-        )
-    # quantize(x) is float(sci9(x)), so the JSON numbers are the CSV cells.
     payload = {
         "command": "emission",
-        "lines": [
-            dict(zip(EXTRACTION_COLUMNS, [label, *map(float, cells)]))
-            for label, *cells in rows
-        ],
+        "lines": [dict(zip(EXTRACTION_COLUMNS, row)) for row in rows],
         "metadata": {"moment_note": MOMENT_NOTE},
     }
-    return _write_output(args, lambda fh: write_json(fh, payload))
+    return EXTRACTION_COLUMNS, rows, payload
 
 
-def cmd_tempcurve(args: argparse.Namespace) -> int:
+def cmd_tempcurve(args: argparse.Namespace):
     if not args.tmin_k < args.tmax_k:
         raise InvalidRange(f"need tmin < tmax, got [{args.tmin_k}, {args.tmax_k}]")
     omega_if = ghz_to_angular(args.freq_ghz)
     temps = _grid(args.tmin_k, args.tmax_k, args.points)
+    header = ["temp_k", "w_factor", "tanh_factor"]
     columns = (temps, temperature_factor(omega_if, temps), tanh_factor(omega_if, temps))
-    payload = {"command": "tempcurve", "freq_ghz": quantize(args.freq_ghz)}
-    return _write_curve(args, ["temp_k", "w_factor", "tanh_factor"], columns, payload)
+    payload = {"command": "tempcurve", "freq_ghz": args.freq_ghz, **dict(zip(header, columns))}
+    return header, columns, payload
 
 
-def cmd_powercurve(args: argparse.Namespace) -> int:
+def cmd_powercurve(args: argparse.Namespace):
     db = load_species_db(resolve_db_path(args.db_path))
     matches = [s for s in db if args.species in (None, s.name)]
     if not matches:
@@ -233,6 +197,7 @@ def cmd_powercurve(args: argparse.Namespace) -> int:
     omega_res = float(sp.lines.centers[0])
     omega_det = ghz_to_angular(args.freq_ghz)
     ratios = _grid(0.0, args.pmax_over_pc, args.points)
+    header = ["p_over_pc", "loss_on_resonance", "loss_detuned"]
     columns = (
         ratios,
         species_loss(sp, omega_res, power=ratios),
@@ -241,10 +206,11 @@ def cmd_powercurve(args: argparse.Namespace) -> int:
     payload = {
         "command": "powercurve",
         "species": sp.name,
-        "resonance_ghz": quantize(angular_to_ghz(omega_res)),
-        "detuned_ghz": quantize(args.freq_ghz),
+        "resonance_ghz": angular_to_ghz(omega_res),
+        "detuned_ghz": args.freq_ghz,
+        **dict(zip(header, columns)),
     }
-    return _write_curve(args, ["p_over_pc", "loss_on_resonance", "loss_detuned"], columns, payload)
+    return header, columns, payload
 
 
 _COMMANDS = {
@@ -360,10 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        header, rows, payload = _COMMANDS[args.command](args)
     except ParamagLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.fmt == "csv":
+        return _write_output(args, write_csv, header, rows)
+    return _write_output(args, write_json, payload)
 
 
 if __name__ == "__main__":

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import A0, ALPHA, C, TWO_PI
 from .errors import DatabaseError, InvalidInputs
-from .ioformat import finite_float, sci9
+from .ioformat import finite_float
 
 # Rate prefactor: multiply by n_r^3, omega_if^3, and the squared moment.
 EMISSION_PREFACTOR = ALPHA**3 * A0**2 / C**2
@@ -91,8 +92,6 @@ class EmissionLine:
     m_sq: float
 
     def __post_init__(self) -> None:
-        if self.lambda_vac <= 0.0:
-            raise InvalidInputs(f"wavelength must be positive, got {self.lambda_vac}")
         implied = wavelength_to_angular(self.lambda_vac)
         if abs(self.omega_if - implied) > FREQ_WAVELENGTH_RTOL * implied:
             raise InvalidInputs(
@@ -112,10 +111,34 @@ class EmissionLine:
 def line_from_rate(
     label: str, lambda_nm: float, a_md_hz: float, n_r: float = 1.0
 ) -> EmissionLine:
-    """Build an EmissionLine from a wavelength [nm] and a rate [1/s]."""
+    """Build an EmissionLine from a wavelength [nm] and a rate [1/s].
+
+    Each field is checked where it enters the extraction, in the order
+    lambda_nm, n_r, a_md_hz: the rate scale EMISSION_PREFACTOR * omega^3
+    must be a finite normal double, n_r >= 1 must keep n_r^3 times it
+    finite, and the squared moment a_md_hz / (n_r^3 * scale) must be finite
+    and >= 0.  A failed check raises InvalidInputs naming the field and its
+    value.
+    """
     lambda_vac = lambda_nm * 1e-9
-    omega_if = wavelength_to_angular(lambda_vac)
-    m_sq = extract_moment(a_md_hz, lambda_vac, n_r)
+    omega_if = wavelength_to_angular(lambda_vac) if lambda_vac > 0.0 else math.inf
+
+    def rate_scale(n):
+        """n^3 * EMISSION_PREFACTOR * omega_if^3 as extract_moment computes it, or inf."""
+        try:
+            return n**3 * EMISSION_PREFACTOR * omega_if**3
+        except OverflowError:  # a cube past the float range
+            return math.inf
+
+    if not sys.float_info.min <= rate_scale(1.0) < math.inf:
+        raise InvalidInputs(
+            f"field 'lambda_nm' must be > 0 with a normal, finite rate scale, got {lambda_nm!r}"
+        )
+    if not (n_r >= 1.0 and rate_scale(n_r) < math.inf):
+        raise InvalidInputs(f"field 'n_r' must be >= 1 with a finite rate scale, got {n_r!r}")
+    m_sq = a_md_hz / rate_scale(n_r)
+    if not 0.0 <= m_sq < math.inf:
+        raise InvalidInputs(f"field 'a_md_hz' must give a finite moment >= 0, got {a_md_hz!r}")
     return EmissionLine(
         label=label,
         lambda_vac=lambda_vac,
@@ -160,18 +183,16 @@ def read_emission_table(path) -> list[EmissionLine]:
     return lines
 
 
-def extraction_rows(lines) -> list[list[str]]:
-    """Formatted CSV rows for a list of emission lines."""
-    rows = []
-    for line in lines:
-        rows.append(
-            [
-                line.label,
-                sci9(line.lambda_vac * 1e9),
-                sci9(line.omega_if / (TWO_PI * 1e12)),
-                sci9(line.a_md),
-                sci9(line.m_sq),
-                sci9(line.m_abs),
-            ]
-        )
-    return rows
+def extraction_rows(lines) -> list[list]:
+    """One row of EXTRACTION_COLUMNS per emission line: its label and five floats."""
+    return [
+        [
+            line.label,
+            line.lambda_vac * 1e9,
+            line.omega_if / (TWO_PI * 1e12),
+            line.a_md,
+            line.m_sq,
+            line.m_abs,
+        ]
+        for line in lines
+    ]

@@ -1,10 +1,10 @@
-"""Deterministic text formatting shared by the CLI and the file writers.
+"""Deterministic text formatting: the one place numbers are spelled.
 
-Numeric columns are lowercase scientific with 9 significant digits and
-files use '\\n' line endings, so identical runs produce byte-identical
-output.  JSON output encodes the same quantized values as the CSV, so the
-two formats round-trip to each other exactly.  finite_float is the one
-numeric read of every JSON input file.
+write_csv spells every number as sci9, lowercase scientific with 9
+significant digits, and write_json every float as json.dumps(quantize(x)),
+the value of that CSV cell, so the two formats round-trip exactly.  Files
+use '\\n' line endings, so identical runs produce byte-identical output.
+finite_float is the one numeric read of every JSON input file.
 
 Grid columns are written CHUNK rows at a time, and no writer holds more
 than one chunk of text.  A CSV chunk of finite values that are positive or
@@ -168,14 +168,14 @@ def _significands(x):
 def write_csv(stream, header, rows) -> None:
     """Write a CSV with '\\n' endings.
 
-    rows is a list of rows of string cells, written as given, or a sequence
-    of equal-length 1-D float arrays, one per header column, written as sci9
-    cells.
+    rows is a list of rows, whose string cells are written as given and
+    whose number cells as sci9 cells, or a sequence of equal-length 1-D
+    float arrays, one per header column, written as sci9 cells.
     """
     stream.write(",".join(header) + "\n")
     if not (rows and isinstance(rows[0], np.ndarray)):
         for row in rows:
-            stream.write(",".join(row) + "\n")
+            stream.write(",".join(c if isinstance(c, str) else sci9(c) for c in row) + "\n")
         return
     row_format = ",".join(["%.8e"] * len(rows)) + "\n"
     chunk_format = row_format * CHUNK
@@ -189,10 +189,11 @@ def write_csv(stream, header, rows) -> None:
 
 
 def write_json(stream, payload) -> None:
-    """Write json.dumps(payload, indent=2) plus '\\n', with 1-D arrays as lists.
+    """Write json.dumps(payload, indent=2) plus '\\n', with floats quantized.
 
-    An ndarray anywhere in the (string-keyed) dicts of the payload is written
-    as the list of its quantized values, one chunk at a time.
+    Every float in the (string-keyed) dicts, lists and tuples of the payload
+    is written as json.dumps(quantize(x)), and every 1-D ndarray as the list
+    of its quantized values, one chunk at a time.
     """
     _write_json_value(stream, payload, "")
     stream.write("\n")
@@ -201,17 +202,22 @@ def write_json(stream, payload) -> None:
 def _write_json_value(stream, value, pad: str) -> None:
     if isinstance(value, np.ndarray):
         _write_json_array(stream, value, pad)
-    elif isinstance(value, dict) and value:
+    elif isinstance(value, float):
+        stream.write(json.dumps(quantize(value)))
+    elif isinstance(value, (dict, list, tuple)) and value:
         inner = pad + "  "
-        sep = "{\n"
-        for key, item in value.items():
-            stream.write(f"{sep}{inner}{json.dumps(key)}: ")
+        if isinstance(value, dict):
+            brackets, items = "{}", [(json.dumps(key) + ": ", item) for key, item in value.items()]
+        else:
+            brackets, items = "[]", [("", item) for item in value]
+        sep = brackets[0] + "\n"
+        for prefix, item in items:
+            stream.write(sep + inner + prefix)
             _write_json_value(stream, item, inner)
             sep = ",\n"
-        stream.write(f"\n{pad}}}")
+        stream.write(f"\n{pad}{brackets[1]}")
     else:
-        # JSON strings escape newlines, so this only indents structure.
-        stream.write(json.dumps(value, indent=2).replace("\n", "\n" + pad))
+        stream.write(json.dumps(value))
 
 
 # "%.9g" cells that json.dumps(quantize(x)) spells otherwise: an integral

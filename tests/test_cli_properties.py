@@ -5,8 +5,9 @@ exit 0 every number it prints is finite, the JSON parses under a parser
 that rejects NaN and Infinity, and the CSV and JSON carry the same values.
 For a database with one field of one species or line replaced, `point` and
 `sweep` exit 0 or 2 without a traceback or a RuntimeWarning, and an exit 2
-prints one line naming that species and field.  Each example runs
-in-process through ``cli.main``.
+prints one line naming that species and field; `emission` keeps the same
+contract for an emission table with one field of one line replaced.  Each
+example runs in-process through ``cli.main``.
 """
 
 import contextlib
@@ -252,3 +253,42 @@ def test_any_database_keeps_exit_contract(tmp_path_factory, case, argv, fmt):
     else:
         numbers = _numbers(json.loads(out, parse_constant=_reject_constant))
     assert all(math.isfinite(x) for x in numbers)
+
+
+EMISSION_FIELDS = ["label", "lambda_nm", "a_md_hz", "n_r"]
+# An emission-table field replaced by one of these, or deleted (MISSING).
+EMISSION_VALUES = st.sampled_from(
+    [
+        True, "x", None, MISSING, 0, -1, -2.5, 5e-324, 1e-310, 1e-300, 1e-200, 1e103, 1e300,
+        1e308, 10**400,
+    ]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=st.integers(0, 4), field=st.sampled_from(EMISSION_FIELDS), value=EMISSION_VALUES)
+def test_any_emission_table_keeps_exit_contract(tmp_path_factory, line, field, value):
+    table = json.loads(Path(default_emission_path()).read_text())
+    entry = table[line]
+    if value is MISSING:
+        entry.pop(field, None)
+    else:
+        entry[field] = value
+    path = tmp_path_factory.getbasetemp() / "mutated_table.json"
+    path.write_text(json.dumps(table))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, csv_text, csv_err = _run(["emission", f"--table={path}"])
+        json_code, json_text, json_err = _run(["emission", f"--table={path}", "--format=json"])
+    assert code in (0, 2)
+    assert json_code == code
+    assert csv_err == json_err
+    if code == 2:
+        assert csv_text == json_text == ""
+        assert csv_err.startswith("error: ") and csv_err.count("\n") == 1, csv_err
+        assert f"'{field}'" in csv_err
+        return
+    assert csv_err == ""
+    payload = json.loads(json_text, parse_constant=_reject_constant)
+    assert all(math.isfinite(x) for x in _numbers(payload))
+    assert _csv_columns("emission", csv_text) == _json_columns("emission", payload)

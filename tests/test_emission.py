@@ -1,13 +1,16 @@
 """Emission rates, moment extraction, and detailed balance."""
 
+import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from scipy.integrate import quad
 
 from paramagloss.emission import (
     EMISSION_PREFACTOR,
+    EXTRACTION_COLUMNS,
     EmissionLine,
     a_md,
     extract_moment,
@@ -21,6 +24,7 @@ from paramagloss.emission import (
 from paramagloss.absorption import sigma_md
 from paramagloss.ensemble import default_emission_path
 from paramagloss.errors import DatabaseError, InvalidInputs
+from paramagloss.ioformat import write_csv
 from paramagloss.lineshape import LineshapeSpec
 from conftest import BOHR_RADIUS, C_LIGHT, FINE_STRUCTURE
 
@@ -190,16 +194,35 @@ def test_read_emission_table_errors(tmp_path):
     nan_field.write_text(json.dumps([{"label": "Nn", "lambda_nm": float("nan"), "a_md_hz": 1.0}]))
     with pytest.raises(DatabaseError, match="'Nn'.*lambda_nm"):
         read_emission_table(nan_field)
+    # Finite values whose frequency, rate scale or moment leave the float range.
+    extreme = tmp_path / "extreme.json"
+    for fields, named in [
+        ({"lambda_nm": 1e300}, "'lambda_nm'.*1e\\+300"),  # omega^3 underflows to 0
+        ({"lambda_nm": 1e-200}, "'lambda_nm'.*1e-200"),  # omega^3 overflows
+        ({"lambda_nm": 1e-300}, "'lambda_nm'.*1e-300"),  # omega is inf
+        ({"lambda_nm": 5e-324}, "'lambda_nm'.*5e-324"),  # the wavelength in m is 0
+        ({"lambda_nm": -1.0}, "'lambda_nm'.*-1.0"),
+        ({"n_r": 1e103}, "'n_r'.*1e\\+103"),  # n_r^3 overflows
+        ({"n_r": 0.5}, "'n_r'.*0.5"),
+        ({"lambda_nm": 1e6, "a_md_hz": 1e308}, "'a_md_hz'.*1e\\+308"),  # m_sq is inf
+        ({"a_md_hz": -1.0}, "'a_md_hz'.*-1.0"),
+    ]:
+        entry = {"label": "Ex", "lambda_nm": 500.0, "a_md_hz": 1.0, **fields}
+        extreme.write_text(json.dumps([entry]))
+        with pytest.raises(DatabaseError, match=f"^line 'Ex': field {named}"):
+            read_emission_table(extreme)
 
 
 def test_extraction_csv_format():
-    lines = [line_from_rate("Gd", 307.0, 30.24)]
-    rows = extraction_rows(lines)
-    assert rows[0] == [
-        "Gd",
-        "3.07000000e+02",
-        "9.76522664e+02",
-        "3.02400000e+01",
-        "1.08128045e-02",
-        "1.03984636e-01",
+    """The row holds the label and five floats; write_csv spells the golden line."""
+    rows = extraction_rows([line_from_rate("Gd", 307.0, 30.24)])
+    lambda_vac = 307.0 * 1e-9
+    omega_if = wavelength_to_angular(lambda_vac)
+    m_sq = extract_moment(30.24, lambda_vac)
+    assert rows == [
+        ["Gd", lambda_vac * 1e9, omega_if / (TWO_PI * 1e12), 30.24, m_sq, math.sqrt(m_sq)]
     ]
+    buf = io.StringIO()
+    write_csv(buf, EXTRACTION_COLUMNS, rows)
+    golden = (Path(__file__).parent / "golden" / "emission.csv").read_text().splitlines()
+    assert buf.getvalue().splitlines() == golden[:2]

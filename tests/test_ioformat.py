@@ -2,7 +2,7 @@
 
 The references here format one cell at a time, the way the writers did
 before they worked in chunks: f"{x:.8e}" per CSV cell, and
-json.dumps(indent=2) of the quantized lists for JSON.  The CSV digit kernel
+json.dumps(indent=2) of the payload with every float quantized for JSON.  The CSV digit kernel
 (ioformat.sci9_block) is held to "%.8e" % x byte for byte on ~2e6
 adversarial values.
 """
@@ -44,8 +44,12 @@ def _json_reference(payload):
     def plain(value):
         if isinstance(value, np.ndarray):
             return [quantize(x) for x in value]
+        if isinstance(value, float):
+            return quantize(value)
         if isinstance(value, dict):
             return {key: plain(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [plain(item) for item in value]
         return value
 
     return json.dumps(plain(payload), indent=2) + "\n"
@@ -79,6 +83,25 @@ def test_writers_match_per_cell_reference(chunk, monkeypatch):
     assert _written(write_json, payload) == _json_reference(payload)
 
 
+def test_json_quantizes_every_float():
+    payload = {
+        "scalars": {"long": 0.1234567891234, "third": 1 / 3, "neg_zero": -0.0, "nan": float("nan")},
+        "list": [0.1234567891234, [1 / 3, 2.0]],
+        "tuple": (1 / 3, 0.5),
+        "lines": [{"label": "Gd", "m_sq": 0.010812804495458454}, {"label": "Sm", "m_sq": 1 / 3}],
+        "kept": [3, True, None, [], {}, "1/3"],
+    }
+    text = _written(write_json, payload)
+    assert text == _json_reference(payload)
+    assert '"long": 0.123456789,' in text
+    assert '"third": 0.333333333,' in text
+    assert '"neg_zero": -0.0,' in text
+    assert '"nan": NaN\n' in text
+    assert '"m_sq": 0.0108128045\n' in text
+    assert _written(write_json, payload["kept"]) == json.dumps(payload["kept"], indent=2) + "\n"
+    assert _written(write_json, 1 / 3) == "0.333333333\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
 def test_json_array_matches_json_dumps(values):
@@ -90,6 +113,13 @@ def test_string_rows_written_as_given():
     rows = [["k", "none"], ["x.weights", "1.0;2.0"]]
     assert _written(write_csv, ["key", "value"], rows) == "key,value\nk,none\nx.weights,1.0;2.0\n"
     assert _written(write_csv, ["key"], []) == "key\n"
+
+
+def test_number_cells_spelled_as_sci9():
+    rows = [["t", 1 / 3], ("n", 3), ["x", 0.5, -2, "s"]]
+    assert _written(write_csv, ["key", "value"], rows) == (
+        "key,value\nt,3.33333333e-01\nn,3.00000000e+00\nx,5.00000000e-01,-2.00000000e+00,s\n"
+    )
 
 
 def _sweep_columns(points):
