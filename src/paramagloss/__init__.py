@@ -6,19 +6,12 @@ broadened cross sections, loss tangents aggregated over defect
 ensembles, and spontaneous-emission rates with moment extraction.
 """
 
-from .absorption import (
-    absorption_coefficient,
-    intensity_profile,
-    loss_tangent,
-    sigma_ed,
-    sigma_md,
-)
-from .constants import CODATA2018, PhysicalConstants, ghz_to_angular, mhz_to_angular
+from .absorption import absorption_coefficient, loss_tangent, sigma_md
+from .constants import ghz_to_angular
 from .emission import (
     EmissionLine,
     a_md,
     extract_moment,
-    ghz_equivalent_rate,
     photon_dos,
     read_emission_table,
     wavelength_to_angular,
@@ -38,17 +31,14 @@ from .errors import ParamagLossError
 from .linalg import EigenDecomposition, diagonalize
 from .lineshape import (
     LineshapeSpec,
-    gaussian,
     lorentzian,
     power_broadened_gamma,
     tanh_factor,
     temperature_factor,
-    voigt,
 )
 from .spin import (
     SpinHamiltonianParams,
     SpinOperators,
-    TransitionMoment,
     basis_state,
     build_hamiltonian,
     spin_operators,
@@ -59,18 +49,15 @@ from .spin import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CODATA2018",
     "DefectSpecies",
     "EigenDecomposition",
     "EmissionLine",
     "LineshapeSpec",
     "ParamagLossError",
-    "PhysicalConstants",
     "SpeciesLines",
     "SpinHamiltonianParams",
     "SpinOperators",
     "Spectrum",
-    "TransitionMoment",
     "a_md",
     "absorption_coefficient",
     "basis_state",
@@ -79,19 +66,14 @@ __all__ = [
     "default_emission_path",
     "diagonalize",
     "extract_moment",
-    "gaussian",
-    "ghz_equivalent_rate",
     "ghz_to_angular",
-    "intensity_profile",
     "line_coupling_sq",
     "load_species_db",
     "lorentzian",
     "loss_tangent",
-    "mhz_to_angular",
     "photon_dos",
     "power_broadened_gamma",
     "read_emission_table",
-    "sigma_ed",
     "sigma_md",
     "species_loss",
     "spin_operators",
@@ -100,6 +82,5 @@ __all__ = [
     "temperature_factor",
     "transition_moment",
     "unpolarized_coupling",
-    "voigt",
     "wavelength_to_angular",
 ]

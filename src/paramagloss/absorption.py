@@ -1,31 +1,22 @@
-"""Absorption cross sections, attenuation, and the loss tangent.
+"""Magnetic-dipole cross section, attenuation, and the loss tangent.
 
-The magnetic-dipole cross section keeps the probe frequency omega as its
-linear prefactor; the loss tangent divides it back out, so the loss
-depends on frequency only through the lineshape.  The refractive index
-enters the cross section linearly and the loss tangent inversely, so it
-cancels from the full chain.
+The chain is the cross section of a magnetic-dipole transition with a
+Lorentzian line, the absorption coefficient N_def * sigma, and the loss
+tangent.  The cross section keeps the probe frequency omega as its linear
+prefactor; the loss tangent divides it back out, so the loss depends on
+frequency only through the lineshape.  The refractive index enters the
+cross section linearly and the loss tangent inversely, so it cancels from
+the full chain.
 """
 
 import numpy as np
 
 from . import lineshape as ls
 from .constants import A0, ALPHA, C
-from .errors import InvalidInputs, NegativeInput
+from .errors import InvalidInputs
 
 # sigma_MD = n_r * MD_PREFACTOR * coupling_sq * omega * L(omega - omega_if)
 MD_PREFACTOR = np.pi**2 * ALPHA**3 * A0**2
-# sigma_ED = (ED_PREFACTOR / n_r) * |r_IF|^2 * omega_if * L(omega - omega_if)
-ED_PREFACTOR = 4.0 * np.pi**2 * ALPHA
-
-
-def _check_frequencies(omega, omega_if, n_r):
-    if not omega > 0.0:
-        raise InvalidInputs(f"omega must be positive, got {omega}")
-    if not omega_if > 0.0:
-        raise InvalidInputs(f"omega_if must be positive, got {omega_if}")
-    if n_r < 1.0:
-        raise InvalidInputs(f"n_r must be >= 1, got {n_r}")
 
 
 def sigma_md(omega, omega_if, coupling_sq, shape: ls.LineshapeSpec,
@@ -33,53 +24,32 @@ def sigma_md(omega, omega_if, coupling_sq, shape: ls.LineshapeSpec,
     """Magnetic-dipole absorption cross section [m^2] at probe frequency omega.
 
     coupling_sq is the squared dimensionless matrix element (polarization
-    resolved, or the unpolarized average).  The broadening profile is
-    evaluated at omega - omega_if; a delta lineshape is rejected since the
-    pointwise value would be singular.  If temp_k is given, the thermal
+    resolved, or the unpolarized average).  The Lorentzian of `shape` is
+    evaluated at omega - omega_if.  If temp_k is given, the thermal
     occupation factor multiplies the result.
     """
-    _check_frequencies(omega, omega_if, n_r)
+    if not omega > 0.0:
+        raise InvalidInputs(f"omega must be positive, got {omega}")
+    if not omega_if > 0.0:
+        raise InvalidInputs(f"omega_if must be positive, got {omega_if}")
+    if n_r < 1.0:
+        raise InvalidInputs(f"n_r must be >= 1, got {n_r}")
     if coupling_sq < 0.0:
         raise InvalidInputs(f"coupling_sq must be >= 0, got {coupling_sq}")
-    density = ls.evaluate(shape, omega - omega_if)
+    density = ls.lorentzian(omega - omega_if, shape.gamma)
     value = n_r * MD_PREFACTOR * coupling_sq * omega * density
     if temp_k is not None:
         value = value * ls.temperature_factor(omega_if, temp_k)
     return value
 
 
-def sigma_ed(omega, omega_if, r_if_proj, shape: ls.LineshapeSpec, n_r: float = 1.0):
-    """Electric-dipole absorption cross section [m^2].
-
-    r_if_proj is the projected dipole matrix element |xi . r_IF| in meters.
-    The linear frequency factor here is the transition frequency, not the
-    probe frequency.
-    """
-    _check_frequencies(omega, omega_if, n_r)
-    if r_if_proj < 0.0:
-        raise InvalidInputs(f"r_if_proj must be >= 0, got {r_if_proj}")
-    density = ls.evaluate(shape, omega - omega_if)
-    return (ED_PREFACTOR / n_r) * r_if_proj**2 * omega_if * density
-
-
 def absorption_coefficient(n_def, sigma):
     """Attenuation coefficient a = N_def * sigma [1/m]."""
     if n_def < 0.0:
-        raise NegativeInput(f"n_def must be >= 0, got {n_def}")
+        raise InvalidInputs(f"n_def must be >= 0, got {n_def}")
     if np.any(np.asarray(sigma) < 0.0):
-        raise NegativeInput("sigma must be >= 0")
+        raise InvalidInputs("sigma must be >= 0")
     return n_def * sigma
-
-
-def intensity_profile(i0, a, z):
-    """Beer-Lambert intensity I(z) = I(0) exp(-a z)."""
-    if i0 < 0.0:
-        raise NegativeInput(f"i0 must be >= 0, got {i0}")
-    if a < 0.0:
-        raise NegativeInput(f"a must be >= 0, got {a}")
-    if np.any(np.asarray(z) < 0.0):
-        raise NegativeInput("z must be >= 0")
-    return i0 * np.exp(-a * z)
 
 
 def loss_tangent(a, omega, n_r: float = 1.0):

@@ -41,7 +41,7 @@ from .emission import (
     extraction_rows,
     read_emission_table,
 )
-from .errors import InvalidInputs, InvalidRange, ParamagLossError
+from .errors import InvalidInputs, ParamagLossError
 from .ioformat import sci9, write_csv, write_json
 from .lineshape import tanh_factor, temperature_factor
 
@@ -179,7 +179,7 @@ def cmd_emission(args: argparse.Namespace):
 
 def cmd_tempcurve(args: argparse.Namespace):
     if not args.tmin_k < args.tmax_k:
-        raise InvalidRange(f"need tmin < tmax, got [{args.tmin_k}, {args.tmax_k}]")
+        raise InvalidInputs(f"need tmin < tmax, got [{args.tmin_k}, {args.tmax_k}]")
     omega_if = ghz_to_angular(args.freq_ghz)
     temps = _grid(args.tmin_k, args.tmax_k, args.points)
     header = ["temp_k", "w_factor", "tanh_factor"]
@@ -317,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--pmax-over-pc", type=POSITIVE, default=100.0)
     sub.add_argument("--points", type=POINTS, default=20)
-    sub.add_argument("--n-r", type=REFRACTIVE_INDEX, default=1.0)
     _add_output_args(sub)
 
     return parser

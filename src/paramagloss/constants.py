@@ -6,32 +6,16 @@ convert at the boundary with the helpers below.
 """
 
 import math
-from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants in SI units, pinned to CODATA 2018."""
-
-    c: float = 2.99792458e8          # speed of light [m/s]
-    alpha: float = 7.2973525693e-3   # fine-structure constant
-    a0: float = 5.29177210903e-11    # Bohr radius [m]
-    hbar: float = 1.054571817e-34    # reduced Planck constant [J s]
-    kB: float = 1.380649e-23         # Boltzmann constant [J/K]
-    muB: float = 9.2740100783e-24    # Bohr magneton [J/T]
-
-
-CODATA2018 = PhysicalConstants()
-
-# Aliases for formula-heavy code.
-C = CODATA2018.c
-ALPHA = CODATA2018.alpha
-A0 = CODATA2018.a0
-HBAR = CODATA2018.hbar
-KB = CODATA2018.kB
-MUB = CODATA2018.muB
+# Fundamental constants in SI units, pinned to CODATA 2018.
+C = 2.99792458e8           # speed of light [m/s]
+ALPHA = 7.2973525693e-3    # fine-structure constant
+A0 = 5.29177210903e-11     # Bohr radius [m]
+HBAR = 1.054571817e-34     # reduced Planck constant [J s]
+KB = 1.380649e-23          # Boltzmann constant [J/K]
+MUB = 9.2740100783e-24     # Bohr magneton [J/T]
 
 
 def ghz_to_angular(freq_ghz):
@@ -42,8 +26,3 @@ def ghz_to_angular(freq_ghz):
 def angular_to_ghz(omega):
     """Angular frequency in rad/s to cyclic frequency in GHz."""
     return omega / (TWO_PI * 1.0e9)
-
-
-def mhz_to_angular(freq_mhz):
-    """Cyclic frequency in MHz to angular frequency in rad/s."""
-    return TWO_PI * 1.0e6 * freq_mhz

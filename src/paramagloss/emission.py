@@ -16,14 +16,10 @@ from dataclasses import dataclass
 
 from .constants import A0, ALPHA, C, TWO_PI
 from .errors import DatabaseError, InvalidInputs
-from .ioformat import finite_float
+from .ioformat import finite_float, plain_name
 
 # Rate prefactor: multiply by n_r^3, omega_if^3, and the squared moment.
 EMISSION_PREFACTOR = ALPHA**3 * A0**2 / C**2
-
-# Tolerance between a stored frequency and the one implied by the stored
-# wavelength; tabulated frequencies are usually rounded to 0.1%.
-FREQ_WAVELENGTH_RTOL = 5e-3
 
 EXTRACTION_COLUMNS = ("label", "lambda_nm", "freq_thz", "a_md_hz", "m_sq", "m_abs")
 
@@ -71,16 +67,6 @@ def extract_moment(a: float, lambda_vac: float, n_r: float = 1.0) -> float:
     return a / (n_r**3 * EMISSION_PREFACTOR * omega_if**3)
 
 
-def ghz_equivalent_rate(omega_if: float, m_sq: float, n_r: float = 1.0) -> float:
-    """Emission rate of a microwave-frequency line; same model as a_md.
-
-    Named separately to document the cubic suppression: a spin transition
-    near 10 GHz with a moment of order one emits less than 1e-11 photons
-    per second, far below any detection threshold.
-    """
-    return a_md(omega_if, m_sq, n_r)
-
-
 @dataclass(frozen=True)
 class EmissionLine:
     """One radiative line with its measured rate and extracted moment."""
@@ -92,12 +78,6 @@ class EmissionLine:
     m_sq: float
 
     def __post_init__(self) -> None:
-        implied = wavelength_to_angular(self.lambda_vac)
-        if abs(self.omega_if - implied) > FREQ_WAVELENGTH_RTOL * implied:
-            raise InvalidInputs(
-                f"line {self.label!r}: frequency {self.omega_if} inconsistent "
-                f"with wavelength (expected near {implied})"
-            )
         if self.a_md < 0.0:
             raise InvalidInputs(f"line {self.label!r}: negative emission rate")
         if self.m_sq < 0.0:
@@ -163,9 +143,12 @@ def read_emission_table(path) -> list[EmissionLine]:
     for idx, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise DatabaseError(f"emission table entry {idx} is not an object")
-        label = entry.get("label")
-        if not isinstance(label, str) or not label:
-            raise DatabaseError(f"emission table entry {idx}: missing field 'label'")
+        label = plain_name(entry.get("label"))
+        if label is None:
+            raise DatabaseError(
+                f"emission table entry {idx}: field 'label' must be non-empty printable "
+                f"ASCII without ',', '\"' or ';', got {ascii(entry.get('label'))}"
+            )
         numbers = []
         for field, default in (("lambda_nm", None), ("a_md_hz", None), ("n_r", 1.0)):
             if field not in entry and default is None:

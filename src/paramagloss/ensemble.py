@@ -22,8 +22,8 @@ import numpy as np
 from . import _kernels
 from .absorption import MD_PREFACTOR
 from .constants import TWO_PI, C, ghz_to_angular
-from .errors import DatabaseError, InvalidInputs, InvalidRange
-from .ioformat import finite_float
+from .errors import DatabaseError, InvalidInputs
+from .ioformat import finite_float, plain_name
 from .lineshape import power_broadened_gamma, temperature_factor
 from .spin import basis_state, spin_operators
 
@@ -110,9 +110,11 @@ class DefectSpecies:
         two_s, lines = self.two_s, self.lines
 
         def fail(problem, li=None):
-            where = f"species {self.name!r}" + ("" if li is None else f": line {li}")
+            where = f"species {ascii(self.name)}" + ("" if li is None else f": line {li}")
             raise InvalidInputs(f"{where}: {problem}")
 
+        if plain_name(self.name) is None:
+            fail("field 'name' must be non-empty printable ASCII without ',', '\"' or ';'")
         if isinstance(two_s, bool) or not (isinstance(two_s, int) and 1 <= two_s <= MAX_TWO_S):
             fail(f"field 'two_s' must be an integer in [1, {MAX_TWO_S}]")
         if not 0.0 <= self.n_def < math.inf:
@@ -131,7 +133,7 @@ class DefectSpecies:
         try:
             for m in (m_i, m_f):
                 basis_state(two_s, m)
-        except (ValueError, OverflowError) as exc:  # InvalidParams, or a non-finite m
+        except (ValueError, OverflowError) as exc:  # InvalidInputs, or a non-finite m
             fail(f"field 'transition' ({m_i}, {m_f}): {exc}")
         if abs(round(2.0 * m_i) - round(2.0 * m_f)) != 2:
             fail(f"field 'transition' ({m_i}, {m_f}) must change m by 1")
@@ -224,7 +226,7 @@ def species_loss(
     with np.errstate(over="ignore"):  # an overflowing width is rejected just below
         gamma = sp.gamma if power is None else power_broadened_gamma(sp.gamma, power)
     if not 0.5 * np.max(gamma) <= MAX_RATE:
-        raise InvalidRange(f"species {sp.name!r}: power-broadened linewidth overflows")
+        raise InvalidInputs(f"species {sp.name!r}: power-broadened linewidth overflows")
     out = np.zeros(np.broadcast_shapes(omega.shape, np.shape(gamma)))
     _kernels.lorentzian_mix(np.broadcast_to(omega, out.shape), centers, gamma, amps, out)
     return float(out) if out.ndim == 0 else out
@@ -269,15 +271,13 @@ def sweep(
     a sweep point equals the same point evaluated alone bit for bit.
     """
     if not fmin_ghz < fmax_ghz:
-        raise InvalidRange(
-            f"need fmin < fmax, got [{fmin_ghz}, {fmax_ghz}]"
-        )
+        raise InvalidInputs(f"need fmin < fmax, got [{fmin_ghz}, {fmax_ghz}]")
     if fmin_ghz <= 0.0:
-        raise InvalidRange(f"fmin must be positive, got {fmin_ghz}")
+        raise InvalidInputs(f"fmin must be positive, got {fmin_ghz}")
     if points < 2:
-        raise InvalidRange(f"need at least 2 grid points, got {points}")
+        raise InvalidInputs(f"need at least 2 grid points, got {points}")
     if not ghz_to_angular(float(fmax_ghz)) <= MAX_RATE:
-        raise InvalidRange(f"angular frequency of fmax {fmax_ghz} GHz overflows")
+        raise InvalidInputs(f"angular frequency of fmax {fmax_ghz} GHz overflows")
     freqs = np.linspace(fmin_ghz, fmax_ghz, points)
     per_species, total = database_loss(db, ghz_to_angular(freqs), temp_k, power)
     for arr in (freqs, total, *per_species.values()):

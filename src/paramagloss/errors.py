@@ -1,7 +1,9 @@
 """Exception types raised by this package.
 
 All subclass ValueError so callers that do not care about the exact
-failure mode can catch the builtin.
+failure mode can catch the builtin.  InvalidInputs is a bad argument or
+value handed to a physics operation; DatabaseError a malformed species
+database or emission-line file, naming the entry and field at fault.
 """
 
 
@@ -9,44 +11,8 @@ class ParamagLossError(ValueError):
     """Base class for every error raised by paramagloss."""
 
 
-class NonHermitianInput(ParamagLossError):
-    """Matrix handed to the eigensolver is not Hermitian within tolerance."""
-
-
-class DimensionTooLarge(ParamagLossError):
-    """Matrix dimension exceeds the supported maximum."""
-
-
-class DimensionMismatch(ParamagLossError):
-    """Vector and operator dimensions are incompatible."""
-
-
-class InvalidParams(ParamagLossError):
-    """Spin or Hamiltonian parameters violate their constraints."""
-
-
-class NonPositiveWidth(ParamagLossError):
-    """A linewidth parameter that must be positive is not."""
-
-
-class NegativeTemperature(ParamagLossError):
-    """Temperature below absolute zero."""
-
-
-class DeltaKindUnsupported(ParamagLossError):
-    """A delta lineshape has no pointwise spectral density."""
-
-
 class InvalidInputs(ParamagLossError):
-    """Generic input-validation failure for a physics operation."""
-
-
-class NegativeInput(ParamagLossError):
-    """A quantity that must be non-negative is negative."""
-
-
-class InvalidRange(ParamagLossError):
-    """Grid or range parameters are unusable."""
+    """An argument or value violates the constraints of a physics operation."""
 
 
 class DatabaseError(ParamagLossError):

@@ -4,7 +4,8 @@ write_csv spells every number as sci9, lowercase scientific with 9
 significant digits, and write_json every float as json.dumps(quantize(x)),
 the value of that CSV cell, so the two formats round-trip exactly.  Files
 use '\\n' line endings, so identical runs produce byte-identical output.
-finite_float is the one numeric read of every JSON input file.
+finite_float is the one numeric read of every JSON input file, and
+plain_name the one check of the names and labels the writers spell.
 
 Grid columns are written CHUNK rows at a time, and no writer holds more
 than one chunk of text.  A CSV chunk of finite values that are positive or
@@ -55,6 +56,17 @@ def finite_float(value):
         return float(value)
     except OverflowError:
         return None
+
+
+def plain_name(value):
+    """A name or label both writers spell as given, else None.
+
+    Accepts a non-empty str of printable ASCII without ',' (which splits a
+    CSV row), '"' (which CSV would have to quote) or ';' (which joins the
+    weights cell of point), so it writes the same to any stream encoding.
+    """
+    plain = isinstance(value, str) and value.isascii() and value.isprintable()
+    return value if plain and value and not any(c in value for c in ',";') else None
 
 
 # Half the distance to a rounding tie inside which sci9_block leaves a cell

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, InvalidInputs, NonHermitianInput
+from .errors import InvalidInputs
 
 MAX_DIM = 32
 HERMITIAN_RTOL = 1e-12
@@ -29,7 +29,7 @@ class EigenDecomposition:
 
 
 def require_hermitian(h, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Return h as a complex array, raising NonHermitianInput if it is not
+    """Return h as a complex array, raising InvalidInputs if it is not
     square and Hermitian within rtol (relative to the largest entry)."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
@@ -37,7 +37,7 @@ def require_hermitian(h, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     scale = float(np.abs(h).max())
     deviation = float(np.abs(h - h.conj().T).max())
     if deviation > rtol * scale:
-        raise NonHermitianInput(
+        raise InvalidInputs(
             f"matrix is not Hermitian: max |H - H^dag| = {deviation:.3e} "
             f"exceeds {rtol:.1e} * max|H| = {rtol * scale:.3e}"
         )
@@ -47,14 +47,14 @@ def require_hermitian(h, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
 def diagonalize(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
-    Raises NonHermitianInput or DimensionTooLarge on bad input.  Output
+    Raises InvalidInputs on a non-Hermitian or oversized matrix.  Output
     satisfies ||V^dag V - I||_max < 1e-10 and
     ||H V - V Lambda||_max < 1e-10 * max|H|.
     """
     h = require_hermitian(h)
     n = h.shape[0]
     if n > MAX_DIM:
-        raise DimensionTooLarge(f"dim {n} exceeds the supported maximum {MAX_DIM}")
+        raise InvalidInputs(f"dim {n} exceeds the supported maximum {MAX_DIM}")
     # Symmetrize so eigh sees an exactly Hermitian matrix; the allowed
     # input asymmetry is below everything we care about.  eigh returns the
     # eigenvalues in ascending order.

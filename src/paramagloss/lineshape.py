@@ -1,8 +1,8 @@
-"""Broadening profiles and their temperature and power modifiers.
+"""The Lorentzian line profile and its temperature and power modifiers.
 
-All profiles are unit-area spectral densities over angular frequency, so
-their values carry units of seconds.  They are evaluated at the detuning
-from line center, omega - omega_if.
+The profile is a unit-area spectral density over angular frequency, so
+its values carry units of seconds.  It is evaluated at the detuning from
+line center, omega - omega_if.
 """
 
 from dataclasses import dataclass
@@ -10,39 +10,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, KB
-from .errors import (
-    DeltaKindUnsupported,
-    InvalidInputs,
-    NegativeTemperature,
-    NonPositiveWidth,
-)
-
-_SQRT2 = np.sqrt(2.0)
-_SQRT2PI = np.sqrt(2.0 * np.pi)
-
-KINDS = ("delta", "lorentzian", "gaussian", "voigt")
+from .errors import InvalidInputs
 
 
 @dataclass(frozen=True)
 class LineshapeSpec:
-    """Broadening model plus the width parameters it needs.
+    """Broadening model plus its width: a Lorentzian of FWHM gamma [rad/s].
 
-    gamma is a Lorentzian FWHM and sigma a Gaussian standard deviation,
-    both angular (rad/s).  Only the widths the chosen kind uses are
-    validated.
+    kind names the model; "lorentzian" is the only one.
     """
 
     kind: str
     gamma: float = 0.0
-    sigma: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidInputs(f"unknown lineshape kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind in ("lorentzian", "voigt") and not self.gamma > 0.0:
-            raise NonPositiveWidth(f"{self.kind} lineshape needs gamma > 0, got {self.gamma}")
-        if self.kind in ("gaussian", "voigt") and not self.sigma > 0.0:
-            raise NonPositiveWidth(f"{self.kind} lineshape needs sigma > 0, got {self.sigma}")
+        if self.kind != "lorentzian":
+            raise InvalidInputs(f"unknown lineshape kind {self.kind!r}; expected 'lorentzian'")
+        if not self.gamma > 0.0:
+            raise InvalidInputs(f"{self.kind} lineshape needs gamma > 0, got {self.gamma}")
 
 
 def lorentzian(detuning, gamma):
@@ -51,54 +36,9 @@ def lorentzian(detuning, gamma):
     gamma is the full width at half maximum in rad/s.
     """
     if not gamma > 0.0:
-        raise NonPositiveWidth(f"gamma must be positive, got {gamma}")
+        raise InvalidInputs(f"gamma must be positive, got {gamma}")
     half = 0.5 * gamma
     return (half / np.pi) / (detuning * detuning + half * half)
-
-
-def gaussian(detuning, sigma):
-    """Unit-area Gaussian with standard deviation sigma [rad/s]."""
-    if not sigma > 0.0:
-        raise NonPositiveWidth(f"sigma must be positive, got {sigma}")
-    return np.exp(-0.5 * (detuning / sigma) ** 2) / (sigma * _SQRT2PI)
-
-
-def voigt(detuning, gamma, sigma):
-    """Convolution of the Lorentzian (FWHM gamma) and Gaussian (std sigma).
-
-    Evaluated as Re[w(z)] / (sigma sqrt(2 pi)) with
-    z = (d + i gamma/2) / (sigma sqrt 2), where w is the Faddeeva function
-    (scaled complementary complex error function).  Accurate to far better
-    than 1e-6 relative, which direct quadrature of the convolution
-    confirms.
-    """
-    if not gamma > 0.0:
-        raise NonPositiveWidth(f"gamma must be positive, got {gamma}")
-    if not sigma > 0.0:
-        raise NonPositiveWidth(f"sigma must be positive, got {sigma}")
-    # scipy.special costs more start-up than all else the CLI imports, and
-    # only this profile needs it.
-    from scipy.special import wofz  # noqa: PLC0415
-
-    z = (detuning + 0.5j * gamma) / (sigma * _SQRT2)
-    return wofz(z).real / (sigma * _SQRT2PI)
-
-
-def evaluate(spec: LineshapeSpec, detuning):
-    """Spectral density of `spec` at the given angular detuning.
-
-    A delta line has no pointwise density and is rejected; integrate it
-    analytically or choose a broadened kind.
-    """
-    if spec.kind == "lorentzian":
-        return lorentzian(detuning, spec.gamma)
-    if spec.kind == "gaussian":
-        return gaussian(detuning, spec.sigma)
-    if spec.kind == "voigt":
-        return voigt(detuning, spec.gamma, spec.sigma)
-    raise DeltaKindUnsupported(
-        "delta lineshape has no pointwise spectral density; use lorentzian, gaussian, or voigt"
-    )
 
 
 def _thermal_ratio(omega_if, temp, kt_scale):
@@ -111,7 +51,7 @@ def _thermal_ratio(omega_if, temp, kt_scale):
     """
     temp = np.asarray(temp, dtype=np.float64)
     if not np.all(temp >= 0.0):
-        raise NegativeTemperature(f"temperature must be >= 0 K, got {np.min(temp)}")
+        raise InvalidInputs(f"temperature must be >= 0 K, got {np.min(temp)}")
     omega_if = np.asarray(omega_if, dtype=np.float64)
     if not np.all(omega_if > 0.0):
         raise InvalidInputs(f"omega_if must be positive, got {np.min(omega_if)}")
@@ -151,7 +91,7 @@ def power_broadened_gamma(gamma0: float, power):
     ratios (a power grid), which gives an array of widths.
     """
     if not gamma0 > 0.0:
-        raise NonPositiveWidth(f"gamma0 must be positive, got {gamma0}")
+        raise InvalidInputs(f"gamma0 must be positive, got {gamma0}")
     ratio = np.asarray(power, dtype=np.float64)
     if np.any(ratio < 0.0):
         raise InvalidInputs(f"p_over_pc must be >= 0, got {np.min(ratio)}")

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, MUB
-from .errors import DimensionMismatch, InvalidParams
-
-
-def multiplicity(two_s: int) -> int:
-    return two_s + 1
+from .errors import InvalidInputs
 
 
 def m_values(two_s: int) -> np.ndarray:
@@ -29,7 +25,7 @@ def m_values(two_s: int) -> np.ndarray:
 
 def _check_two_s(two_s):
     if int(two_s) != two_s or two_s < 1:
-        raise InvalidParams(f"two_s must be a positive integer (2S), got {two_s!r}")
+        raise InvalidInputs(f"two_s must be a positive integer (2S), got {two_s!r}")
     return int(two_s)
 
 
@@ -75,9 +71,9 @@ def basis_state(two_s: int, m) -> np.ndarray:
     two_s = _check_two_s(two_s)
     two_m = round(2.0 * m)
     if abs(2.0 * m - two_m) > 1e-9:
-        raise InvalidParams(f"m = {m} is not a half-integer")
+        raise InvalidInputs(f"m = {m} is not a half-integer")
     if (two_s - two_m) % 2 != 0 or not -two_s <= two_m <= two_s:
-        raise InvalidParams(f"m = {m} is not a valid projection for S = {two_s / 2}")
+        raise InvalidInputs(f"m = {m} is not a valid projection for S = {two_s / 2}")
     vec = np.zeros(two_s + 1, dtype=np.complex128)
     vec[(two_s - two_m) // 2] = 1.0
     vec.setflags(write=False)
@@ -100,14 +96,14 @@ class SpinHamiltonianParams:
 
     def __post_init__(self):
         if not self.g_e > 0.0:
-            raise InvalidParams(f"g_e must be positive, got {self.g_e}")
+            raise InvalidInputs(f"g_e must be positive, got {self.g_e}")
         if abs(self.e) > abs(self.d) / 3.0:
-            raise InvalidParams(
+            raise InvalidInputs(
                 f"rhombicity |e| = {abs(self.e):.6g} exceeds |d|/3 = {abs(self.d) / 3.0:.6g}"
             )
         b = np.asarray(self.b_field, dtype=float)
         if b.shape != (3,):
-            raise InvalidParams(f"b_field must be a 3-vector, got shape {b.shape}")
+            raise InvalidInputs(f"b_field must be a 3-vector, got shape {b.shape}")
         object.__setattr__(self, "b_field", (float(b[0]), float(b[1]), float(b[2])))
 
 
@@ -133,43 +129,24 @@ def build_hamiltonian(two_s: int, params: SpinHamiltonianParams) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class TransitionMoment:
-    """Dimensionless magnetic-dipole matrix element <f| (L + g_e S)/hbar |i>
-    and its orientation average for unpolarized light."""
-
-    m_vec: np.ndarray
-    coupling_sq_unpol: float
-
-    def __post_init__(self):
-        v = np.asarray(self.m_vec, dtype=np.complex128)
-        if v.shape != (3,):
-            raise InvalidParams(f"m_vec must have three components, got shape {v.shape}")
-        expected = float(np.sum(np.abs(v) ** 2) / 3.0)
-        if abs(self.coupling_sq_unpol - expected) > 1e-12 * max(expected, 1.0):
-            raise InvalidParams(
-                "coupling_sq_unpol is inconsistent with m_vec: "
-                f"{self.coupling_sq_unpol} vs {expected}"
-            )
-
-
 def transition_moment(psi_i, psi_f, ops: SpinOperators, g_e: float,
-                      orbital_moment=(0.0, 0.0, 0.0)) -> TransitionMoment:
-    """Matrix element of (L + g_e S)/hbar between two normalized states.
+                      orbital_moment=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """Matrix element <f| (L + g_e S)/hbar |i> as a read-only complex 3-vector.
 
-    The orbital contribution is supplied by the caller as three complex
-    numbers (zero for a pure spin transition with a quenched orbital
-    moment); the spin part is g_e <psi_f| S_alpha |psi_i>.
+    psi_i and psi_f are normalized states.  The orbital contribution is
+    supplied by the caller as three complex numbers (zero for a pure spin
+    transition with a quenched orbital moment); the spin part is
+    g_e <psi_f| S_alpha |psi_i>.
     """
     psi_i = np.asarray(psi_i, dtype=np.complex128).reshape(-1)
     psi_f = np.asarray(psi_f, dtype=np.complex128).reshape(-1)
     if psi_i.shape[0] != ops.dim or psi_f.shape[0] != ops.dim:
-        raise DimensionMismatch(
+        raise InvalidInputs(
             f"state dims {psi_i.shape[0]}, {psi_f.shape[0]} do not match operator dim {ops.dim}"
         )
     orb = np.asarray(orbital_moment, dtype=np.complex128)
     if orb.shape != (3,):
-        raise DimensionMismatch(f"orbital_moment must have three components, got {orb.shape}")
+        raise InvalidInputs(f"orbital_moment must have three components, got {orb.shape}")
     bra = psi_f.conj()
     m_vec = np.array(
         [
@@ -178,15 +155,10 @@ def transition_moment(psi_i, psi_f, ops: SpinOperators, g_e: float,
             orb[2] + g_e * (bra @ (ops.sz @ psi_i)),
         ]
     )
-    coupling = float(np.sum(np.abs(m_vec) ** 2) / 3.0)
     m_vec.setflags(write=False)
-    return TransitionMoment(m_vec=m_vec, coupling_sq_unpol=coupling)
+    return m_vec
 
 
-def unpolarized_coupling(moment) -> float:
-    """Orientation-averaged squared coupling (1/3) sum_alpha |M_alpha|^2.
-
-    Accepts a TransitionMoment or a bare 3-component vector.
-    """
-    vec = moment.m_vec if isinstance(moment, TransitionMoment) else np.asarray(moment)
-    return float(np.sum(np.abs(vec) ** 2) / 3.0)
+def unpolarized_coupling(m_vec) -> float:
+    """Orientation-averaged squared coupling (1/3) sum_alpha |M_alpha|^2 of a 3-vector."""
+    return float(np.sum(np.abs(np.asarray(m_vec)) ** 2) / 3.0)

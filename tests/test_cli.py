@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: formats, determinism, and exit codes."""
 
 import json
-import math
 import os
 import shlex
 import subprocess
@@ -199,6 +198,14 @@ def test_powercurve_species_selection():
     assert "Nb" in err
 
 
+def test_powercurve_takes_no_refractive_index(capsys):
+    # n_r cancels from the loss and powercurve writes no metadata to echo it in.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["powercurve", "--freq-ghz", "11.72", "--n-r", "1.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-r 1.5" in capsys.readouterr().err
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     env = _clean_env()
     for args in (
@@ -274,18 +281,13 @@ def test_closed_stdout_descriptor_exit_code():
 def test_cli_import_leaves_scipy_unloaded():
     code = (
         "import sys\n"
-        "import paramagloss.cli\n"
+        "import paramagloss, paramagloss.cli\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-        "from paramagloss import voigt\n"
-        "print(repr(float(voigt(0.0, 2.0, 1.0))))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_clean_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    # At zero detuning w(i/sqrt2) = exp(1/2) erfc(1/sqrt2).
-    expected = math.exp(0.5) * math.erfc(1.0 / math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
-    assert float(proc.stdout) == pytest.approx(expected, rel=1e-12)
 
 
 def test_malformed_database_names_species(tmp_path):
@@ -301,6 +303,32 @@ def test_malformed_database_names_species(tmp_path):
     code, _, err = run_cli(["point", "--db", str(db), "--freq-ghz", "4.5"])
     assert code == 2
     assert "Fe" in err and "linewidth_mhz" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "name, env, output, shown",
+    [
+        ("Cr,x", {}, False, "'Cr,x'"),  # would print six names over five columns
+        ("Cré", {"PYTHONIOENCODING": "ascii"}, False, "'Cr\\xe9'"),
+        ("Cr\udc80", {}, True, "'Cr\\udc80'"),  # a lone surrogate, legal as a JSON escape
+    ],
+    ids=["comma", "non_ascii_stdout", "surrogate_output"],
+)
+def test_unwritable_species_name_exits_2(tmp_path, fmt, name, env, output, shown):
+    with open(ensemble.default_db_path(), encoding="utf-8") as fh:
+        db = json.load(fh)
+    db[0]["name"] = name
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(db))
+    argv = [sys.executable, "-m", "paramagloss.cli", "sweep", "--points", "2", "--db", str(path)]
+    argv += ["--format", fmt] + (["--output", str(tmp_path / "o.csv")] if output else [])
+    proc = subprocess.run(argv, capture_output=True, text=True, env=_clean_env(**env), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    rule = "must be non-empty printable ASCII without ',', '\"' or ';'"
+    assert proc.stderr == f"error: species {shown}: field 'name' {rule}\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_database_env_var(tmp_path):

@@ -6,17 +6,26 @@ that rejects NaN and Infinity, and the CSV and JSON carry the same values.
 For a database with one field of one species or line replaced, `point` and
 `sweep` exit 0 or 2 without a traceback or a RuntimeWarning, and an exit 2
 prints one line naming that species and field; `emission` keeps the same
-contract for an emission table with one field of one line replaced.  Each
-example runs in-process through ``cli.main``.
+contract for an emission table with one field of one line replaced.  Species
+names and emission labels are drawn as any text, and output goes to a UTF-8
+stream, an ASCII stream (what PYTHONIOENCODING=ascii gives stdout) or an
+--output file: a name that is not printable ASCII without ',', '"' or ';'
+exits 2 naming the field.  Every exit-0 `point` and `powercurve` on a random
+database matches the closed forms of perfbench/check.py.  Each example runs
+in-process through ``cli.main``.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
+import random
 import warnings
 from pathlib import Path
+from types import ModuleType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,7 +91,6 @@ FLAGS = {
         "--freq-ghz": FLOAT,
         "--pmax-over-pc": FLOAT,
         "--points": POINTS,
-        "--n-r": FLOAT,
     },
 }
 
@@ -100,14 +108,50 @@ def argvs(draw, command):
     return argv
 
 
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
+# Where a run writes: a str stream, an ASCII byte stream as stdout is under
+# PYTHONIOENCODING=ascii (strict errors), or an --output file.
+SINKS = ["text", "ascii", "file"]
+
+
+def _run(argv, sink="text", output=None):
+    """(exit code, stdout or output-file text, stderr) of cli.main(argv)."""
+    if sink == "ascii":
+        out = io.TextIOWrapper(io.BytesIO(), encoding="ascii", newline="")
+    else:
+        out = io.StringIO()
+    if sink == "file":
+        output.unlink(missing_ok=True)
+        argv = [*argv, f"--output={output}"]
+    err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    if sink == "ascii":
+        out.flush()
+        text = out.buffer.getvalue().decode("ascii")
+    elif sink == "file" and output.exists():
+        text = output.read_text(encoding="utf-8")
+    else:
+        text = out.getvalue()
+    return code, text, err.getvalue()
+
+
+def _plain(name):
+    """The documented name rule: non-empty printable ASCII without , " or ;."""
+    return name != "" and all(" " <= c <= "~" and c not in ',";' for c in name)
+
+
+# Any text, weighted toward what the name rule turns on: printable ASCII,
+# the three characters it excludes, a newline and a lone surrogate.
+NAME_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.characters(min_codepoint=32, max_codepoint=126)
+    | st.sampled_from(',";\n\udc80')
+)
+# Never a bundled species name, which would make a duplicate.
+NAMES = NAME_TEXT.filter(lambda name: name not in ("Cr", "Fe", "V"))
 
 
 def _reject_constant(name):
@@ -126,7 +170,11 @@ def _csv_columns(command, text):
     assert lines[-1] == ""
     header, *rows = [line.split(",") for line in lines[:-1]]
     if command != "point":
-        return {name: [_cell(row[i]) for row in rows] for i, name in enumerate(header)}
+        # An emission label is text even where it reads as a number.
+        return {
+            name: [row[i] if name == "label" else _cell(row[i]) for row in rows]
+            for i, name in enumerate(header)
+        }
     assert header == ["key", "value"]
     return {
         key: [_cell(x) for x in value.split(";")] if key.endswith(".weights") else _cell(value)
@@ -188,6 +236,7 @@ def test_any_argv_keeps_exit_contract(command, data):
 
 # A database field replaced by one of these, or deleted (MISSING).  The
 # lists are wrong-length transitions, or the wrong type for any other field.
+# A name is replaced by any text (NAMES) or by one of these.
 MISSING = object()
 BAD_VALUES = st.sampled_from(
     [
@@ -196,7 +245,7 @@ BAD_VALUES = st.sampled_from(
     ]
 )
 SPECIES_FIELDS = [
-    "two_s", "concentration_per_cm3", "linewidth_mhz", "linewidth_convention",
+    "name", "two_s", "concentration_per_cm3", "linewidth_mhz", "linewidth_convention",
     "transition", "lines",
 ]
 LINE_FIELDS = ["g", "freq_ghz", "weight"]
@@ -210,7 +259,7 @@ DB_ARGV = [
 
 @st.composite
 def mutated_databases(draw):
-    """The bundled database with one field replaced: (entries, species, field)."""
+    """The bundled database with one field replaced: (entries, species name, field)."""
     db = json.loads(Path(default_db_path()).read_text())
     sp = db[draw(st.integers(0, len(db) - 1))]
     field = draw(st.sampled_from(SPECIES_FIELDS + LINE_FIELDS))
@@ -220,12 +269,12 @@ def mutated_databases(draw):
         holder, key = sp["transition"], draw(st.integers(0, 1))
     else:
         holder, key = sp, field
-    value = draw(BAD_VALUES)
+    value = draw(NAMES | BAD_VALUES if field == "name" else BAD_VALUES)
     if value is MISSING:
         del holder[key]
     else:
         holder[key] = value
-    return db, sp["name"], field
+    return db, sp.get("name"), field
 
 
 @settings(max_examples=200, deadline=None)
@@ -233,18 +282,24 @@ def mutated_databases(draw):
     case=mutated_databases(),
     argv=st.sampled_from(DB_ARGV),
     fmt=st.sampled_from(["csv", "json"]),
+    sink=st.sampled_from(SINKS),
 )
-def test_any_database_keeps_exit_contract(tmp_path_factory, case, argv, fmt):
+def test_any_database_keeps_exit_contract(tmp_path_factory, case, argv, fmt, sink):
     db, name, field = case
-    path = tmp_path_factory.getbasetemp() / "mutated_db.json"
+    base = tmp_path_factory.getbasetemp()
+    path = base / "mutated_db.json"
     path.write_text(json.dumps(db))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = _run([*argv, f"--db={path}", f"--format={fmt}"])
+        code, out, err = _run([*argv, f"--db={path}", f"--format={fmt}"], sink, base / "out")
     assert code in (0, 2)
+    if field == "name":
+        # Only the name changed: it loads exactly when it keeps the rule.
+        assert code == (0 if isinstance(name, str) and _plain(name) else 2), err
     if code == 2:
         assert out == ""
-        assert err.startswith(f"error: species {name!r}") and err.count("\n") == 1, err
+        assert err.startswith("error: species ") and err.count("\n") == 1, err
+        assert field == "name" or err.startswith(f"error: species {name!r}"), err
         assert f"'{field}'" in err
         return
     assert err == ""
@@ -265,24 +320,37 @@ EMISSION_VALUES = st.sampled_from(
 )
 
 
+@st.composite
+def emission_mutations(draw):
+    """(field, value): a label becomes any text or a bad value, another field a bad value."""
+    field = draw(st.sampled_from(EMISSION_FIELDS))
+    return field, draw(NAME_TEXT | EMISSION_VALUES if field == "label" else EMISSION_VALUES)
+
+
 @settings(max_examples=200, deadline=None)
-@given(line=st.integers(0, 4), field=st.sampled_from(EMISSION_FIELDS), value=EMISSION_VALUES)
-def test_any_emission_table_keeps_exit_contract(tmp_path_factory, line, field, value):
+@given(line=st.integers(0, 4), mutation=emission_mutations(), sink=st.sampled_from(SINKS))
+def test_any_emission_table_keeps_exit_contract(tmp_path_factory, line, mutation, sink):
+    field, value = mutation
     table = json.loads(Path(default_emission_path()).read_text())
     entry = table[line]
     if value is MISSING:
         entry.pop(field, None)
     else:
         entry[field] = value
-    path = tmp_path_factory.getbasetemp() / "mutated_table.json"
+    base = tmp_path_factory.getbasetemp()
+    path = base / "mutated_table.json"
     path.write_text(json.dumps(table))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, csv_text, csv_err = _run(["emission", f"--table={path}"])
-        json_code, json_text, json_err = _run(["emission", f"--table={path}", "--format=json"])
+        code, csv_text, csv_err = _run(["emission", f"--table={path}"], sink, base / "out")
+        json_code, json_text, json_err = _run(
+            ["emission", f"--table={path}", "--format=json"], sink, base / "out"
+        )
     assert code in (0, 2)
     assert json_code == code
     assert csv_err == json_err
+    if field == "label":
+        assert code == (0 if isinstance(value, str) and _plain(value) else 2), csv_err
     if code == 2:
         assert csv_text == json_text == ""
         assert csv_err.startswith("error: ") and csv_err.count("\n") == 1, csv_err
@@ -292,3 +360,88 @@ def test_any_emission_table_keeps_exit_contract(tmp_path_factory, line, field, v
     payload = json.loads(json_text, parse_constant=_reject_constant)
     assert all(math.isfinite(x) for x in _numbers(payload))
     assert _csv_columns("emission", csv_text) == _json_columns("emission", payload)
+
+
+@functools.cache
+def _check_module():
+    """perfbench/check.py as a module, executed from its source (no bytecode written)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "check.py"
+    module = ModuleType("perfbench_check")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+@st.composite
+def random_databases(draw):
+    """1-3 species in the database format, spanning the documented input ranges."""
+    db = []
+    for i in range(draw(st.integers(1, 3))):
+        two_s = draw(st.integers(1, 9))
+        m_i = two_s / 2.0 - draw(st.integers(0, two_s - 1))
+        n_lines = draw(st.integers(1, 4))
+        lines = [
+            {
+                "g": draw(st.floats(1e-3, 1e3)),
+                "freq_ghz": draw(st.floats(1e-3, 1e4)),
+                "weight": 1.0 / n_lines,
+            }
+            for _ in range(n_lines)
+        ]
+        db.append(
+            {
+                "name": f"S{i}",
+                "two_s": two_s,
+                "concentration_per_cm3": draw(st.floats(1e-5, 1e25)),
+                "linewidth_mhz": draw(st.floats(1e-6, 1e6)),
+                "linewidth_convention": draw(
+                    st.sampled_from(["cyclic_times_2pi", "angular_rate"])
+                ),
+                "transition": draw(st.sampled_from([[m_i, m_i - 1.0], [m_i - 1.0, m_i]])),
+                "lines": lines,
+            }
+        )
+    return db
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    db=random_databases(),
+    freq_ghz=st.floats(1e-3, 1e4),
+    temp_k=st.none() | st.floats(0.0, 1e3),
+    p_over_pc=st.none() | st.floats(0.0, 1e4),
+    pmax_over_pc=st.floats(1e-3, 1e4),
+    points=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_point_and_powercurve_match_closed_forms(
+    tmp_path_factory, db, freq_ghz, temp_k, p_over_pc, pmax_over_pc, points, seed
+):
+    path = tmp_path_factory.getbasetemp() / "random_db.json"
+    path.write_text(json.dumps(db))
+    check_module = _check_module()
+    closed = check_module.load_db(str(path))
+    species = db[seed % len(db)]["name"]
+    runs = [
+        (
+            check_module.check_point,
+            ["point", f"--freq-ghz={freq_ghz!r}"]
+            + ([] if temp_k is None else [f"--temp-k={temp_k!r}"])
+            + ([] if p_over_pc is None else [f"--p-over-pc={p_over_pc!r}"]),
+            {"fmt": "json", "freq_ghz": freq_ghz, "temp_k": temp_k, "p_over_pc": p_over_pc},
+        ),
+        (
+            check_module.check_powercurve,
+            ["powercurve", f"--freq-ghz={freq_ghz!r}", f"--species={species}",
+             f"--pmax-over-pc={pmax_over_pc!r}", f"--points={points}"],
+            {"fmt": "json", "freq_ghz": freq_ghz, "species": species,
+             "pmax_over_pc": pmax_over_pc, "points": points},
+        ),
+    ]
+    for check, argv, spec in runs:
+        code, out, err = _run([*argv, f"--db={path}", "--format=json"])
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 0:
+            with np.errstate(all="ignore"):  # the reference's own under- and overflows
+                check(spec, out, closed, random.Random(seed))

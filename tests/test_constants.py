@@ -1,6 +1,5 @@
 """Pinned constant values and unit-conversion helpers."""
 
-import dataclasses
 import math
 
 import pytest
@@ -17,26 +16,12 @@ from conftest import (
 
 
 def test_codata_2018_values():
-    assert constants.CODATA2018.c == C_LIGHT
-    assert constants.CODATA2018.alpha == FINE_STRUCTURE
-    assert constants.CODATA2018.a0 == BOHR_RADIUS
-    assert constants.CODATA2018.hbar == HBAR_SI
-    assert constants.CODATA2018.kB == KB_SI
-    assert constants.CODATA2018.muB == MUB_SI
-
-
-def test_aliases_match_dataclass():
-    assert constants.C == constants.CODATA2018.c
-    assert constants.ALPHA == constants.CODATA2018.alpha
-    assert constants.A0 == constants.CODATA2018.a0
-    assert constants.HBAR == constants.CODATA2018.hbar
-    assert constants.KB == constants.CODATA2018.kB
-    assert constants.MUB == constants.CODATA2018.muB
-
-
-def test_constants_immutable():
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        constants.CODATA2018.c = 3.0e8
+    assert constants.C == C_LIGHT
+    assert constants.ALPHA == FINE_STRUCTURE
+    assert constants.A0 == BOHR_RADIUS
+    assert constants.HBAR == HBAR_SI
+    assert constants.KB == KB_SI
+    assert constants.MUB == MUB_SI
 
 
 def test_ghz_to_angular():
@@ -52,8 +37,3 @@ def test_angular_to_ghz_round_trip():
             f, rel=1e-15
         )
 
-
-def test_mhz_to_angular():
-    assert constants.mhz_to_angular(27.0) == pytest.approx(
-        2.0 * math.pi * 27.0e6, rel=1e-15
-    )

@@ -15,7 +15,6 @@ from paramagloss.emission import (
     a_md,
     extract_moment,
     extraction_rows,
-    ghz_equivalent_rate,
     line_from_rate,
     photon_dos,
     read_emission_table,
@@ -111,12 +110,12 @@ def test_cubic_frequency_scaling():
 
 
 def test_ghz_equivalent_rate():
-    rate = ghz_equivalent_rate(TWO_PI * 11.45e9, 1.984**2 / 2.0)
+    # a_md of a microwave spin line: a moment of order one emits less than
+    # 1e-11 photons per second near 10 GHz.
+    rate = a_md(TWO_PI * 11.45e9, 1.984**2 / 2.0)
     assert rate == pytest.approx(8.872913625048017e-12, rel=1e-12)
     # Cubic suppression between a 235 THz line and an 11.45 GHz line.
-    ratio = ghz_equivalent_rate(TWO_PI * 235e12, 0.3) / ghz_equivalent_rate(
-        TWO_PI * 11.45e9, 0.3
-    )
+    ratio = a_md(TWO_PI * 235e12, 0.3) / a_md(TWO_PI * 11.45e9, 0.3)
     assert ratio == pytest.approx((235e12 / 11.45e9) ** 3, rel=1e-12)
 
 
@@ -148,12 +147,12 @@ def test_emission_line_consistency():
     assert line.omega_if == pytest.approx(wavelength_to_angular(1276e-9), rel=1e-15)
     assert line.m_sq == pytest.approx(EXTRACTION_TABLE["Er"][2], rel=1e-12)
     assert line.m_abs == pytest.approx(math.sqrt(line.m_sq), rel=1e-15)
-    with pytest.raises(InvalidInputs):
+    with pytest.raises(InvalidInputs, match="negative emission rate"):
         EmissionLine(
             label="bad",
             lambda_vac=1276e-9,
-            omega_if=wavelength_to_angular(1276e-9) * 1.01,
-            a_md=1.0,
+            omega_if=wavelength_to_angular(1276e-9),
+            a_md=-1.0,
             m_sq=1.0,
         )
     with pytest.raises(InvalidInputs):
@@ -210,6 +209,20 @@ def test_read_emission_table_errors(tmp_path):
         entry = {"label": "Ex", "lambda_nm": 500.0, "a_md_hz": 1.0, **fields}
         extreme.write_text(json.dumps([entry]))
         with pytest.raises(DatabaseError, match=f"^line 'Ex': field {named}"):
+            read_emission_table(extreme)
+    # Labels a writer cannot spell as given, or no label at all.
+    for label, named in [
+        ("Gd,x\ny", r"'Gd,x\\ny'"),
+        ('Gd"x', "'Gd\"x'"),
+        ("Gd;x", "'Gd;x'"),
+        ("Gd\u00e9", r"'Gd\\xe9'"),
+        ("Gd\udc80", r"'Gd\\udc80'"),
+        ("", "''"),
+        (7, "7"),
+        (None, "None"),
+    ]:
+        extreme.write_text(json.dumps([{"label": label, "lambda_nm": 500.0, "a_md_hz": 1.0}]))
+        with pytest.raises(DatabaseError, match=f"^emission table entry 0: field 'label'.*{named}$"):
             read_emission_table(extreme)
 
 

@@ -3,12 +3,13 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from paramagloss import ensemble
-from paramagloss.constants import ghz_to_angular, mhz_to_angular
+from paramagloss.constants import ghz_to_angular
 from paramagloss.ensemble import (
     MAX_TWO_S,
     DefectSpecies,
@@ -21,7 +22,7 @@ from paramagloss.ensemble import (
     species_loss,
     sweep,
 )
-from paramagloss.errors import DatabaseError, InvalidInputs, InvalidRange, ParamagLossError
+from paramagloss.errors import DatabaseError, InvalidInputs, ParamagLossError
 from paramagloss.lineshape import temperature_factor
 from paramagloss.spin import basis_state, spin_operators, transition_moment, unpolarized_coupling
 
@@ -80,7 +81,7 @@ V_45 = 1.9480116532842068e-09
 def test_linewidth_conventions(tmp_path):
     # The same bits as the MHz -> rad/s conversions, for either spelling.
     for convention, gamma in (
-        ("cyclic_times_2pi", mhz_to_angular(27.0)),
+        ("cyclic_times_2pi", TWO_PI * 1.0e6 * 27.0),
         ("angular_rate", 27.0 * 1e6),
     ):
         path = _write_db(tmp_path, [_cr_entry(linewidth_convention=convention)])
@@ -138,6 +139,16 @@ INVALID_SPECIES = [
         {"lines": SpeciesLines(centers=[1.0, 2.0], g=[2.0, 2.0], weights=[0.25, 0.25])},
         "weight",
     ),
+    # Names a writer cannot spell as given: a CSV separator or quote, the ';'
+    # of point's weights cell, and text outside printable ASCII, which an
+    # ASCII stream or a UTF-8 file cannot encode.
+    ({"name": "Cr,x"}, "name"),
+    ({"name": 'Cr"x'}, "name"),
+    ({"name": "Cr;x"}, "name"),
+    ({"name": "Cr\u00e9"}, "name"),
+    ({"name": "Cr\udc80"}, "name"),
+    ({"name": "Cr\nx"}, "name"),
+    ({"name": ""}, "name"),
 ]
 
 
@@ -159,7 +170,8 @@ def test_defect_line_validation():
 
 def test_defect_species_validation():
     for overrides, field in INVALID_SPECIES:
-        with pytest.raises(InvalidInputs, match=f"^species 'x': (line 0: )?field '{field}'"):
+        name = re.escape(ascii(overrides.get("name", "x")))
+        with pytest.raises(InvalidInputs, match=f"^species {name}: (line 0: )?field '{field}'"):
             _species(**overrides)
     # Every value in range, but the amplitude overflows: an infinite peak loss.
     lines = SpeciesLines(centers=[1.0], g=[1e150], weights=[1.0])
@@ -298,9 +310,9 @@ def test_overflowing_rates_rejected():
             _species(**_bad_lines(centers=omega))
     with pytest.raises(InvalidInputs, match="angular probe frequency"):
         species_loss(CR, float("inf"))
-    with pytest.raises(InvalidRange, match="linewidth"):
+    with pytest.raises(InvalidInputs, match="linewidth"):
         species_loss(CR, OMEGA_45, power=1e308)
-    with pytest.raises(InvalidRange, match="angular frequency"):
+    with pytest.raises(InvalidInputs, match="angular frequency"):
         sweep([CR], 1.0, 1e150, 3)
 
 
@@ -310,13 +322,13 @@ def test_species_loss_validation():
 
 
 def test_sweep_range_validation():
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidInputs):
         sweep([CR], 5.0, 5.0, 10)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidInputs):
         sweep([CR], 8.0, 5.0, 10)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidInputs):
         sweep([CR], 1.0, 15.0, 1)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidInputs):
         sweep([CR], -1.0, 15.0, 10)
 
 
@@ -358,7 +370,7 @@ def _huge(name):
         name=name,
         two_s=3,
         n_def=1e296,
-        gamma=mhz_to_angular(5.35e-37),
+        gamma=TWO_PI * 1.0e6 * 5.35e-37,
         transition=(1.5, 0.5),
         lines=CR.lines,
     )
@@ -601,6 +613,9 @@ def test_load_database_errors(tmp_path):
             "'Cr': line 1: .*'g'",
         ),
         ({"lines": []}, "'Cr': .*'lines'"),
+        ({"name": "Cr,x"}, "^species 'Cr,x': field 'name'"),
+        ({"name": "Cr\u00e9"}, r"^species 'Cr\\xe9': field 'name'"),
+        ({"name": "Cr\udc80"}, r"^species 'Cr\\udc80': field 'name'"),
     ):
         path = _write_db(tmp_path, [_cr_entry(**overrides)], "fields.json")
         with pytest.raises(DatabaseError, match=pattern) as exc:

@@ -1,4 +1,4 @@
-"""Broadening profiles, temperature factors, and power broadening."""
+"""The Lorentzian profile, temperature factors, and power broadening."""
 
 import math
 
@@ -6,21 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from paramagloss.errors import (
-    DeltaKindUnsupported,
-    InvalidInputs,
-    NegativeTemperature,
-    NonPositiveWidth,
-)
+from paramagloss.absorption import MD_PREFACTOR, sigma_md
+from paramagloss.errors import InvalidInputs
 from paramagloss.lineshape import (
     LineshapeSpec,
-    evaluate,
-    gaussian,
     lorentzian,
     power_broadened_gamma,
     tanh_factor,
     temperature_factor,
-    voigt,
 )
 from conftest import HBAR_SI, KB_SI
 
@@ -47,90 +40,37 @@ def test_lorentzian_normalization():
     assert integral == pytest.approx(1.0, abs=1e-4)
 
 
-def test_gaussian_peak_and_one_sigma():
-    sigma = 2.0 * 27e6
-    peak = gaussian(0.0, sigma)
-    assert peak == pytest.approx(1.0 / (sigma * math.sqrt(TWO_PI)), rel=1e-14)
-    assert gaussian(sigma, sigma) == pytest.approx(peak * math.exp(-0.5), rel=1e-14)
-
-
-def test_gaussian_normalization():
-    sigma = 1.3
-    integral, _ = quad(lambda x: gaussian(x, sigma), -8 * sigma, 8 * sigma, limit=200)
-    assert integral == pytest.approx(1.0, abs=1e-6)
-
-
-def test_voigt_lorentzian_limit():
-    gamma = 1.0
-    for d in (0.0, 0.7, 3.0):
-        assert voigt(d, gamma, 1e-6 * gamma) == pytest.approx(
-            lorentzian(d, gamma), rel=1e-4
-        )
-
-
-def test_voigt_gaussian_limit():
-    sigma = 1.0
-    for d in (0.0, 1.0, 2.5):
-        assert voigt(d, 1e-6 * sigma, sigma) == pytest.approx(
-            gaussian(d, sigma), rel=1e-4
-        )
-
-
-def _voigt_quadrature(d, gamma, sigma):
-    integrand = lambda x: gaussian(x, sigma) * lorentzian(d - x, gamma)
-    value, _ = quad(integrand, -40 * sigma, 40 * sigma, limit=400)
-    return value
-
-
-def test_voigt_against_quadrature():
-    # Frozen convolution quadrature at gamma = sigma = 1, zero detuning.
-    assert voigt(0.0, 1.0, 1.0) == pytest.approx(0.2789554703892946, rel=1e-9)
-    for d, gamma, sigma in ((0.7, 1.3, 0.9), (2.0, 0.5, 1.7)):
-        assert voigt(d, gamma, sigma) == pytest.approx(
-            _voigt_quadrature(d, gamma, sigma), rel=1e-6
-        )
-
-
 def test_profiles_nonnegative_and_even():
     grid = np.linspace(-5.0, 5.0, 41)
-    for values in (
-        lorentzian(grid, 1.1),
-        gaussian(grid, 0.8),
-        np.array([voigt(d, 1.1, 0.8) for d in grid]),
-    ):
-        assert np.all(values >= 0.0)
-        assert np.allclose(values, values[::-1], rtol=1e-12)
+    values = lorentzian(grid, 1.1)
+    assert np.all(values >= 0.0)
+    assert np.allclose(values, values[::-1], rtol=1e-12)
 
 
 def test_width_validation():
-    with pytest.raises(NonPositiveWidth):
-        lorentzian(0.0, 0.0)
-    with pytest.raises(NonPositiveWidth):
-        gaussian(0.0, -1.0)
-    with pytest.raises(NonPositiveWidth):
-        voigt(0.0, 1.0, 0.0)
-    with pytest.raises(NonPositiveWidth):
-        voigt(0.0, -1.0, 1.0)
+    for gamma in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidInputs, match="gamma must be positive"):
+            lorentzian(0.0, gamma)
 
 
 def test_spec_validation_and_dispatch():
+    for kind in ("boxcar", "gaussian", "voigt"):
+        with pytest.raises(InvalidInputs, match="unknown lineshape kind"):
+            LineshapeSpec(kind=kind, gamma=1.0)
+    for gamma in (0.0, -1.0):
+        with pytest.raises(InvalidInputs, match="needs gamma > 0"):
+            LineshapeSpec(kind="lorentzian", gamma=gamma)
     with pytest.raises(InvalidInputs):
-        LineshapeSpec(kind="boxcar", gamma=1.0)
-    with pytest.raises(NonPositiveWidth):
         LineshapeSpec(kind="lorentzian")
-    with pytest.raises(NonPositiveWidth):
-        LineshapeSpec(kind="voigt", gamma=1.0)
+    # sigma_md evaluates the spec's Lorentzian at the detuning.
     spec = LineshapeSpec(kind="lorentzian", gamma=2.0)
-    assert evaluate(spec, 0.3) == lorentzian(0.3, 2.0)
-    spec = LineshapeSpec(kind="gaussian", sigma=1.5)
-    assert evaluate(spec, 0.3) == gaussian(0.3, 1.5)
-    spec = LineshapeSpec(kind="voigt", gamma=2.0, sigma=1.5)
-    assert evaluate(spec, 0.3) == voigt(0.3, 2.0, 1.5)
+    assert sigma_md(1.3, 1.0, 1.0, spec) == MD_PREFACTOR * 1.3 * lorentzian(1.3 - 1.0, 2.0)
 
 
 def test_delta_kind_has_no_density():
-    with pytest.raises(DeltaKindUnsupported):
-        evaluate(LineshapeSpec(kind="delta"), 0.0)
+    # A delta line has no pointwise density, so no spec describes one.
+    with pytest.raises(InvalidInputs, match="unknown lineshape kind 'delta'"):
+        LineshapeSpec(kind="delta")
 
 
 def test_temperature_factor_limits():
@@ -196,9 +136,9 @@ def test_power_broadened_gamma_grid():
 
 
 def test_negative_temperature_rejected():
-    with pytest.raises(NegativeTemperature):
+    with pytest.raises(InvalidInputs, match="temperature"):
         temperature_factor(1.0, -0.1)
-    with pytest.raises(NegativeTemperature):
+    with pytest.raises(InvalidInputs, match="temperature"):
         tanh_factor(1.0, -0.1)
     with pytest.raises(InvalidInputs):
         temperature_factor(0.0, 1.0)
@@ -216,7 +156,7 @@ def test_power_broadened_gamma_values():
 
 
 def test_power_model_validation():
-    with pytest.raises(NonPositiveWidth):
+    with pytest.raises(InvalidInputs, match="gamma0"):
         power_broadened_gamma(0.0, 1.0)
     with pytest.raises(InvalidInputs):
         power_broadened_gamma(1.0, -2.0)
