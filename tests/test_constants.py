@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from paramagloss import constants
+from paramagloss import absorption, constants, emission, ensemble, lineshape, spin
 from conftest import (
     BOHR_RADIUS,
     C_LIGHT,
@@ -22,6 +22,23 @@ def test_codata_2018_values():
     assert constants.HBAR == HBAR_SI
     assert constants.KB == KB_SI
     assert constants.MUB == MUB_SI
+
+
+def test_aliases_match_dataclass():
+    # The formula modules import the pinned constants rather than keeping
+    # copies of their own, so one CODATA set feeds every formula.
+    for module, names in (
+        (absorption, ("A0", "ALPHA", "C")),
+        (emission, ("A0", "ALPHA", "C", "TWO_PI")),
+        (ensemble, ("TWO_PI", "C")),
+        (lineshape, ("HBAR", "KB")),
+        (spin, ("HBAR", "MUB")),
+    ):
+        for name in names:
+            assert getattr(module, name) is getattr(constants, name), (
+                module.__name__,
+                name,
+            )
 
 
 def test_ghz_to_angular():
