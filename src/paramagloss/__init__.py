@@ -22,7 +22,6 @@ from .ensemble import (
     Spectrum,
     default_db_path,
     default_emission_path,
-    line_coupling_sq,
     load_species_db,
     species_loss,
     sweep,
@@ -41,6 +40,7 @@ from .spin import (
     SpinOperators,
     basis_state,
     build_hamiltonian,
+    line_coupling_sq,
     spin_operators,
     transition_moment,
     unpolarized_coupling,

@@ -9,14 +9,13 @@ most a few photons per year while optical lines emit in hertz.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 
 from .constants import A0, ALPHA, C, TWO_PI
 from .errors import DatabaseError, InvalidInputs
-from .ioformat import finite_float, plain_name
+from .ioformat import NAME_RULE, number_field, plain_name, read_json_array
 
 # Rate prefactor: multiply by n_r^3, omega_if^3, and the squared moment.
 EMISSION_PREFACTOR = ALPHA**3 * A0**2 / C**2
@@ -36,12 +35,31 @@ def wavelength_to_angular(lambda_vac: float) -> float:
     return TWO_PI * C / lambda_vac
 
 
+def _finite(value: float, what: str) -> float:
+    """value, unless inf or nan: then InvalidInputs saying that `what` left the float range."""
+    if not value < math.inf:
+        raise InvalidInputs(f"{what} is outside the float range")
+    return value
+
+
 def photon_dos(omega: float, n_r: float = 1.0) -> float:
     """Photon density of states [s/(rad m^3)] in a medium of index n_r."""
     if omega < 0.0:
         raise InvalidInputs(f"frequency must be >= 0, got {omega}")
     _check_n_r(n_r)
-    return n_r**3 * omega**2 / (C**3 * math.pi**2)
+    try:
+        dos = n_r**3 * omega**2 / (C**3 * math.pi**2)
+    except OverflowError:  # a power past the float range
+        dos = math.inf
+    return _finite(dos, f"photon density of states at omega={omega!r}, n_r={n_r!r}")
+
+
+def _rate_scale(omega_if: float, n_r: float = 1.0) -> float:
+    """n_r^3 * EMISSION_PREFACTOR * omega_if^3, the rate per squared moment, or inf."""
+    try:
+        return n_r**3 * EMISSION_PREFACTOR * omega_if**3
+    except OverflowError:  # a cube past the float range
+        return math.inf
 
 
 def a_md(omega_if: float, m_sq: float, n_r: float = 1.0) -> float:
@@ -51,7 +69,32 @@ def a_md(omega_if: float, m_sq: float, n_r: float = 1.0) -> float:
     if m_sq < 0.0:
         raise InvalidInputs(f"squared moment must be >= 0, got {m_sq}")
     _check_n_r(n_r)
-    return n_r**3 * EMISSION_PREFACTOR * omega_if**3 * m_sq
+    rate = _rate_scale(omega_if, n_r) * m_sq
+    return _finite(rate, f"emission rate at omega_if={omega_if!r}, m_sq={m_sq!r}, n_r={n_r!r}")
+
+
+def _moment(a: float, lambda_vac: float, n_r: float, names, wavelength):
+    """(omega_if, m_sq) of a rate a [1/s] at a vacuum wavelength [m].
+
+    Checked in the order wavelength, n_r, rate: the rate scale
+    EMISSION_PREFACTOR * omega_if^3 must be a finite normal double, n_r >= 1
+    must keep n_r^3 times it finite, and the squared moment a / (n_r^3 *
+    scale) must be finite and >= 0.  A failed check raises InvalidInputs
+    naming the input as names spells (wavelength, n_r, rate), with its
+    value; the wavelength's value shown is `wavelength`.
+    """
+    omega_if = wavelength_to_angular(lambda_vac) if lambda_vac > 0.0 else math.inf
+    if not sys.float_info.min <= _rate_scale(omega_if) < math.inf:
+        raise InvalidInputs(
+            f"{names[0]} must be > 0 with a normal, finite rate scale, got {wavelength!r}"
+        )
+    scale = _rate_scale(omega_if, n_r)
+    if not (n_r >= 1.0 and scale < math.inf):
+        raise InvalidInputs(f"{names[1]} must be >= 1 with a finite rate scale, got {n_r!r}")
+    m_sq = a / scale
+    if not 0.0 <= m_sq < math.inf:
+        raise InvalidInputs(f"{names[2]} must give a finite moment >= 0, got {a!r}")
+    return omega_if, m_sq
 
 
 def extract_moment(a: float, lambda_vac: float, n_r: float = 1.0) -> float:
@@ -59,12 +102,10 @@ def extract_moment(a: float, lambda_vac: float, n_r: float = 1.0) -> float:
 
     Inverse of a_md with the transition frequency taken from the vacuum
     wavelength, so extract_moment(a_md(w, m, n), 2*pi*c/w, n) round-trips.
+    A wavelength, n_r or rate that takes the extraction outside the float
+    range raises InvalidInputs, as line_from_rate does.
     """
-    if a < 0.0:
-        raise InvalidInputs(f"emission rate must be >= 0, got {a}")
-    _check_n_r(n_r)
-    omega_if = wavelength_to_angular(lambda_vac)
-    return a / (n_r**3 * EMISSION_PREFACTOR * omega_if**3)
+    return _moment(a, lambda_vac, n_r, ("lambda_vac", "n_r", "a"), lambda_vac)[1]
 
 
 @dataclass(frozen=True)
@@ -93,32 +134,13 @@ def line_from_rate(
 ) -> EmissionLine:
     """Build an EmissionLine from a wavelength [nm] and a rate [1/s].
 
-    Each field is checked where it enters the extraction, in the order
-    lambda_nm, n_r, a_md_hz: the rate scale EMISSION_PREFACTOR * omega^3
-    must be a finite normal double, n_r >= 1 must keep n_r^3 times it
-    finite, and the squared moment a_md_hz / (n_r^3 * scale) must be finite
-    and >= 0.  A failed check raises InvalidInputs naming the field and its
-    value.
+    The fields are checked by the rule of extract_moment, in the order
+    lambda_nm, n_r, a_md_hz, and a failed check raises InvalidInputs naming
+    the field and its value.
     """
     lambda_vac = lambda_nm * 1e-9
-    omega_if = wavelength_to_angular(lambda_vac) if lambda_vac > 0.0 else math.inf
-
-    def rate_scale(n):
-        """n^3 * EMISSION_PREFACTOR * omega_if^3 as extract_moment computes it, or inf."""
-        try:
-            return n**3 * EMISSION_PREFACTOR * omega_if**3
-        except OverflowError:  # a cube past the float range
-            return math.inf
-
-    if not sys.float_info.min <= rate_scale(1.0) < math.inf:
-        raise InvalidInputs(
-            f"field 'lambda_nm' must be > 0 with a normal, finite rate scale, got {lambda_nm!r}"
-        )
-    if not (n_r >= 1.0 and rate_scale(n_r) < math.inf):
-        raise InvalidInputs(f"field 'n_r' must be >= 1 with a finite rate scale, got {n_r!r}")
-    m_sq = a_md_hz / rate_scale(n_r)
-    if not 0.0 <= m_sq < math.inf:
-        raise InvalidInputs(f"field 'a_md_hz' must give a finite moment >= 0, got {a_md_hz!r}")
+    fields = ("field 'lambda_nm'", "field 'n_r'", "field 'a_md_hz'")
+    omega_if, m_sq = _moment(a_md_hz, lambda_vac, n_r, fields, lambda_nm)
     return EmissionLine(
         label=label,
         lambda_vac=lambda_vac,
@@ -130,39 +152,25 @@ def line_from_rate(
 
 def read_emission_table(path) -> list[EmissionLine]:
     """Load a JSON array of {label, lambda_nm, a_md_hz, n_r?} entries."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise DatabaseError(f"cannot read emission table {path}: {exc}") from exc
-    except ValueError as exc:  # bad syntax or encoding, or an int over 4300 digits
-        raise DatabaseError(f"emission table {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise DatabaseError(f"emission table {path} must be a JSON array")
     lines = []
-    for idx, entry in enumerate(raw):
+    for idx, entry in enumerate(read_json_array(path, "emission table")):
         if not isinstance(entry, dict):
             raise DatabaseError(f"emission table entry {idx} is not an object")
         label = plain_name(entry.get("label"))
         if label is None:
             raise DatabaseError(
-                f"emission table entry {idx}: field 'label' must be non-empty printable "
-                f"ASCII without ',', '\"' or ';', got {ascii(entry.get('label'))}"
+                f"emission table entry {idx}: field 'label' {NAME_RULE}, "
+                f"got {ascii(entry.get('label'))}"
             )
-        numbers = []
-        for field, default in (("lambda_nm", None), ("a_md_hz", None), ("n_r", 1.0)):
-            if field not in entry and default is None:
-                raise DatabaseError(f"line {label!r}: missing field {field!r}")
-            value = finite_float(entry.get(field, default))
-            if value is None:
-                raise DatabaseError(
-                    f"line {label!r}: field {field!r} must be a finite number"
-                )
-            numbers.append(value)
+        where = f"line {label!r}"
+        numbers = [
+            number_field(entry, field, where, default)
+            for field, default in (("lambda_nm", None), ("a_md_hz", None), ("n_r", 1.0))
+        ]
         try:
             lines.append(line_from_rate(label, *numbers))
         except InvalidInputs as exc:
-            raise DatabaseError(f"line {label!r}: {exc}") from exc
+            raise DatabaseError(f"{where}: {exc}") from exc
     return lines
 
 

@@ -10,10 +10,9 @@ unit-area Lorentzians with precomputed amplitudes.
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -23,9 +22,9 @@ from . import _kernels
 from .absorption import MD_PREFACTOR
 from .constants import TWO_PI, C, ghz_to_angular
 from .errors import DatabaseError, InvalidInputs
-from .ioformat import finite_float, plain_name
+from .ioformat import NAME_RULE, finite_float, number_field, plain_name, read_json_array
 from .lineshape import power_broadened_gamma, temperature_factor
-from .spin import basis_state, spin_operators
+from .spin import basis_state, line_coupling_sq
 
 # Angular FWHM [rad/s] per unit of the database linewidth_mhz field, by
 # linewidth_convention: a cyclic frequency in MHz times 2*pi, or an angular
@@ -41,6 +40,11 @@ MAX_RATE = math.sqrt(sys.float_info.max / 2.0)
 # Largest database 2S.  The couplings build (2S+1) x (2S+1) complex spin
 # matrices, 1 MiB each at this cap; real paramagnetic ions have 2S <= 8.
 MAX_TWO_S = 255
+
+# Species names that would collide with the output: the fixed keys of
+# point's key,value CSV and of sweep's header, and any name with the '.' of
+# point's per-species keys such as '<name>.weights'.
+OUTPUT_KEYS = ("freq_ghz", "total", "n_r", "temp_k", "p_over_pc")
 
 DEFAULT_DB_RESOURCE = "sapphire_defects.json"
 DEFAULT_EMISSION_RESOURCE = "rare_earth_lines.json"
@@ -114,7 +118,9 @@ class DefectSpecies:
             raise InvalidInputs(f"{where}: {problem}")
 
         if plain_name(self.name) is None:
-            fail("field 'name' must be non-empty printable ASCII without ',', '\"' or ';'")
+            fail(f"field 'name' {NAME_RULE}")
+        if self.name in OUTPUT_KEYS or "." in self.name:
+            fail(f"field 'name' must contain no '.' and be none of {', '.join(OUTPUT_KEYS)}")
         if isinstance(two_s, bool) or not (isinstance(two_s, int) and 1 <= two_s <= MAX_TWO_S):
             fail(f"field 'two_s' must be an integer in [1, {MAX_TWO_S}]")
         if not 0.0 <= self.n_def < math.inf:
@@ -177,29 +183,11 @@ class Spectrum:
     total: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_operators(two_s: int):
-    return spin_operators(two_s)
-
-
-def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e):
-    """Unpolarized squared coupling of a pure-spin sublevel transition.
-
-    g_e is one g-factor, which gives a float, or a 1-D array of them, which
-    gives one coupling per entry.  The spin matrix elements are computed
-    once and each entry runs the operation sequence of transition_moment
-    and unpolarized_coupling, so it equals
-    unpolarized_coupling(transition_moment(psi_i, psi_f, ops, g)) bit for bit.
-    """
-    ops = _cached_operators(two_s)
-    m_i, m_f = transition
-    psi_i = basis_state(two_s, m_i)
-    bra = basis_state(two_s, m_f).conj()
-    elems = np.array([bra @ (ops.sx @ psi_i), bra @ (ops.sy @ psi_i), bra @ (ops.sz @ psi_i)])
-    g = np.asarray(g_e, dtype=np.float64)
-    moments = g.reshape(-1, 1) * elems
-    coupling = np.sum(np.abs(moments) ** 2, axis=1) / 3.0
-    return float(coupling[0]) if g.ndim == 0 else coupling
+def check_unique_names(db, error=InvalidInputs) -> None:
+    """Raise error naming, once each, every species name listed more than once."""
+    repeated = [name for name, count in Counter(sp.name for sp in db).items() if count > 1]
+    if repeated:
+        raise error(f"species {', '.join(map(repr, repeated))}: listed more than once")
 
 
 def species_loss(
@@ -241,11 +229,7 @@ def database_loss(db, omega, temp_k=None, power=None):
     unique, since per_species is keyed by name.  The sum of the species'
     peak_loss bounds the total, and is checked to be finite first.
     """
-    names = [sp.name for sp in db]
-    repeated = dict.fromkeys(name for name in names if names.count(name) > 1)
-    if repeated:
-        listed = ", ".join(map(repr, repeated))
-        raise InvalidInputs(f"species {listed}: listed more than once")
+    check_unique_names(db)
     if not math.isfinite(sum(sp.peak_loss for sp in db)):
         names = ", ".join(repr(sp.name) for sp in db)
         raise InvalidInputs(f"species {names}: peak losses sum to an infinite total loss")
@@ -285,19 +269,6 @@ def sweep(
     return Spectrum(freqs_ghz=freqs, per_species=per_species, total=total)
 
 
-def _require_number(entry: dict, key: str, name: str, li=None) -> float:
-    """entry[key] as a finite float; errors name the species and line li."""
-    if key in entry:
-        value = finite_float(entry[key])
-        if value is not None:
-            return value
-        problem = f"field {key!r} must be a finite number"
-    else:
-        problem = f"missing field {key!r}"
-    where = f"species {name!r}" if li is None else f"species {name!r}: line {li}"
-    raise DatabaseError(f"{where}: {problem}")
-
-
 def parse_species(entry: dict, index: int) -> DefectSpecies:
     """Build one DefectSpecies from a decoded database entry.
 
@@ -309,12 +280,13 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
     name = entry.get("name")
     if not isinstance(name, str) or not name:
         raise DatabaseError(f"species entry {index}: missing field 'name'")
-    n_cm3 = _require_number(entry, "concentration_per_cm3", name)
-    linewidth_mhz = _require_number(entry, "linewidth_mhz", name)
+    where = f"species {name!r}"
+    n_cm3 = number_field(entry, "concentration_per_cm3", where)
+    linewidth_mhz = number_field(entry, "linewidth_mhz", where)
     convention = entry.get("linewidth_convention", "cyclic_times_2pi")
     if not isinstance(convention, str) or convention not in LINEWIDTH_SCALES:
         raise DatabaseError(
-            f"species {name!r}: field 'linewidth_convention' must be one of "
+            f"{where}: field 'linewidth_convention' must be one of "
             f"{tuple(LINEWIDTH_SCALES)}, got {convention!r}"
         )
     transition = entry.get("transition")
@@ -323,20 +295,17 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
         or len(transition) != 2
         or any(finite_float(m) is None for m in transition)
     ):
-        raise DatabaseError(
-            f"species {name!r}: field 'transition' must be a pair of finite numbers"
-        )
+        raise DatabaseError(f"{where}: field 'transition' must be a pair of finite numbers")
     raw_lines = entry.get("lines")
     if not isinstance(raw_lines, list):
-        raise DatabaseError(f"species {name!r}: field 'lines' must be an array")
+        raise DatabaseError(f"{where}: field 'lines' must be an array")
     columns = ([], [], [])
     for li, raw in enumerate(raw_lines):
+        line = f"{where}: line {li}"
         if not isinstance(raw, dict):
-            raise DatabaseError(
-                f"species {name!r}: line {li}: entry of field 'lines' is not an object"
-            )
+            raise DatabaseError(f"{line}: entry of field 'lines' is not an object")
         for column, key in zip(columns, ("g", "freq_ghz", "weight")):
-            column.append(_require_number(raw, key, name, li))
+            column.append(number_field(raw, key, line))
     g, freq_ghz, weights = columns
     with np.errstate(over="ignore"):  # an overflowing frequency fails the species' bound
         centers = ghz_to_angular(np.array(freq_ghz))
@@ -356,19 +325,9 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
 
 def load_species_db(path) -> list[DefectSpecies]:
     """Load a JSON species database; errors name the offending entry."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise DatabaseError(f"cannot read database {path}: {exc}") from exc
-    except ValueError as exc:  # bad syntax or encoding, or an int over 4300 digits
-        raise DatabaseError(f"database {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise DatabaseError(f"database {path} must be a JSON array of species")
+    raw = read_json_array(path, "database")
     db = [parse_species(entry, idx) for idx, entry in enumerate(raw)]
-    names = [sp.name for sp in db]
-    if len(set(names)) != len(names):
-        raise DatabaseError(f"database {path} has duplicate species names")
+    check_unique_names(db, DatabaseError)
     return db
 
 

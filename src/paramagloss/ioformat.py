@@ -4,8 +4,9 @@ write_csv spells every number as sci9, lowercase scientific with 9
 significant digits, and write_json every float as json.dumps(quantize(x)),
 the value of that CSV cell, so the two formats round-trip exactly.  Files
 use '\\n' line endings, so identical runs produce byte-identical output.
-finite_float is the one numeric read of every JSON input file, and
-plain_name the one check of the names and labels the writers spell.
+read_json_array is the one read of every JSON input file, number_field
+and finite_float its one numeric read, and plain_name the one check of the
+names and labels the writers spell.
 
 Grid columns are written CHUNK rows at a time, and no writer holds more
 than one chunk of text.  A CSV chunk of finite values that are positive or
@@ -27,6 +28,8 @@ import math
 import re
 
 import numpy as np
+
+from .errors import DatabaseError
 
 # Rows (CSV) or values (JSON) formatted per '%' operation.
 CHUNK = 4096
@@ -56,6 +59,40 @@ def finite_float(value):
         return float(value)
     except OverflowError:
         return None
+
+
+def read_json_array(path, what: str) -> list:
+    """The JSON array in the file at path; errors name the file as what (and path)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise DatabaseError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # bad syntax or encoding, or an int over 4300 digits
+        raise DatabaseError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise DatabaseError(f"{what} {path} must be a JSON array")
+    return raw
+
+
+def number_field(entry: dict, key: str, where: str, default=None) -> float:
+    """entry[key] as a finite float, or default if given and the key is absent.
+
+    An explicit null is not a number.  Errors start with where, which names
+    the entry.
+    """
+    if key not in entry:
+        if default is None:
+            raise DatabaseError(f"{where}: missing field {key!r}")
+        return default
+    value = finite_float(entry[key])
+    if value is None:
+        raise DatabaseError(f"{where}: field {key!r} must be a finite number")
+    return value
+
+
+# The rule plain_name checks, as the errors of a rejected name spell it.
+NAME_RULE = "must be non-empty printable ASCII without ',', '\"' or ';'"
 
 
 def plain_name(value):

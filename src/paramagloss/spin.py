@@ -162,3 +162,19 @@ def transition_moment(psi_i, psi_f, ops: SpinOperators, g_e: float,
 def unpolarized_coupling(m_vec) -> float:
     """Orientation-averaged squared coupling (1/3) sum_alpha |M_alpha|^2 of a 3-vector."""
     return float(np.sum(np.abs(np.asarray(m_vec)) ** 2) / 3.0)
+
+
+def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e):
+    """Unpolarized squared coupling of a pure-spin sublevel transition.
+
+    g_e is one g-factor, which gives a float, or a 1-D array of them, which
+    gives one coupling per entry.  The spin matrix elements are those of
+    transition_moment at g_e = 1, scaled by each g, so every entry equals
+    unpolarized_coupling(transition_moment(psi_i, psi_f, ops, g)) bit for bit.
+    """
+    m_i, m_f = transition
+    psi_i, psi_f = basis_state(two_s, m_i), basis_state(two_s, m_f)
+    elems = transition_moment(psi_i, psi_f, spin_operators(two_s), 1.0)
+    g = np.asarray(g_e, dtype=np.float64)
+    coupling = np.sum(np.abs(g.reshape(-1, 1) * elems) ** 2, axis=1) / 3.0
+    return float(coupling[0]) if g.ndim == 0 else coupling

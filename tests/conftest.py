@@ -1,12 +1,16 @@
-"""Shared helpers: independently typed constants and a CLI runner.
+"""Shared helpers: independently typed constants, a CLI runner and a
+read-only loader of the benchmark's modules.
 
 The constant literals here are typed from the CODATA 2018 tables on
 purpose, not imported from the package, so a typo in the package values
 would show up as a test failure.
 """
 
+import functools
 import subprocess
 import sys
+from pathlib import Path
+from types import ModuleType
 
 # CODATA 2018, SI units.
 C_LIGHT = 2.99792458e8
@@ -27,3 +31,14 @@ def run_cli(args, env=None, timeout=120):
         timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@functools.cache
+def perfbench_module(name):
+    """perfbench/<name>.py as a module, executed from its source (no bytecode written)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    module = ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look their module up there
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module

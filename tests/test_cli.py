@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, determinism, and exit codes."""
 
+import importlib
 import json
 import os
 import shlex
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import perfbench_module, run_cli
 from paramagloss import cli, ensemble
 
 CR_45 = 8.97232140725922e-09
@@ -331,6 +332,25 @@ def test_unwritable_species_name_exits_2(tmp_path, fmt, name, env, output, shown
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["point", "--freq-ghz=4.5"], ["sweep", "--points=2"]], ids=["point", "sweep"]
+)
+@pytest.mark.parametrize("name", ["total", "freq_ghz", "Fe.weights"])
+def test_species_named_like_an_output_key_exits_2(tmp_path, capsys, command, name):
+    # Such a name would print two rows with one key, or a header naming
+    # 'total' twice.
+    with open(ensemble.default_db_path(), encoding="utf-8") as fh:
+        db = json.load(fh)
+    db[0]["name"] = name
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(db))
+    assert cli.main([*command, f"--db={path}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: species {name!r}: field 'name' must contain no '.'")
+    assert err.count("\n") == 1
+
+
 def test_database_env_var(tmp_path):
     entry = {
         "name": "Cr",
@@ -527,3 +547,12 @@ def test_powercurve_builds_couplings_once(monkeypatch, tmp_path):
     assert sum(len(sp.lines) for sp in db) == 10
     # One array call per species covers all of its lines.
     assert built == len(db) == 3
+
+
+def test_traced_entry_points_resolve():
+    # The benchmark tracer wraps each (module, attribute) of ENTRY_POINTS and
+    # records a name that no longer resolves as an absent layer; moving a
+    # function must keep the name its callers look up.
+    for layer, module_name, attr, _ in perfbench_module("spans").ENTRY_POINTS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), (layer, module_name, attr)

@@ -10,26 +10,26 @@ contract for an emission table with one field of one line replaced.  Species
 names and emission labels are drawn as any text, and output goes to a UTF-8
 stream, an ASCII stream (what PYTHONIOENCODING=ascii gives stdout) or an
 --output file: a name that is not printable ASCII without ',', '"' or ';'
-exits 2 naming the field.  Every exit-0 `point` and `powercurve` on a random
-database matches the closed forms of perfbench/check.py.  Each example runs
-in-process through ``cli.main``.
+exits 2 naming the field, and so does a species name with a '.' or equal
+to a fixed output key.  Every exit-0 run of each subcommand, on a random
+database or emission table, matches the closed forms of perfbench/check.py
+in CSV and in JSON.  Each example runs in-process through ``cli.main``.
 """
 
 import contextlib
-import functools
 import io
 import json
 import math
 import random
 import warnings
 from pathlib import Path
-from types import ModuleType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import perfbench_module
 from paramagloss import cli
 from paramagloss.emission import EXTRACTION_COLUMNS
 from paramagloss.ensemble import default_db_path, default_emission_path
@@ -139,8 +139,17 @@ def _run(argv, sink="text", output=None):
 
 
 def _plain(name):
-    """The documented name rule: non-empty printable ASCII without , " or ;."""
+    """The documented label rule: non-empty printable ASCII without , " or ;."""
     return name != "" and all(" " <= c <= "~" and c not in ',";' for c in name)
+
+
+# The fixed keys of point's key,value CSV and of sweep's header.
+OUTPUT_KEYS = ["freq_ghz", "total", "n_r", "temp_k", "p_over_pc"]
+
+
+def _species_name(name):
+    """The documented species-name rule: the label rule, no '.' and no output key."""
+    return _plain(name) and "." not in name and name not in OUTPUT_KEYS
 
 
 # Any text, weighted toward what the name rule turns on: printable ASCII,
@@ -150,8 +159,11 @@ NAME_TEXT = st.text(
     | st.characters(min_codepoint=32, max_codepoint=126)
     | st.sampled_from(',";\n\udc80')
 )
-# Never a bundled species name, which would make a duplicate.
-NAMES = NAME_TEXT.filter(lambda name: name not in ("Cr", "Fe", "V"))
+# Never a bundled species name, which would make a duplicate; often an
+# output key or a name with the '.' of point's '<name>.weights' keys.
+NAMES = (NAME_TEXT | st.sampled_from([*OUTPUT_KEYS, "Fe.weights", "."])).filter(
+    lambda name: name not in ("Cr", "Fe", "V")
+)
 
 
 def _reject_constant(name):
@@ -295,7 +307,7 @@ def test_any_database_keeps_exit_contract(tmp_path_factory, case, argv, fmt, sin
     assert code in (0, 2)
     if field == "name":
         # Only the name changed: it loads exactly when it keeps the rule.
-        assert code == (0 if isinstance(name, str) and _plain(name) else 2), err
+        assert code == (0 if isinstance(name, str) and _species_name(name) else 2), err
     if code == 2:
         assert out == ""
         assert err.startswith("error: species ") and err.count("\n") == 1, err
@@ -362,14 +374,20 @@ def test_any_emission_table_keeps_exit_contract(tmp_path_factory, line, mutation
     assert _csv_columns("emission", csv_text) == _json_columns("emission", payload)
 
 
-@functools.cache
-def _check_module():
-    """perfbench/check.py as a module, executed from its source (no bytecode written)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "check.py"
-    module = ModuleType("perfbench_check")
-    module.__file__ = str(path)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
+def _check_closed_forms(runs, inputs, seed):
+    """Run each (check, argv, spec) in CSV and JSON; check every exit-0 output.
+
+    inputs is what the check compares with: the species of check.load_db,
+    or the decoded emission table.
+    """
+    for check, argv, spec in runs:
+        for fmt in ("csv", "json"):
+            code, out, err = _run([*argv, f"--format={fmt}"])
+            assert code in (0, 2), err
+            assert "Traceback" not in err
+            if code == 0:
+                with np.errstate(all="ignore"):  # the reference's own under- and overflows
+                    check({**spec, "fmt": fmt}, out, inputs, random.Random(seed))
 
 
 @st.composite
@@ -419,29 +437,87 @@ def test_point_and_powercurve_match_closed_forms(
 ):
     path = tmp_path_factory.getbasetemp() / "random_db.json"
     path.write_text(json.dumps(db))
-    check_module = _check_module()
-    closed = check_module.load_db(str(path))
+    check_module = perfbench_module("check")
     species = db[seed % len(db)]["name"]
     runs = [
         (
             check_module.check_point,
-            ["point", f"--freq-ghz={freq_ghz!r}"]
-            + ([] if temp_k is None else [f"--temp-k={temp_k!r}"])
-            + ([] if p_over_pc is None else [f"--p-over-pc={p_over_pc!r}"]),
-            {"fmt": "json", "freq_ghz": freq_ghz, "temp_k": temp_k, "p_over_pc": p_over_pc},
+            ["point", f"--freq-ghz={freq_ghz!r}", f"--db={path}"] + _optional(temp_k, p_over_pc),
+            {"freq_ghz": freq_ghz, "temp_k": temp_k, "p_over_pc": p_over_pc},
         ),
         (
             check_module.check_powercurve,
-            ["powercurve", f"--freq-ghz={freq_ghz!r}", f"--species={species}",
+            ["powercurve", f"--freq-ghz={freq_ghz!r}", f"--species={species}", f"--db={path}",
              f"--pmax-over-pc={pmax_over_pc!r}", f"--points={points}"],
-            {"fmt": "json", "freq_ghz": freq_ghz, "species": species,
+            {"freq_ghz": freq_ghz, "species": species,
              "pmax_over_pc": pmax_over_pc, "points": points},
         ),
     ]
-    for check, argv, spec in runs:
-        code, out, err = _run([*argv, f"--db={path}", "--format=json"])
-        assert code in (0, 2), err
-        assert "Traceback" not in err
-        if code == 0:
-            with np.errstate(all="ignore"):  # the reference's own under- and overflows
-                check(spec, out, closed, random.Random(seed))
+    _check_closed_forms(runs, check_module.load_db(str(path)), seed)
+
+
+def _optional(temp_k, p_over_pc):
+    """The --temp-k and --p-over-pc flags of the values that are not None."""
+    return [
+        f"{flag}={value!r}"
+        for flag, value in (("--temp-k", temp_k), ("--p-over-pc", p_over_pc))
+        if value is not None
+    ]
+
+
+@st.composite
+def random_tables(draw):
+    """1-5 emission lines at wavelengths of 1e-3 nm to 1 m, each with n_r drawn or absent."""
+    table = []
+    for i in range(draw(st.integers(1, 5))):
+        entry = {
+            "label": f"L{i}",
+            "lambda_nm": draw(st.floats(1e-3, 1e9)),
+            "a_md_hz": draw(st.floats(0.0, 1e12)),
+        }
+        n_r = draw(st.none() | st.floats(1.0, 10.0))
+        if n_r is not None:
+            entry["n_r"] = n_r
+        table.append(entry)
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    db=random_databases(),
+    fmin_ghz=st.floats(1e-3, 1e4),
+    span_ghz=st.floats(1e-3, 1e4),
+    temp_k=st.none() | st.floats(0.0, 1e3),
+    tmax_k=st.floats(1e-2, 1e3),
+    p_over_pc=st.none() | st.floats(0.0, 1e4),
+    points=st.integers(2, 60),
+    table=random_tables(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_tempcurve_and_emission_match_closed_forms(
+    tmp_path_factory, db, fmin_ghz, span_ghz, temp_k, tmax_k, p_over_pc, points, table, seed
+):
+    base = tmp_path_factory.getbasetemp()
+    db_path, table_path = base / "random_db.json", base / "random_table.json"
+    db_path.write_text(json.dumps(db))
+    table_path.write_text(json.dumps(table))
+    check_module = perfbench_module("check")
+    fmax_ghz = fmin_ghz + span_ghz
+    tmin_k = tmax_k * (seed % 1000) / 1000.0
+    sweep = (
+        check_module.check_sweep,
+        ["sweep", f"--fmin-ghz={fmin_ghz!r}", f"--fmax-ghz={fmax_ghz!r}",
+         f"--points={points}", f"--db={db_path}"] + _optional(temp_k, p_over_pc),
+        {"fmin_ghz": fmin_ghz, "fmax_ghz": fmax_ghz, "points": points,
+         "temp_k": temp_k, "p_over_pc": p_over_pc},
+    )
+    _check_closed_forms([sweep], check_module.load_db(str(db_path)), seed)
+    tempcurve = (
+        check_module.check_tempcurve,
+        ["tempcurve", f"--freq-ghz={fmin_ghz!r}", f"--tmin-k={tmin_k!r}",
+         f"--tmax-k={tmax_k!r}", f"--points={points}"],
+        {"freq_ghz": fmin_ghz, "tmin_k": tmin_k, "tmax_k": tmax_k, "points": points},
+    )
+    _check_closed_forms([tempcurve], None, seed)
+    emission = (check_module.check_emission, ["emission", f"--table={table_path}"], {})
+    _check_closed_forms([emission], table, seed)

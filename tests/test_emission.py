@@ -85,6 +85,22 @@ def test_a_md_validation():
         a_md(1.0e15, 1.0, n_r=0.2)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (a_md, (1e110, 1.0)),  # omega^3 overflows
+        (a_md, (1e100, 1e300)),  # the rate overflows
+        (extract_moment, (1.0, 1e-100)),  # omega^3 overflows
+        (extract_moment, (1.0, 1e-300)),  # omega is inf, so the moment would read 0
+        (photon_dos, (1e200,)),  # omega^2 overflows
+        (photon_dos, (1e154, 1e100)),  # the density overflows
+    ],
+)
+def test_helpers_reject_results_outside_float_range(call, args):
+    with pytest.raises(InvalidInputs, match="float range|rate scale"):
+        call(*args)
+
+
 def test_extract_moment_table():
     for label, (lam_nm, rate, frozen) in EXTRACTION_TABLE.items():
         m_sq = extract_moment(rate, lam_nm * 1e-9)

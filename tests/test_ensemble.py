@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +151,11 @@ INVALID_SPECIES = [
     ({"name": "Cr\udc80"}, "name"),
     ({"name": "Cr\nx"}, "name"),
     ({"name": ""}, "name"),
+    # Names that would collide with a fixed key of point's key,value CSV or
+    # sweep's header, or hold the '.' of point's '<name>.weights' keys.
+    *(({"name": key}, "name") for key in ("freq_ghz", "total", "n_r", "temp_k", "p_over_pc")),
+    ({"name": "Fe.weights"}, "name"),
+    ({"name": "."}, "name"),
 ]
 
 
@@ -410,6 +417,44 @@ def test_repeated_species_rejected():
     assert total == 0.0 + per_species["Cr"] + per_species["Cr2"]
 
 
+def test_repeated_names_named_once(tmp_path):
+    # The loader and the species sum share one check, and name 'A' once.
+    message = "^species 'A': listed more than once$"
+    path = _write_db(tmp_path, [_cr_entry(name=name) for name in "ABAA"])
+    with pytest.raises(DatabaseError, match=message):
+        load_species_db(path)
+    with pytest.raises(InvalidInputs, match=message):
+        database_loss([_species(name=name) for name in "ABAA"], OMEGA_45)
+
+
+def test_loading_every_spin_keeps_memory_flat(tmp_path):
+    # One species for each 2S up to MAX_TWO_S: no spin matrices outlive the
+    # species that needed them.  Kept across species they peak near 300 MB.
+    entries = [
+        _cr_entry(name=f"S{two_s}", two_s=two_s, transition=[two_s / 2.0, two_s / 2.0 - 1.0])
+        for two_s in range(2, MAX_TWO_S + 1)
+    ]
+    path = _write_db(tmp_path, entries)
+    # A process's peak RSS carries over exec from the process that forked it,
+    # so the load runs in a grandchild, started by a small Python that
+    # reports the peak of its children.
+    load = (
+        "import sys; from paramagloss.ensemble import load_species_db; "
+        "assert len(load_species_db(sys.argv[1])) == 254"
+    )
+    code = (
+        "import resource, subprocess, sys\n"
+        f"subprocess.run([sys.executable, '-c', {load!r}, sys.argv[1]], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 100
+
+
 def test_sweep_additivity():
     combined = sweep([CR, FE], 4.0, 13.0, 301)
     only_cr = sweep([CR], 4.0, 13.0, 301)
@@ -528,7 +573,7 @@ def test_load_database_errors(tmp_path):
         load_species_db(path)
 
     path = _write_db(tmp_path, [_cr_entry(), _cr_entry()], "dup.json")
-    with pytest.raises(DatabaseError, match="duplicate"):
+    with pytest.raises(DatabaseError, match="^species 'Cr': listed more than once$"):
         load_species_db(path)
 
     path = _write_db(tmp_path, [_cr_entry(two_s=1.5)], "twos.json")
@@ -616,6 +661,7 @@ def test_load_database_errors(tmp_path):
         ({"name": "Cr,x"}, "^species 'Cr,x': field 'name'"),
         ({"name": "Cr\u00e9"}, r"^species 'Cr\\xe9': field 'name'"),
         ({"name": "Cr\udc80"}, r"^species 'Cr\\udc80': field 'name'"),
+        ({"name": "Cr.weights"}, r"^species 'Cr\.weights': field 'name' must contain no '\.'"),
     ):
         path = _write_db(tmp_path, [_cr_entry(**overrides)], "fields.json")
         with pytest.raises(DatabaseError, match=pattern) as exc:
