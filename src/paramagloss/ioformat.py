@@ -8,24 +8,33 @@ read_json_array is the one read of every JSON input file, number_field
 and finite_float its one numeric read, and plain_name the one check of the
 names and labels the writers spell.
 
-Grid columns are written CHUNK rows at a time, and no writer holds more
-than one chunk of text.  A CSV chunk of finite values that are positive or
-+0.0, with decimal exponents inside [-99, 99], is spelled by sci9_block, a
-numpy digit kernel; any other chunk is one '%' operation over "%.8e" cells.
+Grid columns (CSV) and arrays (JSON) are written CHUNK rows or values at a
+time, and no writer holds more than one chunk of text.  Both writers spell
+a chunk with one numpy digit kernel when every value in it is finite and
+positive or +0.0 with a decimal exponent inside [-99, 99]; any other chunk
+takes the one exact path of its format: one '%' operation over "%.8e"
+cells (CSV), or "%.8e" cells parsed by float and encoded by json.dumps
+(JSON).
 
-sci9_block finds each cell's decimal exponent e with floor(log10(x)),
-scales x to s = x * 10**(8 - e) by one correctly rounded power of ten
-(multiplying for 8 - e >= 0, dividing otherwise) and rounds s to the
-9-digit significand.  The scale costs at most two roundings, so s is within
-2.3e-7 of the exact product; a cell whose s lies within 1e-6 of a rounding
-tie (x.5) is spelled by "%.8e" % x instead.  The bytes are those of
-"%.8e" % x for every cell.
+The kernel (_sci9_cells) finds each value's decimal exponent e with
+floor(log10(x)), scales x to s = x * 10**(8 - e) by one correctly rounded
+power of ten (multiplying for 8 - e >= 0, dividing otherwise) and rounds s
+to the 9-digit significand.  The scale costs at most two roundings, so s is
+within 2.3e-7 of the exact product; a value whose s lies within 1e-6 of a
+rounding tie (x.5) takes its digits from "%.8e" % x instead.  It then
+builds each sci9 cell from digit tables: sci9_block writes those cells as
+they are, the bytes of "%.8e" % x.  _json_block gathers the cells of a
+chunk that holds a value of exponent -4 to 15 into repr's fixed notation,
+through one row of byte positions per exponent ("d.ddde-XX" cells keep
+their bytes in place), and keeps only the bytes a mask chosen by exponent
+and count of significant digits marks.  Quantized to 9 digits, a normal double's
+shortest repr is its significand without trailing zeros, so the bytes are
+those of json.dumps(quantize(x)).
 """
 
 import functools
 import json
 import math
-import re
 
 import numpy as np
 
@@ -106,8 +115,9 @@ def plain_name(value):
     return value if plain and value and not any(c in value for c in ',";') else None
 
 
-# Half the distance to a rounding tie inside which sci9_block leaves a cell
-# to "%.8e": well above the 2.3e-7 error bound of the scaled significand.
+# Half the distance to a rounding tie inside which _sci9_cells takes a cell's
+# digits from "%.8e": well above the 2.3e-7 error bound of the scaled
+# significand.
 TIE_BAND = 1e-6
 
 # One CSV cell: "d." + 4 digits + 4 digits + "e+XX" + separator, 15 bytes.
@@ -127,7 +137,7 @@ def _ascii(codes) -> np.ndarray:
 
 @functools.cache
 def _tables():
-    """Scale factors and digit tables of sci9_block, built on first use.
+    """Scale factors and digit tables of _sci9_cells, built on first use.
 
     x * up[e + _E0] / down[e + _E0] is x * 10**(8 - e) through one correctly
     rounded float(10**abs(8 - e)): a product for 8 - e >= 0, else a quotient,
@@ -151,10 +161,27 @@ def _tables():
 def sci9_block(block):
     """The CSV rows of a 2-D float64 array as sci9 cells, or None.
 
-    Returns None, leaving the block to "%.8e", unless every cell is finite
-    and positive or +0.0 with a decimal exponent in [-99, 99].
+    Returns None, leaving the block to "%.8e", unless every cell is in the
+    kernel's class (see _sci9_cells).
     """
-    x = block.ravel()
+    found = _sci9_cells(block.ravel(), _CELL)
+    if found is None:
+        return None
+    cells = found[0].reshape(block.shape)
+    cells["sep"] = ord(",")
+    cells["sep"][:, -1] = ord("\n")
+    return str(cells.view(np.uint8).data, "ascii")
+
+
+def _sci9_cells(x, dtype):
+    """The sci9 cells of a 1-D float64 array, or None.
+
+    Returns None unless every value is finite and positive or +0.0 with a
+    decimal exponent in [-99, 99].  Otherwise returns the records of dtype
+    (_CELL, or _CELL with a wider "sep") with their "sep" bytes unset, each
+    cell's exponent row e + 99, and the last eight digits of its significand
+    as two 4-digit groups.
+    """
     if np.signbit(x).any() or not x.max() < 1e100:  # also catches nan
         return None
     positive = np.where(x > 0, x, 1.0)
@@ -170,7 +197,7 @@ def sci9_block(block):
     if e.max() > 198 or e.min() < 0:
         return None
     _, _, lead, quad, exp = _tables()
-    cells = np.empty(len(x), _CELL)
+    cells = np.empty(len(x), dtype)
     first = digits // 100_000_000
     # Every index is in range by now; "clip" only skips take's bounds copy.
     lead.take(first, out=cells["lead"], mode="clip")
@@ -180,10 +207,7 @@ def sci9_block(block):
     digits -= hi * 10_000
     quad.take(digits, out=cells["lo"], mode="clip")
     exp.take(e, out=cells["exp"], mode="clip")
-    cells = cells.reshape(block.shape)
-    cells["sep"] = ord(",")
-    cells["sep"][:, -1] = ord("\n")
-    return str(cells.view(np.uint8).data, "ascii")
+    return cells, e, hi, digits
 
 
 def _significands(x):
@@ -212,6 +236,92 @@ def _significands(x):
     e[carry] += 1
     e -= _E0
     return d.astype(np.int32), e, near_tie
+
+
+# A JSON cell holds a sci9 cell, "d.dddddddde+XX", then '0' (byte _ZERO),
+# then from byte _FIXED on the array separator.  Where repr writes fixed
+# notation (decimal exponents -4 to 15, at most _FIXED bytes, as in
+# "1000000000000000.0") the cell is gathered through one row of byte
+# positions per exponent; "d.ddde-XX" keeps its bytes in place.  A keep mask
+# per exponent and count of significant digits then drops the bytes repr
+# does not write.
+_ZERO = 14
+_FIXED = 18
+
+
+@functools.cache
+def _json_digits():
+    """The separator-free tables of _json_block, built on first use.
+
+    Row e + 99 of layout holds, for each of the first _FIXED bytes of a
+    spelled cell of decimal exponent e, its position in the cell.  Row
+    9 * (e + 99) + k of keep marks those of the bytes kept when the
+    significand has k + 1 significant digits.  figures maps a 4-digit group
+    to its significant digits, 0 for 0000.
+    """
+    # A group's significant digits end at its last non-zero digit: the
+    # largest place k + 1 (k = 0..3 from the left) whose digit is not 0.
+    places = [(np.arange(10) > 0).reshape((10,) + (1,) * (3 - k)) * (k + 1) for k in range(4)]
+    figures = functools.reduce(np.maximum, places).ravel()
+    e = np.arange(-99, 100)[:, None]
+    p = np.arange(_FIXED)
+
+    def digit(j):  # the cell byte of significand digit j; a padding zero past the ninth
+        return np.where((0 <= j) & (j <= 8), j + (j > 0), _ZERO)
+
+    layout = np.where(
+        e < 0,
+        np.where(p == 1, 1, digit(p - 1 + e)),  # "0.000ddd"
+        np.where(p == e + 1, 1, digit(p - (p > e))),  # "ddd.ddd", "ddd00.0"
+    )
+    fixed = (-4 <= e) & (e <= 15)
+    layout = np.where(fixed, layout, p)
+    e, fixed = e[:, None], fixed[:, None]
+    nd = np.arange(1, 10)[:, None]
+    # Fixed notation keeps a prefix: the integer part and at least one
+    # fractional digit.  "d.ddde-XX" keeps d, the dot and the digits after
+    # it only when there are any, and the exponent.
+    keep = np.where(
+        fixed,
+        p < np.where(e < 0, 1 - e + nd, e + 2 + np.maximum(nd - e - 1, 1)),
+        (p < nd + (nd > 1)) | ((10 <= p) & (p < 14)),
+    )
+    return layout.astype(np.uint8), keep.reshape(-1, _FIXED), figures
+
+
+@functools.cache
+def _json_tables(sep: str):
+    """The cell dtype for sep, the bytes that follow its sci9 part, and the
+    tables of _json_digits widened to the cell, where sep's bytes stay in
+    place and are kept.  A cell is at least 32 bytes wide: take copies
+    32-byte rows fastest.
+    """
+    layout, keep, figures = _json_digits()
+    width = max(32, _FIXED + len(sep))
+    p = np.arange(_FIXED, width)
+    layout = np.hstack([layout, np.broadcast_to(p.astype(np.uint8), (len(layout), len(p)))])
+    keep = np.hstack([keep, np.broadcast_to(p < _FIXED + len(sep), (len(keep), len(p)))])
+    cell = np.dtype(_CELL.descr[:-1] + [("sep", f"S{width - _ZERO}")])
+    tail = b"0".ljust(_FIXED - _ZERO, b" ") + sep.encode("ascii")
+    return cell, tail, layout, keep, figures
+
+
+def _json_block(values, sep: str):
+    """json.dumps(quantize(x)) of each value of a 1-D float64 array, joined
+    by sep, or None unless every value is in the kernel's class."""
+    cell, tail, layout, keep, figures = _json_tables(sep)
+    found = _sci9_cells(values, cell)
+    if found is None:
+        return None
+    cells, e, hi, lo = found
+    cells["sep"] = tail
+    text = cells.view(np.uint8).reshape(len(cells), cell.itemsize)
+    if ((-4 + 99 <= e) & (e <= 15 + 99)).any():  # e holds exponent rows: fixed notation
+        starts = np.arange(0, text.size, cell.itemsize)
+        text = text.ravel().take(layout.take(e, axis=0) + starts[:, None], mode="clip")
+    rows = np.where(lo > 0, figures.take(lo) + 4, figures.take(hi))  # digits after the first
+    rows += 9 * e
+    return str(text[keep.take(rows, axis=0)].data, "ascii")[: -len(sep)]
 
 
 def write_csv(stream, header, rows) -> None:
@@ -269,37 +379,6 @@ def _write_json_value(stream, value, pad: str) -> None:
         stream.write(json.dumps(value))
 
 
-# "%.9g" cells that json.dumps(quantize(x)) spells otherwise: an integral
-# value ("3", "-0"; repr adds ".0"), a positive exponent (repr keeps fixed
-# notation below 1e16), nan and inf, and values at or near the subnormal
-# range, where the quantized double has fewer than 9 significant digits.
-_INTEGRAL = re.compile(r" -?\d+ ")
-_NEAR_SUBNORMAL = re.compile(r"e-3(?:0[89]|[12])")
-
-
-def _json_floats(values, sep: str) -> str:
-    """json.dumps(quantize(x)) of each value, joined by sep.
-
-    For a normal double x, "%.9g" % x has the digits of sci9(x) with
-    trailing zeros stripped, and no other decimal of at most 9 digits
-    rounds to quantize(x), so it is the shortest repr of quantize(x).  Where
-    every cell is also spelled as repr spells it, it is used as is: it skips
-    the float parse and the shortest-repr search, and costs about a quarter
-    of the exact path per value.
-    """
-    text = (" %.9g" * len(values)) % tuple(values) + " "
-    if not (
-        "n" in text
-        or "+" in text
-        or _NEAR_SUBNORMAL.search(text)
-        or _INTEGRAL.search(text)
-    ):
-        return text[1:-1].replace(" ", sep)
-    cells = (("%.8e " * len(values)) % tuple(values)).split()
-    # The compact encoder spells each float, NaN and Infinity as json.dumps does.
-    return json.dumps(list(map(float, cells)), separators=(sep, ": "))[1:-1]
-
-
 def _write_json_array(stream, values, pad: str) -> None:
     if len(values) == 0:
         stream.write("[]")
@@ -308,6 +387,11 @@ def _write_json_array(stream, values, pad: str) -> None:
     sep = ",\n" + inner
     stream.write("[\n" + inner)
     for start in range(0, len(values), CHUNK):
-        block = values[start : start + CHUNK].tolist()
-        stream.write((sep if start else "") + _json_floats(block, sep))
+        block = values[start : start + CHUNK]
+        text = _json_block(block, sep)
+        if text is None:
+            cells = (("%.8e " * len(block)) % tuple(block.tolist())).split()
+            # The compact encoder spells each float, NaN and Infinity as json.dumps does.
+            text = json.dumps(list(map(float, cells)), separators=(sep, ": "))[1:-1]
+        stream.write((sep if start else "") + text)
     stream.write(f"\n{pad}]")

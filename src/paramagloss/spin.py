@@ -53,14 +53,21 @@ def spin_operators(two_s: int) -> SpinOperators:
     s = two_s / 2.0
     m = m_values(two_s)
     dim = two_s + 1
-    # <m+1| S+ |m> on the superdiagonal (m descending basis).
-    splus = np.zeros((dim, dim), dtype=np.complex128)
-    idx = np.arange(dim - 1)
-    splus[idx, idx + 1] = np.sqrt(s * (s + 1.0) - m[1:] * (m[1:] + 1.0))
-    sminus = splus.conj().T
-    sx = 0.5 * (splus + sminus)
-    sy = -0.5j * (splus - sminus)
-    sz = np.diag(m).astype(np.complex128)
+    # Sx = (S+ + S-)/2 and Sy = -i(S+ - S-)/2 have only the two diagonals
+    # next to the main one, from <m+1| S+ |m> (m descending basis).  In a
+    # flat (dim, dim) array they start at 1 and dim, the main one at 0, each
+    # with step dim + 1.
+    half = 0.5 * np.sqrt(s * (s + 1.0) - m[1:] * (m[1:] + 1.0))
+    upper, lower = slice(1, None, dim + 1), slice(dim, None, dim + 1)
+    sx = np.zeros((dim, dim), dtype=np.complex128)
+    sx.reshape(-1)[upper] = sx.reshape(-1)[lower] = half
+    # The zeros of -0.5j * (S+ - S-) have imaginary part -0.0; LAPACK's eigh
+    # can round differently on +0.0, so keep them.
+    sy = np.full((dim, dim), complex(0.0, -0.0))
+    sy.reshape(-1)[upper] = -1j * half
+    sy.reshape(-1)[lower] = 1j * half
+    sz = np.zeros((dim, dim), dtype=np.complex128)
+    sz.reshape(-1)[:: dim + 1] = m
     for arr in (sx, sy, sz):
         arr.setflags(write=False)
     return SpinOperators(two_s=two_s, sx=sx, sy=sy, sz=sz)

@@ -46,6 +46,23 @@ def test_spin_three_halves_sx_element():
     assert abs(ops.sx[1, 0]) == pytest.approx(SQRT3 / 2.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("two_s", [*range(1, 20), 64, 128, 255])
+def test_operators_match_ladder_arithmetic_bit_for_bit(two_s):
+    """Sx and Sy, written as their two non-zero diagonals, hold the bytes of
+    (S+ +- S-) arithmetic, down to the -0.0 imaginary parts of Sy's zeros:
+    eigh of a Hamiltonian built on +0.0 zeros can differ in the last bit."""
+    s = two_s / 2.0
+    m = m_values(two_s)
+    idx = np.arange(two_s)
+    splus = np.zeros((two_s + 1, two_s + 1), dtype=np.complex128)
+    splus[idx, idx + 1] = np.sqrt(s * (s + 1.0) - m[1:] * (m[1:] + 1.0))
+    sminus = splus.conj().T
+    ops = spin_operators(two_s)
+    assert ops.sx.tobytes() == (0.5 * (splus + sminus)).tobytes()
+    assert ops.sy.tobytes() == (-0.5j * (splus - sminus)).tobytes()
+    assert ops.sz.tobytes() == np.diag(m).astype(np.complex128).tobytes()
+
+
 def test_commutator_and_casimir_all_spins():
     for two_s in range(1, 8):
         ops = spin_operators(two_s)
