@@ -28,14 +28,14 @@ def sigma_md(omega, omega_if, coupling_sq, shape: ls.LineshapeSpec,
     evaluated at omega - omega_if.  If temp_k is given, the thermal
     occupation factor multiplies the result.
     """
-    if not omega > 0.0:
-        raise InvalidInputs(f"omega must be positive, got {omega}")
-    if not omega_if > 0.0:
-        raise InvalidInputs(f"omega_if must be positive, got {omega_if}")
-    if n_r < 1.0:
-        raise InvalidInputs(f"n_r must be >= 1, got {n_r}")
-    if coupling_sq < 0.0:
-        raise InvalidInputs(f"coupling_sq must be >= 0, got {coupling_sq}")
+    if not 0.0 < omega < np.inf:
+        raise InvalidInputs(f"omega must be finite and positive, got {omega}")
+    if not 0.0 < omega_if < np.inf:
+        raise InvalidInputs(f"omega_if must be finite and positive, got {omega_if}")
+    if not 1.0 <= n_r < np.inf:
+        raise InvalidInputs(f"n_r must be finite and >= 1, got {n_r}")
+    if not 0.0 <= coupling_sq < np.inf:
+        raise InvalidInputs(f"coupling_sq must be finite and >= 0, got {coupling_sq}")
     density = ls.lorentzian(omega - omega_if, shape.gamma)
     value = n_r * MD_PREFACTOR * coupling_sq * omega * density
     if temp_k is not None:
@@ -45,19 +45,19 @@ def sigma_md(omega, omega_if, coupling_sq, shape: ls.LineshapeSpec,
 
 def absorption_coefficient(n_def, sigma):
     """Attenuation coefficient a = N_def * sigma [1/m]."""
-    if n_def < 0.0:
-        raise InvalidInputs(f"n_def must be >= 0, got {n_def}")
-    if np.any(np.asarray(sigma) < 0.0):
-        raise InvalidInputs("sigma must be >= 0")
+    if not 0.0 <= n_def < np.inf:
+        raise InvalidInputs(f"n_def must be finite and >= 0, got {n_def}")
+    if not np.all(np.isfinite(sigma) & np.greater_equal(sigma, 0.0)):
+        raise InvalidInputs("sigma must be finite and >= 0")
     return n_def * sigma
 
 
 def loss_tangent(a, omega, n_r: float = 1.0):
     """Loss tangent tan(delta) = c a(omega) / (n_r omega)."""
-    if not omega > 0.0:
-        raise InvalidInputs(f"omega must be positive, got {omega}")
-    if n_r < 1.0:
-        raise InvalidInputs(f"n_r must be >= 1, got {n_r}")
-    if np.any(np.asarray(a) < 0.0):
-        raise InvalidInputs("absorption coefficient must be >= 0")
+    if not 0.0 < omega < np.inf:
+        raise InvalidInputs(f"omega must be finite and positive, got {omega}")
+    if not 1.0 <= n_r < np.inf:
+        raise InvalidInputs(f"n_r must be finite and >= 1, got {n_r}")
+    if not np.all(np.isfinite(a) & np.greater_equal(a, 0.0)):
+        raise InvalidInputs("absorption coefficient must be finite and >= 0")
     return (C / (n_r * omega)) * a

@@ -24,7 +24,7 @@ from .constants import TWO_PI, C, ghz_to_angular
 from .errors import DatabaseError, InvalidInputs
 from .ioformat import NAME_RULE, finite_float, number_field, plain_name, read_json_array
 from .lineshape import power_broadened_gamma, temperature_factor
-from .spin import basis_state, line_coupling_sq
+from .spin import ladder_m, line_coupling_sq
 
 # Angular FWHM [rad/s] per unit of the database linewidth_mhz field, by
 # linewidth_convention: a cyclic frequency in MHz times 2*pi, or an angular
@@ -37,8 +37,7 @@ WEIGHT_SUM_TOL = 1e-9
 # a finite float, so no Lorentzian denominator overflows to a silent 0.
 MAX_RATE = math.sqrt(sys.float_info.max / 2.0)
 
-# Largest database 2S.  The couplings build (2S+1) x (2S+1) complex spin
-# matrices, 1 MiB each at this cap; real paramagnetic ions have 2S <= 8.
+# Largest database 2S, far above the 2S <= 8 of real paramagnetic ions.
 MAX_TWO_S = 255
 
 # Species names that would collide with the output: the fixed keys of
@@ -135,18 +134,14 @@ class DefectSpecies:
                 "field 'linewidth_mhz' must give a positive FWHM whose half-width squares to a "
                 f"normal double, got {self.gamma:.6g} rad/s"
             )
-        m_i, m_f = self.transition
         try:
-            for m in (m_i, m_f):
-                basis_state(two_s, m)
-        except (ValueError, OverflowError) as exc:  # InvalidInputs, or a non-finite m
-            fail(f"field 'transition' ({m_i}, {m_f}): {exc}")
-        if abs(round(2.0 * m_i) - round(2.0 * m_f)) != 2:
-            fail(f"field 'transition' ({m_i}, {m_f}) must change m by 1")
+            ladder_m(two_s, self.transition)
+        except InvalidInputs as exc:
+            fail(f"field 'transition' {exc}")
         if len(lines) == 0:
             fail("field 'lines' must hold at least one line")
-        # Every spin matrix element is below (two_s + 1) / 2, so this g bound
-        # keeps the squared moments in line_coupling_sq finite.
+        # Half a ladder element, sqrt(S(S+1) - m(m+1)) / 2, is at most (two_s + 1) / 4,
+        # so this g bound keeps the squared moments in line_coupling_sq finite.
         g_max = MAX_RATE / (two_s + 1)
         for key, values, upper, rule in (
             ("g", lines.g, g_max, f"must be in (0, {g_max:.3g}] for two_s={two_s}"),

@@ -30,10 +30,12 @@ class EigenDecomposition:
 
 def require_hermitian(h, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     """Return h as a complex array, raising InvalidInputs if it is not
-    square and Hermitian within rtol (relative to the largest entry)."""
+    square, finite and Hermitian within rtol (relative to the largest entry)."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
         raise InvalidInputs(f"expected a square matrix of dim >= 1, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise InvalidInputs("matrix has a non-finite entry")
     scale = float(np.abs(h).max())
     deviation = float(np.abs(h - h.conj().T).max())
     if deviation > rtol * scale:

@@ -26,8 +26,8 @@ class LineshapeSpec:
     def __post_init__(self):
         if self.kind != "lorentzian":
             raise InvalidInputs(f"unknown lineshape kind {self.kind!r}; expected 'lorentzian'")
-        if not self.gamma > 0.0:
-            raise InvalidInputs(f"{self.kind} lineshape needs gamma > 0, got {self.gamma}")
+        if not 0.0 < self.gamma < np.inf:
+            raise InvalidInputs(f"{self.kind} needs gamma > 0 and finite, got {self.gamma}")
 
 
 def lorentzian(detuning, gamma):
@@ -35,8 +35,8 @@ def lorentzian(detuning, gamma):
 
     gamma is the full width at half maximum in rad/s.
     """
-    if not gamma > 0.0:
-        raise InvalidInputs(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < np.inf:
+        raise InvalidInputs(f"gamma must be positive and finite, got {gamma}")
     half = 0.5 * gamma
     return (half / np.pi) / (detuning * detuning + half * half)
 
@@ -90,10 +90,11 @@ def power_broadened_gamma(gamma0: float, power):
     `power` is the ratio P/P_c of drive to critical power, or an array of
     ratios (a power grid), which gives an array of widths.
     """
-    if not gamma0 > 0.0:
-        raise InvalidInputs(f"gamma0 must be positive, got {gamma0}")
+    if not 0.0 < gamma0 < np.inf:
+        raise InvalidInputs(f"gamma0 must be positive and finite, got {gamma0}")
     ratio = np.asarray(power, dtype=np.float64)
-    if np.any(ratio < 0.0):
-        raise InvalidInputs(f"p_over_pc must be >= 0, got {np.min(ratio)}")
+    ok = (0.0 <= ratio) & (ratio < np.inf)
+    if not ok.all():
+        raise InvalidInputs(f"p_over_pc must be finite and >= 0, got {ratio[~ok][0]}")
     width = gamma0 * np.sqrt(1.0 + ratio)
     return float(width) if np.ndim(width) == 0 else width

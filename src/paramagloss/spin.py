@@ -10,6 +10,7 @@ Conventions
 * Hamiltonians are expressed in angular-frequency units, rad/s.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ def m_values(two_s: int) -> np.ndarray:
 
 
 def _check_two_s(two_s):
-    if int(two_s) != two_s or two_s < 1:
+    if not (1 <= two_s < math.inf and int(two_s) == two_s):
         raise InvalidInputs(f"two_s must be a positive integer (2S), got {two_s!r}")
     return int(two_s)
 
@@ -73,16 +74,36 @@ def spin_operators(two_s: int) -> SpinOperators:
     return SpinOperators(two_s=two_s, sx=sx, sy=sy, sz=sz)
 
 
-def basis_state(two_s: int, m) -> np.ndarray:
-    """Unit vector for |S, m> in the m-descending basis."""
+def sublevel_index(two_s: int, m) -> int:
+    """Position of |S, m> in the m-descending basis, 0 for m = S; InvalidInputs
+    unless m is a finite half-integer (to 1e-9) on the ladder of S = two_s / 2."""
     two_s = _check_two_s(two_s)
-    two_m = round(2.0 * m)
-    if abs(2.0 * m - two_m) > 1e-9:
+    twice = 2.0 * m
+    if not (math.isfinite(twice) and abs(twice - round(twice)) <= 1e-9):
         raise InvalidInputs(f"m = {m} is not a half-integer")
+    two_m = round(twice)
     if (two_s - two_m) % 2 != 0 or not -two_s <= two_m <= two_s:
         raise InvalidInputs(f"m = {m} is not a valid projection for S = {two_s / 2}")
-    vec = np.zeros(two_s + 1, dtype=np.complex128)
-    vec[(two_s - two_m) // 2] = 1.0
+    return (two_s - two_m) // 2
+
+
+def ladder_m(two_s: int, transition: tuple[float, float]) -> float:
+    """Lower m of a transition (m_i, m_f) between sublevels that changes m by
+    exactly 1; InvalidInputs naming the pair otherwise."""
+    m_i, m_f = transition
+    try:
+        k_i, k_f = sublevel_index(two_s, m_i), sublevel_index(two_s, m_f)
+    except InvalidInputs as exc:
+        raise InvalidInputs(f"({m_i}, {m_f}): {exc}") from None
+    if abs(k_i - k_f) != 1:
+        raise InvalidInputs(f"({m_i}, {m_f}) must change m by 1")
+    return two_s / 2.0 - max(k_i, k_f)
+
+
+def basis_state(two_s: int, m) -> np.ndarray:
+    """Unit vector for |S, m> in the m-descending basis."""
+    vec = np.zeros(_check_two_s(two_s) + 1, dtype=np.complex128)
+    vec[sublevel_index(two_s, m)] = 1.0
     vec.setflags(write=False)
     return vec
 
@@ -102,15 +123,18 @@ class SpinHamiltonianParams:
     b_field: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        b = np.asarray(self.b_field, dtype=float)
+        if b.shape != (3,):
+            raise InvalidInputs(f"b_field must be a 3-vector, got shape {b.shape}")
+        for name, value in (("d", self.d), ("e", self.e), ("g_e", self.g_e), ("b_field", b)):
+            if not np.isfinite(value).all():
+                raise InvalidInputs(f"{name} must be finite, got {value}")
         if not self.g_e > 0.0:
             raise InvalidInputs(f"g_e must be positive, got {self.g_e}")
         if abs(self.e) > abs(self.d) / 3.0:
             raise InvalidInputs(
                 f"rhombicity |e| = {abs(self.e):.6g} exceeds |d|/3 = {abs(self.d) / 3.0:.6g}"
             )
-        b = np.asarray(self.b_field, dtype=float)
-        if b.shape != (3,):
-            raise InvalidInputs(f"b_field must be a 3-vector, got shape {b.shape}")
         object.__setattr__(self, "b_field", (float(b[0]), float(b[1]), float(b[2])))
 
 
@@ -172,16 +196,14 @@ def unpolarized_coupling(m_vec) -> float:
 
 
 def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e):
-    """Unpolarized squared coupling of a pure-spin sublevel transition.
+    """Unpolarized squared coupling of a transition that ladder_m accepts.
 
     g_e is one g-factor, which gives a float, or a 1-D array of them, which
-    gives one coupling per entry.  The spin matrix elements are those of
-    transition_moment at g_e = 1, scaled by each g, so every entry equals
+    gives one coupling per entry.  Sx and Sy each carry half of the ladder
+    element of the lower sublevel m and Sz nothing, so every entry equals
     unpolarized_coupling(transition_moment(psi_i, psi_f, ops, g)) bit for bit.
     """
-    m_i, m_f = transition
-    psi_i, psi_f = basis_state(two_s, m_i), basis_state(two_s, m_f)
-    elems = transition_moment(psi_i, psi_f, spin_operators(two_s), 1.0)
-    g = np.asarray(g_e, dtype=np.float64)
-    coupling = np.sum(np.abs(g.reshape(-1, 1) * elems) ** 2, axis=1) / 3.0
-    return float(coupling[0]) if g.ndim == 0 else coupling
+    m, s = ladder_m(two_s, transition), two_s / 2.0
+    gh = np.asarray(g_e, dtype=np.float64) * (0.5 * math.sqrt(s * (s + 1.0) - m * (m + 1.0)))
+    coupling = (gh * gh + gh * gh) / 3.0
+    return float(coupling) if coupling.ndim == 0 else coupling

@@ -68,6 +68,18 @@ def test_sigma_md_rejects_delta_and_bad_inputs():
         sigma_md(OMEGA_RES, OMEGA_RES, -0.5, LORENTZ)
     with pytest.raises(InvalidInputs):
         sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, LORENTZ, n_r=0.5)
+    nan, inf = float("nan"), float("inf")
+    for args, kwargs in (
+        ((1.0, 1.0, nan, LORENTZ), {}),
+        ((OMEGA_RES, OMEGA_RES, inf, LORENTZ), {}),
+        ((inf, OMEGA_RES, COUPLING, LORENTZ), {}),
+        ((nan, OMEGA_RES, COUPLING, LORENTZ), {}),
+        ((OMEGA_RES, inf, COUPLING, LORENTZ), {}),
+        ((OMEGA_RES, OMEGA_RES, COUPLING, LORENTZ), {"n_r": nan}),
+        ((OMEGA_RES, OMEGA_RES, COUPLING, LORENTZ), {"n_r": inf}),
+    ):
+        with pytest.raises(InvalidInputs):
+            sigma_md(*args, **kwargs)
 
 
 def test_absorption_coefficient_product():
@@ -81,6 +93,9 @@ def test_absorption_coefficient_product():
         absorption_coefficient(-1.0, sigma)
     with pytest.raises(InvalidInputs):
         absorption_coefficient(1e23, -sigma)
+    for n_def, sig in ((float("nan"), 1.0), (float("inf"), sigma), (1e23, float("nan"))):
+        with pytest.raises(InvalidInputs):
+            absorption_coefficient(n_def, sig)
 
 
 def test_loss_tangent_qubit_frequency():
@@ -104,6 +119,10 @@ def test_loss_tangent_zero_absorption():
         loss_tangent(-1.0, OMEGA_RES)
     with pytest.raises(InvalidInputs):
         loss_tangent(1.0, OMEGA_RES, n_r=0.9)
+    nan, inf = float("nan"), float("inf")
+    for a, omega, n_r in ((nan, 1.0, 1.0), (inf, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, nan)):
+        with pytest.raises(InvalidInputs):
+            loss_tangent(a, omega, n_r=n_r)
 
 
 def test_n_r_cancels_through_chain():

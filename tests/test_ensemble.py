@@ -6,11 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paramagloss import ensemble
+from paramagloss import cli, ensemble, spin
 from paramagloss.constants import ghz_to_angular
 from paramagloss.ensemble import (
     MAX_TWO_S,
@@ -214,7 +217,7 @@ def test_line_coupling_values():
         assert type(line_coupling_sq(3, (1.5, 0.5), g_e)) is float
 
 
-@pytest.mark.parametrize("two_s", [*range(1, 10), MAX_TWO_S])
+@pytest.mark.parametrize("two_s", [*range(1, 10), 64, 128, MAX_TWO_S])
 def test_line_coupling_array_matches_scalar_calls(two_s):
     # Every Delta m = +-1 pair of the ladder, random and 6-decimal g values;
     # each entry equals the scalar call and the spin module's own algebra.
@@ -232,6 +235,43 @@ def test_line_coupling_array_matches_scalar_calls(two_s):
         psi_i, psi_f = basis_state(two_s, m_i), basis_state(two_s, m_f)
         reference = [unpolarized_coupling(transition_moment(psi_i, psi_f, ops, x)) for x in g]
         assert np.array_equal(batch, reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_line_coupling_matches_reference_on_any_ladder_pair(data):
+    # Any spin, either direction of any Delta m = +-1 pair, any g that a
+    # species accepts for that spin.
+    two_s = data.draw(st.integers(1, MAX_TWO_S))
+    upper = two_s / 2.0 - data.draw(st.integers(0, two_s - 1))
+    m_i, m_f = data.draw(st.permutations([upper, upper - 1.0]))
+    g = data.draw(
+        st.floats(min_value=0.0, max_value=ensemble.MAX_RATE / (two_s + 1), exclude_min=True)
+    )
+    psi_i, psi_f = basis_state(two_s, m_i), basis_state(two_s, m_f)
+    reference = unpolarized_coupling(transition_moment(psi_i, psi_f, spin_operators(two_s), g))
+    assert np.array_equal(line_coupling_sq(two_s, (m_i, m_f), g), reference)
+    assert np.array_equal(line_coupling_sq(two_s, (m_i, m_f), np.array([g])), [reference])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "transition",
+    [
+        (NAN, 0.5), (1.5, INF), (-INF, -0.5),  # not finite
+        (1.25, 0.25), (1.5, 0.5 + 1e-6),  # not half-integers
+        (1.0, 0.0), (2.5, 1.5), (-1.5, -2.5),  # off the S = 3/2 ladder
+        (0.5, 0.5), (1.5, -0.5), (-1.5, 0.5),  # Delta m = 0 and +-2
+    ],
+)
+def test_line_coupling_rejects_what_species_reject(transition):
+    pair = re.escape(f"({transition[0]}, {transition[1]})")
+    with pytest.raises(InvalidInputs, match=f"^{pair}(: m = | must change m by 1$)"):
+        line_coupling_sq(3, transition, 2.0)
+    with pytest.raises(InvalidInputs, match=f"^species 'x': field 'transition' {pair}"):
+        _species(transition=transition)
 
 
 def test_species_loss_values():
@@ -427,14 +467,20 @@ def test_repeated_names_named_once(tmp_path):
         database_loss([_species(name=name) for name in "ABAA"], OMEGA_45)
 
 
-def test_loading_every_spin_keeps_memory_flat(tmp_path):
-    # One species for each 2S up to MAX_TWO_S: no spin matrices outlive the
-    # species that needed them.  Kept across species they peak near 300 MB.
+def _every_spin_db(tmp_path):
+    """A database with one species for each 2S from 2 to MAX_TWO_S."""
     entries = [
         _cr_entry(name=f"S{two_s}", two_s=two_s, transition=[two_s / 2.0, two_s / 2.0 - 1.0])
         for two_s in range(2, MAX_TWO_S + 1)
     ]
-    path = _write_db(tmp_path, entries)
+    return _write_db(tmp_path, entries)
+
+
+def test_loading_every_spin_keeps_memory_flat(tmp_path):
+    # One species for each 2S up to MAX_TWO_S loads with no per-spin memory:
+    # the couplings are closed forms of m.  Spin matrices kept across
+    # species once peaked near 300 MB.
+    path = _every_spin_db(tmp_path)
     # A process's peak RSS carries over exec from the process that forked it,
     # so the load runs in a grandchild, started by a small Python that
     # reports the peak of its children.
@@ -453,6 +499,22 @@ def test_loading_every_spin_keeps_memory_flat(tmp_path):
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
     assert peak_mb < 100
+
+
+def test_species_path_builds_no_spin_matrix(tmp_path, monkeypatch, capsys):
+    # The reference algebra raises if called: loading a database and a point
+    # evaluation take every coupling from the closed form alone.
+    def reference_algebra(*args, **kwargs):
+        raise AssertionError("a spin matrix or basis vector was built")
+
+    for name in ("spin_operators", "basis_state", "transition_moment"):
+        monkeypatch.setattr(spin, name, reference_algebra)
+    monkeypatch.delenv("PARAMAG_LOSS_DB", raising=False)
+    assert [sp.name for sp in load_species_db(default_db_path())] == ["Cr", "Fe", "V"]
+    assert len(load_species_db(_every_spin_db(tmp_path))) == 254
+    assert cli.main(["point", "--freq-ghz", "4.5"]) == 0
+    golden = Path(__file__).parent / "golden" / "point_4p5.csv"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_sweep_additivity():

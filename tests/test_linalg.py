@@ -141,6 +141,13 @@ def test_non_hermitian_rejected():
         diagonalize(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def test_non_finite_rejected():
+    # NaN would pass the Hermiticity bound, which no comparison with NaN fails.
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInputs, match="non-finite"):
+            diagonalize(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 def test_small_asymmetry_tolerated():
     h = np.array([[1.0, 0.5], [0.5 * (1.0 + 1e-14), 2.0]])
     dec = diagonalize(h)

@@ -48,7 +48,7 @@ def test_profiles_nonnegative_and_even():
 
 
 def test_width_validation():
-    for gamma in (0.0, -1.0, float("nan")):
+    for gamma in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInputs, match="gamma must be positive"):
             lorentzian(0.0, gamma)
 
@@ -57,7 +57,7 @@ def test_spec_validation_and_dispatch():
     for kind in ("boxcar", "gaussian", "voigt"):
         with pytest.raises(InvalidInputs, match="unknown lineshape kind"):
             LineshapeSpec(kind=kind, gamma=1.0)
-    for gamma in (0.0, -1.0):
+    for gamma in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInputs, match="needs gamma > 0"):
             LineshapeSpec(kind="lorentzian", gamma=gamma)
     with pytest.raises(InvalidInputs):
@@ -160,6 +160,9 @@ def test_power_model_validation():
         power_broadened_gamma(0.0, 1.0)
     with pytest.raises(InvalidInputs):
         power_broadened_gamma(1.0, -2.0)
+    for gamma0, power in ((np.inf, 1.0), (1.0, np.nan), (1.0, np.array([1.0, np.inf]))):
+        with pytest.raises(InvalidInputs):
+            power_broadened_gamma(gamma0, power)
 
 
 def test_power_saturation_dichotomy():

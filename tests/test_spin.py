@@ -74,10 +74,9 @@ def test_commutator_and_casimir_all_spins():
 
 
 def test_invalid_two_s_rejected():
-    with pytest.raises(InvalidInputs):
-        spin_operators(0)
-    with pytest.raises(InvalidInputs):
-        spin_operators(-3)
+    for two_s in (0, -3, 2.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputs, match="two_s must be a positive integer"):
+            spin_operators(two_s)
 
 
 def test_basis_state_ordering():
@@ -94,6 +93,9 @@ def test_basis_state_invalid_m():
         basis_state(2, 2.0)
     with pytest.raises(InvalidInputs):
         basis_state(2, 0.3)
+    for m in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInputs, match="not a half-integer"):
+            basis_state(3, m)
 
 
 def test_params_validation():
@@ -110,6 +112,20 @@ def test_params_validation():
         SpinHamiltonianParams(d=1.0, g_e=2.0, b_field=(1.0, 2.0))
     ok = SpinHamiltonianParams(d=-3.0, g_e=2.0, e=1.0)
     assert ok.e == 1.0
+    # A non-finite field is named, before it can reach the eigensolver.
+    nan, inf = float("nan"), float("inf")
+    for field, value in (
+        ("d", nan),
+        ("d", -inf),
+        ("e", nan),
+        ("g_e", inf),
+        ("g_e", nan),
+        ("b_field", (nan, 0.0, 0.0)),
+        ("b_field", (0.0, inf, 0.0)),
+        ("b_field", (0.0, 0.0, -inf)),
+    ):
+        with pytest.raises(InvalidInputs, match=f"^{field} must be finite"):
+            SpinHamiltonianParams(**{"d": 1.0, "g_e": 2.0, field: value})
 
 
 def test_hamiltonian_is_hermitian():
