@@ -29,6 +29,7 @@ import numpy as np
 
 from .constants import angular_to_ghz, ghz_to_angular
 from .ensemble import (
+    MAX_RATE,
     database_loss,
     default_db_path,
     default_emission_path,
@@ -213,15 +214,6 @@ def cmd_powercurve(args: argparse.Namespace):
     return header, columns, payload
 
 
-_COMMANDS = {
-    "sweep": cmd_sweep,
-    "point": cmd_point,
-    "emission": cmd_emission,
-    "tempcurve": cmd_tempcurve,
-    "powercurve": cmd_powercurve,
-}
-
-
 def _number(kind, rule, ok):
     """argparse type: kind(text) where ok(value) holds, the whole check of a flag.
 
@@ -245,11 +237,27 @@ NON_NEGATIVE = _number(float, "a finite number >= 0", lambda x: 0.0 <= x < math.
 # n_r cancels from the loss; it is only checked and echoed into the run metadata.
 REFRACTIVE_INDEX = _number(float, "a finite number >= 1", lambda x: 1.0 <= x < math.inf)
 POINTS = _number(int, f"between 2 and {MAX_POINTS}", lambda n: 2 <= n <= MAX_POINTS)
+# The probe frequency bound of species_loss, checked here so that its error names the flag.
+PROBE_GHZ = _number(
+    float,
+    f"a finite number > 0 whose angular frequency is at most {MAX_RATE:.3g} rad/s",
+    lambda x: 0.0 < ghz_to_angular(x) <= MAX_RATE,
+)
 
 
-def _add_output_args(sub) -> None:
-    sub.add_argument("--output", help="output file (default: stdout)")
-    sub.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    # Flags shared by several subcommands, each declared once as a parent parser.
+    db = argparse.ArgumentParser(add_help=False)
+    db.add_argument(
+        "--db", dest="db_path", help="species database JSON (default: $PARAMAG_LOSS_DB or bundled)"
+    )
+    conditions = argparse.ArgumentParser(add_help=False)
+    conditions.add_argument("--n-r", type=REFRACTIVE_INDEX, default=1.0)
+    conditions.add_argument("--temp-k", type=NON_NEGATIVE)
+    conditions.add_argument("--p-over-pc", type=NON_NEGATIVE)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="output file (default: stdout)")
+    output.add_argument(
         "--format",
         dest="fmt",
         choices=("csv", "json"),
@@ -257,67 +265,52 @@ def _add_output_args(sub) -> None:
         help="output format (default: csv)",
     )
 
-
-def _add_db_arg(sub) -> None:
-    sub.add_argument(
-        "--db",
-        dest="db_path",
-        help="species database JSON (default: $PARAMAG_LOSS_DB or bundled)",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paramag-loss",
         description="Microwave loss from paramagnetic defect spin transitions.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("sweep", help="loss-tangent spectrum over a GHz range")
-    _add_db_arg(sub)
+    sub = subs.add_parser(
+        "sweep", parents=[db, conditions, output], help="loss-tangent spectrum over a GHz range"
+    )
+    sub.set_defaults(run=cmd_sweep)
     sub.add_argument("--fmin-ghz", type=POSITIVE, default=1.0)
     sub.add_argument("--fmax-ghz", type=FINITE, default=15.0)
     sub.add_argument("--points", type=POINTS, default=1401)
-    sub.add_argument("--n-r", type=REFRACTIVE_INDEX, default=1.0)
-    sub.add_argument("--temp-k", type=NON_NEGATIVE)
-    sub.add_argument("--p-over-pc", type=NON_NEGATIVE)
-    _add_output_args(sub)
 
-    sub = subs.add_parser("point", help="loss at a single frequency")
-    _add_db_arg(sub)
-    sub.add_argument("--freq-ghz", type=POSITIVE, required=True)
-    sub.add_argument("--n-r", type=REFRACTIVE_INDEX, default=1.0)
-    sub.add_argument("--temp-k", type=NON_NEGATIVE)
-    sub.add_argument("--p-over-pc", type=NON_NEGATIVE)
-    _add_output_args(sub)
-
-    sub = subs.add_parser("emission", help="moment extraction from emission rates")
-    sub.add_argument(
-        "--table",
-        dest="table_path",
-        help="emission-line table JSON (default: bundled)",
+    sub = subs.add_parser(
+        "point", parents=[db, conditions, output], help="loss at a single frequency"
     )
-    _add_output_args(sub)
+    sub.set_defaults(run=cmd_point)
+    sub.add_argument("--freq-ghz", type=PROBE_GHZ, required=True)
 
-    sub = subs.add_parser("tempcurve", help="temperature factor over a T range")
+    sub = subs.add_parser(
+        "emission", parents=[output], help="moment extraction from emission rates"
+    )
+    sub.set_defaults(run=cmd_emission)
+    sub.add_argument(
+        "--table", dest="table_path", help="emission-line table JSON (default: bundled)"
+    )
+
+    sub = subs.add_parser("tempcurve", parents=[output], help="temperature factor over a T range")
+    sub.set_defaults(run=cmd_tempcurve)
     sub.add_argument("--freq-ghz", type=POSITIVE, required=True)
     sub.add_argument("--tmin-k", type=NON_NEGATIVE, default=0.01)
     sub.add_argument("--tmax-k", type=FINITE, default=10.0)
     sub.add_argument("--points", type=POINTS, default=101)
-    _add_output_args(sub)
 
-    sub = subs.add_parser("powercurve", help="loss versus drive power")
-    _add_db_arg(sub)
+    sub = subs.add_parser("powercurve", parents=[db, output], help="loss versus drive power")
+    sub.set_defaults(run=cmd_powercurve)
     sub.add_argument("--species", help="species name (default: first in database)")
     sub.add_argument(
         "--freq-ghz",
-        type=POSITIVE,
+        type=PROBE_GHZ,
         required=True,
         help="detuned probe frequency for the second loss column",
     )
     sub.add_argument("--pmax-over-pc", type=POSITIVE, default=100.0)
     sub.add_argument("--points", type=POINTS, default=20)
-    _add_output_args(sub)
 
     return parser
 
@@ -325,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        header, rows, payload = _COMMANDS[args.command](args)
+        header, rows, payload = args.run(args)
     except ParamagLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

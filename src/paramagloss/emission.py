@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .constants import A0, ALPHA, C, TWO_PI
-from .errors import DatabaseError, InvalidInputs
+from .errors import DatabaseError, InvalidInputs, require
 from .ioformat import NAME_RULE, number_field, plain_name, read_json_array
 
 # Rate prefactor: multiply by n_r^3, omega_if^3, and the squared moment.
@@ -23,35 +23,21 @@ EMISSION_PREFACTOR = ALPHA**3 * A0**2 / C**2
 EXTRACTION_COLUMNS = ("label", "lambda_nm", "freq_thz", "a_md_hz", "m_sq", "m_abs")
 
 
-def _check_n_r(n_r: float) -> None:
-    if n_r < 1.0:
-        raise InvalidInputs(f"refractive index must be >= 1, got {n_r}")
-
-
 def wavelength_to_angular(lambda_vac: float) -> float:
     """Angular frequency [rad/s] of a vacuum wavelength [m]."""
-    if lambda_vac <= 0.0:
-        raise InvalidInputs(f"wavelength must be positive, got {lambda_vac}")
-    return TWO_PI * C / lambda_vac
-
-
-def _finite(value: float, what: str) -> float:
-    """value, unless inf or nan: then InvalidInputs saying that `what` left the float range."""
-    if not value < math.inf:
-        raise InvalidInputs(f"{what} is outside the float range")
-    return value
+    omega = TWO_PI * C / require("lambda_vac", lambda_vac, strict=True)
+    return require(f"angular frequency of lambda_vac={lambda_vac!r}", omega)
 
 
 def photon_dos(omega: float, n_r: float = 1.0) -> float:
     """Photon density of states [s/(rad m^3)] in a medium of index n_r."""
-    if omega < 0.0:
-        raise InvalidInputs(f"frequency must be >= 0, got {omega}")
-    _check_n_r(n_r)
+    require("omega", omega)
+    require("n_r", n_r, 1.0)
     try:
         dos = n_r**3 * omega**2 / (C**3 * math.pi**2)
     except OverflowError:  # a power past the float range
         dos = math.inf
-    return _finite(dos, f"photon density of states at omega={omega!r}, n_r={n_r!r}")
+    return require(f"photon density of states at omega={omega!r}, n_r={n_r!r}", dos)
 
 
 def _rate_scale(omega_if: float, n_r: float = 1.0) -> float:
@@ -64,13 +50,11 @@ def _rate_scale(omega_if: float, n_r: float = 1.0) -> float:
 
 def a_md(omega_if: float, m_sq: float, n_r: float = 1.0) -> float:
     """Spontaneous emission rate [1/s] of a magnetic-dipole transition."""
-    if omega_if <= 0.0:
-        raise InvalidInputs(f"transition frequency must be positive, got {omega_if}")
-    if m_sq < 0.0:
-        raise InvalidInputs(f"squared moment must be >= 0, got {m_sq}")
-    _check_n_r(n_r)
+    require("omega_if", omega_if, strict=True)
+    require("m_sq", m_sq)
+    require("n_r", n_r, 1.0)
     rate = _rate_scale(omega_if, n_r) * m_sq
-    return _finite(rate, f"emission rate at omega_if={omega_if!r}, m_sq={m_sq!r}, n_r={n_r!r}")
+    return require(f"emission rate at omega_if={omega_if!r}, m_sq={m_sq!r}, n_r={n_r!r}", rate)
 
 
 def _moment(a: float, lambda_vac: float, n_r: float, names, wavelength):
@@ -83,7 +67,8 @@ def _moment(a: float, lambda_vac: float, n_r: float, names, wavelength):
     naming the input as names spells (wavelength, n_r, rate), with its
     value; the wavelength's value shown is `wavelength`.
     """
-    omega_if = wavelength_to_angular(lambda_vac) if lambda_vac > 0.0 else math.inf
+    # Not wavelength_to_angular, whose errors would not name the input as names does.
+    omega_if = TWO_PI * C / lambda_vac if lambda_vac > 0.0 else math.inf
     if not sys.float_info.min <= _rate_scale(omega_if) < math.inf:
         raise InvalidInputs(
             f"{names[0]} must be > 0 with a normal, finite rate scale, got {wavelength!r}"
@@ -119,10 +104,8 @@ class EmissionLine:
     m_sq: float
 
     def __post_init__(self) -> None:
-        if self.a_md < 0.0:
-            raise InvalidInputs(f"line {self.label!r}: negative emission rate")
-        if self.m_sq < 0.0:
-            raise InvalidInputs(f"line {self.label!r}: negative squared moment")
+        require(f"line {self.label!r}: a_md", self.a_md)
+        require(f"line {self.label!r}: m_sq", self.m_sq)
 
     @property
     def m_abs(self) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .absorption import MD_PREFACTOR
 from .constants import TWO_PI, C, ghz_to_angular
-from .errors import DatabaseError, InvalidInputs
+from .errors import DatabaseError, InvalidInputs, require
 from .ioformat import NAME_RULE, finite_float, number_field, plain_name, read_json_array
 from .lineshape import power_broadened_gamma, temperature_factor
 from .spin import ladder_m, line_coupling_sq
@@ -249,12 +249,11 @@ def sweep(
     The losses and their total come from database_loss over the grid, so
     a sweep point equals the same point evaluated alone bit for bit.
     """
+    require("fmin", fmin_ghz, strict=True)
     if not fmin_ghz < fmax_ghz:
         raise InvalidInputs(f"need fmin < fmax, got [{fmin_ghz}, {fmax_ghz}]")
-    if fmin_ghz <= 0.0:
-        raise InvalidInputs(f"fmin must be positive, got {fmin_ghz}")
-    if points < 2:
-        raise InvalidInputs(f"need at least 2 grid points, got {points}")
+    if isinstance(points, bool) or not (isinstance(points, (int, np.integer)) and points >= 2):
+        raise InvalidInputs(f"points must be an integer >= 2, got {points!r}")
     if not ghz_to_angular(float(fmax_ghz)) <= MAX_RATE:
         raise InvalidInputs(f"angular frequency of fmax {fmax_ghz} GHz overflows")
     freqs = np.linspace(fmin_ghz, fmax_ghz, points)

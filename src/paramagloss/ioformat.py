@@ -17,19 +17,19 @@ cells (CSV), or "%.8e" cells parsed by float and encoded by json.dumps
 (JSON).
 
 The kernel (_sci9_cells) finds each value's decimal exponent e with
-floor(log10(x)), scales x to s = x * 10**(8 - e) by one correctly rounded
-power of ten (multiplying for 8 - e >= 0, dividing otherwise) and rounds s
-to the 9-digit significand.  The scale costs at most two roundings, so s is
-within 2.3e-7 of the exact product; a value whose s lies within 1e-6 of a
-rounding tie (x.5) takes its digits from "%.8e" % x instead.  It then
-builds each sci9 cell from digit tables: sci9_block writes those cells as
-they are, the bytes of "%.8e" % x.  _json_block gathers the cells of a
-chunk that holds a value of exponent -4 to 15 into repr's fixed notation,
-through one row of byte positions per exponent ("d.ddde-XX" cells keep
-their bytes in place), and keeps only the bytes a mask chosen by exponent
-and count of significant digits marks.  Quantized to 9 digits, a normal double's
-shortest repr is its significand without trailing zeros, so the bytes are
-those of json.dumps(quantize(x)).
+floor(log10(x)), scales x to s = x * 10**(8 - e) by one product with a
+correctly rounded power of ten and rounds s to the 9-digit significand.
+The scale costs at most two roundings, so s is within 2.3e-7 of the exact
+product; a value whose s lies within 1e-6 of a rounding tie (x.5) takes
+its digits from "%.8e" % x instead.  It then builds each sci9 cell from
+digit tables: sci9_block writes those cells as they are, the bytes of
+"%.8e" % x.  _json_block gathers the cells of a chunk that holds a value
+of exponent -4 to 15 into repr's fixed notation, through one row of byte
+positions per exponent ("d.ddde-XX" cells keep their bytes in place), and
+keeps only the bytes a mask chosen by exponent and count of significant
+digits marks.  Quantized to 9 digits, a normal double's shortest repr is
+its significand without trailing zeros, so the bytes are those of
+json.dumps(quantize(x)).
 """
 
 import functools
@@ -139,13 +139,10 @@ def _ascii(codes) -> np.ndarray:
 def _tables():
     """Scale factors and digit tables of _sci9_cells, built on first use.
 
-    x * up[e + _E0] / down[e + _E0] is x * 10**(8 - e) through one correctly
-    rounded float(10**abs(8 - e)): a product for 8 - e >= 0, else a quotient,
-    the other factor being 1.
+    x * scale[e + _E0] is x * 10**(8 - e) through one product with the
+    correctly rounded float(f"1e{8 - e}").
     """
-    k = range(8 + _E0, 8 - _E0 - 1, -1)  # 8 - e for e = -_E0 .. _E0
-    up = np.array([float(10**j) if j >= 0 else 1.0 for j in k])
-    down = np.array([float(10**-j) if j < 0 else 1.0 for j in k])
+    scale = np.array([float(f"1e{j}") for j in range(8 + _E0, 8 - _E0 - 1, -1)])
     lead = _ascii(np.column_stack([np.arange(10) + ord("0"), np.full(10, ord("."))]))
     quad = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
     e = np.arange(-99, 100)
@@ -155,7 +152,7 @@ def _tables():
         abs(e) // 10 + ord("0"),
         abs(e) % 10 + ord("0"),
     ])
-    return up, down, lead, _ascii(quad + ord("0")), _ascii(exp)
+    return scale, lead, _ascii(quad + ord("0")), _ascii(exp)
 
 
 def sci9_block(block):
@@ -196,7 +193,7 @@ def _sci9_cells(x, dtype):
     e += 99  # the row of the exponent table
     if e.max() > 198 or e.min() < 0:
         return None
-    _, _, lead, quad, exp = _tables()
+    _, lead, quad, exp = _tables()
     cells = np.empty(len(x), dtype)
     first = digits // 100_000_000
     # Every index is in range by now; "clip" only skips take's bounds copy.
@@ -218,13 +215,12 @@ def _significands(x):
     scaled value lies within TIE_BAND of a rounding tie: their significand
     and exponent are not to be trusted.
     """
-    up, down, *_ = _tables()
+    scale, *_ = _tables()
     e = np.log10(x)
     np.floor(e, out=e)
     e = e.astype(np.intp) + _E0
-    s = up[e]
+    s = scale[e]
     s *= x
-    s /= down[e]
     # floor(log10(x)) misses by one only within a few ulps of a power of ten
     # (float(1e-98) < 10**-98, yet log10 gives -98.0).  There s is 1e8 or 1e9
     # within 1e-6, so rint and the carry give the power of ten either way.

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, KB
-from .errors import InvalidInputs
+from .errors import InvalidInputs, require
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,7 @@ class LineshapeSpec:
     def __post_init__(self):
         if self.kind != "lorentzian":
             raise InvalidInputs(f"unknown lineshape kind {self.kind!r}; expected 'lorentzian'")
-        if not 0.0 < self.gamma < np.inf:
-            raise InvalidInputs(f"{self.kind} needs gamma > 0 and finite, got {self.gamma}")
+        require("gamma", self.gamma, strict=True)
 
 
 def lorentzian(detuning, gamma):
@@ -35,9 +34,7 @@ def lorentzian(detuning, gamma):
 
     gamma is the full width at half maximum in rad/s.
     """
-    if not 0.0 < gamma < np.inf:
-        raise InvalidInputs(f"gamma must be positive and finite, got {gamma}")
-    half = 0.5 * gamma
+    half = 0.5 * require("gamma", gamma, strict=True)
     return (half / np.pi) / (detuning * detuning + half * half)
 
 
@@ -90,11 +87,7 @@ def power_broadened_gamma(gamma0: float, power):
     `power` is the ratio P/P_c of drive to critical power, or an array of
     ratios (a power grid), which gives an array of widths.
     """
-    if not 0.0 < gamma0 < np.inf:
-        raise InvalidInputs(f"gamma0 must be positive and finite, got {gamma0}")
-    ratio = np.asarray(power, dtype=np.float64)
-    ok = (0.0 <= ratio) & (ratio < np.inf)
-    if not ok.all():
-        raise InvalidInputs(f"p_over_pc must be finite and >= 0, got {ratio[~ok][0]}")
+    require("gamma0", gamma0, strict=True)
+    ratio = np.asarray(require("p_over_pc", power), dtype=np.float64)
     width = gamma0 * np.sqrt(1.0 + ratio)
     return float(width) if np.ndim(width) == 0 else width

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, MUB
-from .errors import InvalidInputs
+from .errors import InvalidInputs, require
 
 
 def m_values(two_s: int) -> np.ndarray:
@@ -199,11 +199,17 @@ def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e):
     """Unpolarized squared coupling of a transition that ladder_m accepts.
 
     g_e is one g-factor, which gives a float, or a 1-D array of them, which
-    gives one coupling per entry.  Sx and Sy each carry half of the ladder
-    element of the lower sublevel m and Sz nothing, so every entry equals
-    unpolarized_coupling(transition_moment(psi_i, psi_f, ops, g)) bit for bit.
+    gives one coupling per entry; each must be finite and > 0 and give a
+    finite coupling, else InvalidInputs names g.  Sx and Sy each carry half
+    of the ladder element of the lower sublevel m and Sz nothing, so every
+    entry equals unpolarized_coupling(transition_moment(psi_i, psi_f, ops,
+    g)) bit for bit.
     """
     m, s = ladder_m(two_s, transition), two_s / 2.0
-    gh = np.asarray(g_e, dtype=np.float64) * (0.5 * math.sqrt(s * (s + 1.0) - m * (m + 1.0)))
-    coupling = (gh * gh + gh * gh) / 3.0
+    g = np.asarray(require("g", g_e, strict=True), dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowing coupling is rejected just below
+        gh = g * (0.5 * math.sqrt(s * (s + 1.0) - m * (m + 1.0)))
+        coupling = (gh * gh + gh * gh) / 3.0
+    if not np.isfinite(coupling).all():
+        raise InvalidInputs(f"g must give a finite coupling for two_s={two_s}, got {np.max(g)}")
     return float(coupling) if coupling.ndim == 0 else coupling

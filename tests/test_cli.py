@@ -429,6 +429,49 @@ def test_non_finite_flag_rejected(argv, flag, capsys):
     assert "error:" in captured.err and f"argument {flag}: " in captured.err
 
 
+@pytest.mark.parametrize("command", ["point", "powercurve"])
+def test_probe_frequency_past_rate_bound_names_flag(command, capsys):
+    # 1e300 GHz is finite but its angular frequency overflows species_loss's bound.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--freq-ghz", "1e300"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --freq-ghz: " in captured.err and "got '1e300'" in captured.err
+    # tempcurve's thermal factors take their limit there instead.
+    assert cli.main(["tempcurve", "--freq-ghz", "1e300", "--points", "2"]) == 0
+
+
+COMMANDS = ("sweep", "point", "emission", "tempcurve", "powercurve")
+# Each shared flag: its destination, its default, a value and the parsed
+# value, and the subcommands that accept it.
+SHARED_FLAGS = {
+    "--db": ("db_path", None, "x.json", "x.json", {"sweep", "point", "powercurve"}),
+    "--n-r": ("n_r", 1.0, "2.5", 2.5, {"sweep", "point"}),
+    "--temp-k": ("temp_k", None, "0.5", 0.5, {"sweep", "point"}),
+    "--p-over-pc": ("p_over_pc", None, "3", 3.0, {"sweep", "point"}),
+    "--output": ("output", None, "out.csv", "out.csv", set(COMMANDS)),
+    "--format": ("fmt", "csv", "json", "json", set(COMMANDS)),
+}
+
+
+@pytest.mark.parametrize("flag", SHARED_FLAGS)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_shared_flags_accepted_where_declared(command, flag, capsys):
+    dest, default, text, value, commands = SHARED_FLAGS[flag]
+    argv = [command] if command in ("sweep", "emission") else [command, "--freq-ghz", "4.5"]
+    parser = cli.build_parser()
+    if command in commands:
+        assert getattr(parser.parse_args(argv), dest) == default
+        assert getattr(parser.parse_args([*argv, flag, text]), dest) == value
+    else:
+        assert not hasattr(parser.parse_args(argv), dest)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, flag, text])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
+
+
 def _huge_species_db(tmp_path, names):
     """Species whose peak losses are ~1.2e308 each: finite alone, infinite summed."""
     entries = [

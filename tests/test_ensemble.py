@@ -274,6 +274,15 @@ def test_line_coupling_rejects_what_species_reject(transition):
         _species(transition=transition)
 
 
+@pytest.mark.parametrize("g", [NAN, INF, -INF, 1e300, -1.0, 0.0, np.array([2.0, NAN])])
+def test_line_coupling_rejects_g_that_species_reject(g):
+    # 1e300 is finite but overflows the coupling; no RuntimeWarning escapes.
+    with pytest.raises(InvalidInputs, match="^g must"):
+        line_coupling_sq(3, (1.5, 0.5), g)
+    with pytest.raises(InvalidInputs, match="^species 'x': line 0: field 'g'"):
+        _species(**_bad_lines(g=np.ravel(g)[-1]))
+
+
 def test_species_loss_values():
     assert species_loss(CR, OMEGA_45) == pytest.approx(CR_45, rel=1e-12)
     assert species_loss(FE, OMEGA_45) == pytest.approx(FE_45, rel=1e-12)
@@ -377,6 +386,11 @@ def test_sweep_range_validation():
         sweep([CR], 1.0, 15.0, 1)
     with pytest.raises(InvalidInputs):
         sweep([CR], -1.0, 15.0, 10)
+    # points is an integer >= 2; np.linspace would raise a TypeError for a float.
+    for points in (3.5, 10.0, True, "10", None):
+        with pytest.raises(InvalidInputs, match="^points must be an integer >= 2"):
+            sweep([CR], 1.0, 15.0, points)
+    assert len(sweep([CR], 1.0, 15.0, np.int64(3)).freqs_ghz) == 3
 
 
 def test_sweep_grid_and_point_agreement():

@@ -49,7 +49,7 @@ def test_profiles_nonnegative_and_even():
 
 def test_width_validation():
     for gamma in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(InvalidInputs, match="gamma must be positive"):
+        with pytest.raises(InvalidInputs, match="^gamma must be finite and > 0"):
             lorentzian(0.0, gamma)
 
 
@@ -58,7 +58,7 @@ def test_spec_validation_and_dispatch():
         with pytest.raises(InvalidInputs, match="unknown lineshape kind"):
             LineshapeSpec(kind=kind, gamma=1.0)
     for gamma in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(InvalidInputs, match="needs gamma > 0"):
+        with pytest.raises(InvalidInputs, match="^gamma must be finite and > 0"):
             LineshapeSpec(kind="lorentzian", gamma=gamma)
     with pytest.raises(InvalidInputs):
         LineshapeSpec(kind="lorentzian")
