@@ -41,11 +41,13 @@ def sigma_md(omega, omega_if, coupling_sq, shape: ls.LineshapeSpec,
 
 def absorption_coefficient(n_def, sigma):
     """Attenuation coefficient a = N_def * sigma [1/m]."""
-    return require("n_def", n_def) * require("sigma", sigma)
+    with np.errstate(over="ignore"):  # an overflowing product fails the check
+        return require("absorption coefficient", require("n_def", n_def) * require("sigma", sigma))
 
 
 def loss_tangent(a, omega, n_r: float = 1.0):
     """Loss tangent tan(delta) = c a(omega) / (n_r omega)."""
     require("omega", omega, strict=True)
     require("n_r", n_r, 1.0)
-    return (C / (n_r * omega)) * require("a", a)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails the check
+        return require("loss tangent", (C / (n_r * omega)) * require("a", a))

@@ -199,9 +199,13 @@ def species_loss(
     point of a sweep bit for bit.
     """
     omega = np.asarray(omega, dtype=np.float64)
-    if not (np.all(omega > 0.0) and np.max(omega) <= MAX_RATE):
+    if omega.size == 0 or np.size(power) == 0:
+        raise InvalidInputs("omega and power must not be empty arrays")
+    ok = (omega > 0.0) & (omega <= MAX_RATE)
+    if not ok.all():
         raise InvalidInputs(
-            f"angular probe frequency must be in (0, {MAX_RATE:.3g}] rad/s, got {omega}"
+            f"angular probe frequency must be in (0, {MAX_RATE:.3g}] rad/s,"
+            f" got {omega[~ok][0].item()!r}"
         )
     centers, amps = sp.lines.centers, sp.amps
     if temp_k is not None:

@@ -25,7 +25,8 @@ def require(what: str, value, low: float = 0.0, strict: bool = False):
     """value, if it (or every entry of an array) is a finite real >= low, or > low if strict.
 
     Otherwise raises InvalidInputs naming `what` and the first bad entry;
-    NaN, +-inf, booleans and non-numbers all fail.
+    NaN, +-inf, booleans and non-numbers all fail.  low = -inf asks only
+    for a finite real.
     """
     arr = np.asarray(value)
     bad = value
@@ -34,5 +35,5 @@ def require(what: str, value, low: float = 0.0, strict: bool = False):
         if ok.all():
             return value
         bad = arr[~ok][0].item()
-    rule = f"{'>' if strict else '>='} {low:g}"
-    raise InvalidInputs(f"{what} must be finite and {rule}, got {bad!r}")
+    rule = f" and {'>' if strict else '>='} {low:g}" if low > -np.inf else ""
+    raise InvalidInputs(f"{what} must be finite{rule}, got {bad!r}")

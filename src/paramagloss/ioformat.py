@@ -1,8 +1,9 @@
 """Deterministic text formatting: the one place numbers are spelled.
 
-write_csv spells every number as sci9, lowercase scientific with 9
-significant digits, and write_json every float as json.dumps(quantize(x)),
-the value of that CSV cell, so the two formats round-trip exactly.  Files
+Both writers spell every finite float as sci9, lowercase scientific with 9
+significant digits, so a number's JSON text equals its CSV text and
+json.load reads back the value of the CSV cell.  JSON keeps json.dumps's
+NaN and Infinity for non-finite floats, which the CLI never writes.  Files
 use '\\n' line endings, so identical runs produce byte-identical output.
 read_json_array is the one read of every JSON input file, number_field
 and finite_float its one numeric read, and plain_name the one check of the
@@ -12,24 +13,17 @@ Grid columns (CSV) and arrays (JSON) are written CHUNK rows or values at a
 time, and no writer holds more than one chunk of text.  Both writers spell
 a chunk with one numpy digit kernel when every value in it is finite and
 positive or +0.0 with a decimal exponent inside [-99, 99]; any other chunk
-takes the one exact path of its format: one '%' operation over "%.8e"
-cells (CSV), or "%.8e" cells parsed by float and encoded by json.dumps
-(JSON).
+takes the exact path: one '%' operation over "%.8e" cells (CSV), or one
+sci9 call per value (JSON).
 
 The kernel (_sci9_cells) finds each value's decimal exponent e with
 floor(log10(x)), scales x to s = x * 10**(8 - e) by one product with a
 correctly rounded power of ten and rounds s to the 9-digit significand.
 The scale costs at most two roundings, so s is within 2.3e-7 of the exact
 product; a value whose s lies within 1e-6 of a rounding tie (x.5) takes
-its digits from "%.8e" % x instead.  It then builds each sci9 cell from
-digit tables: sci9_block writes those cells as they are, the bytes of
-"%.8e" % x.  _json_block gathers the cells of a chunk that holds a value
-of exponent -4 to 15 into repr's fixed notation, through one row of byte
-positions per exponent ("d.ddde-XX" cells keep their bytes in place), and
-keeps only the bytes a mask chosen by exponent and count of significant
-digits marks.  Quantized to 9 digits, a normal double's shortest repr is
-its significand without trailing zeros, so the bytes are those of
-json.dumps(quantize(x)).
+its digits from "%.8e" % x instead.  It then builds each cell, the bytes
+of "%.8e" % x, from digit tables into a record whose last field holds the
+separator: ',' or '\\n' in a CSV row, the array separator in JSON.
 """
 
 import functools
@@ -40,18 +34,13 @@ import numpy as np
 
 from .errors import DatabaseError
 
-# Rows (CSV) or values (JSON) formatted per '%' operation.
+# Rows (CSV) or values (JSON) per formatted chunk.
 CHUNK = 4096
 
 
 def sci9(x) -> str:
     """Lowercase scientific notation, 9 significant digits."""
     return f"{float(x):.8e}"
-
-
-def quantize(x) -> float:
-    """The float value actually encoded by sci9(x)."""
-    return float(sci9(x))
 
 
 def finite_float(value):
@@ -77,7 +66,8 @@ def read_json_array(path, what: str) -> list:
             raw = json.load(fh)
     except OSError as exc:
         raise DatabaseError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # bad syntax or encoding, or an int over 4300 digits
+    # Bad syntax or encoding, an int over 4300 digits, or nesting too deep to decode.
+    except (ValueError, RecursionError) as exc:
         raise DatabaseError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise DatabaseError(f"{what} {path} must be a JSON array")
@@ -161,10 +151,10 @@ def sci9_block(block):
     Returns None, leaving the block to "%.8e", unless every cell is in the
     kernel's class (see _sci9_cells).
     """
-    found = _sci9_cells(block.ravel(), _CELL)
-    if found is None:
+    cells = _sci9_cells(block.ravel(), _CELL)
+    if cells is None:
         return None
-    cells = found[0].reshape(block.shape)
+    cells = cells.reshape(block.shape)
     cells["sep"] = ord(",")
     cells["sep"][:, -1] = ord("\n")
     return str(cells.view(np.uint8).data, "ascii")
@@ -175,9 +165,7 @@ def _sci9_cells(x, dtype):
 
     Returns None unless every value is finite and positive or +0.0 with a
     decimal exponent in [-99, 99].  Otherwise returns the records of dtype
-    (_CELL, or _CELL with a wider "sep") with their "sep" bytes unset, each
-    cell's exponent row e + 99, and the last eight digits of its significand
-    as two 4-digit groups.
+    (_CELL, or _CELL with a wider "sep") with their "sep" bytes unset.
     """
     if np.signbit(x).any() or not x.max() < 1e100:  # also catches nan
         return None
@@ -204,7 +192,7 @@ def _sci9_cells(x, dtype):
     digits -= hi * 10_000
     quad.take(digits, out=cells["lo"], mode="clip")
     exp.take(e, out=cells["exp"], mode="clip")
-    return cells, e, hi, digits
+    return cells
 
 
 def _significands(x):
@@ -234,90 +222,19 @@ def _significands(x):
     return d.astype(np.int32), e, near_tie
 
 
-# A JSON cell holds a sci9 cell, "d.dddddddde+XX", then '0' (byte _ZERO),
-# then from byte _FIXED on the array separator.  Where repr writes fixed
-# notation (decimal exponents -4 to 15, at most _FIXED bytes, as in
-# "1000000000000000.0") the cell is gathered through one row of byte
-# positions per exponent; "d.ddde-XX" keeps its bytes in place.  A keep mask
-# per exponent and count of significant digits then drops the bytes repr
-# does not write.
-_ZERO = 14
-_FIXED = 18
-
-
-@functools.cache
-def _json_digits():
-    """The separator-free tables of _json_block, built on first use.
-
-    Row e + 99 of layout holds, for each of the first _FIXED bytes of a
-    spelled cell of decimal exponent e, its position in the cell.  Row
-    9 * (e + 99) + k of keep marks those of the bytes kept when the
-    significand has k + 1 significant digits.  figures maps a 4-digit group
-    to its significant digits, 0 for 0000.
-    """
-    # A group's significant digits end at its last non-zero digit: the
-    # largest place k + 1 (k = 0..3 from the left) whose digit is not 0.
-    places = [(np.arange(10) > 0).reshape((10,) + (1,) * (3 - k)) * (k + 1) for k in range(4)]
-    figures = functools.reduce(np.maximum, places).ravel()
-    e = np.arange(-99, 100)[:, None]
-    p = np.arange(_FIXED)
-
-    def digit(j):  # the cell byte of significand digit j; a padding zero past the ninth
-        return np.where((0 <= j) & (j <= 8), j + (j > 0), _ZERO)
-
-    layout = np.where(
-        e < 0,
-        np.where(p == 1, 1, digit(p - 1 + e)),  # "0.000ddd"
-        np.where(p == e + 1, 1, digit(p - (p > e))),  # "ddd.ddd", "ddd00.0"
-    )
-    fixed = (-4 <= e) & (e <= 15)
-    layout = np.where(fixed, layout, p)
-    e, fixed = e[:, None], fixed[:, None]
-    nd = np.arange(1, 10)[:, None]
-    # Fixed notation keeps a prefix: the integer part and at least one
-    # fractional digit.  "d.ddde-XX" keeps d, the dot and the digits after
-    # it only when there are any, and the exponent.
-    keep = np.where(
-        fixed,
-        p < np.where(e < 0, 1 - e + nd, e + 2 + np.maximum(nd - e - 1, 1)),
-        (p < nd + (nd > 1)) | ((10 <= p) & (p < 14)),
-    )
-    return layout.astype(np.uint8), keep.reshape(-1, _FIXED), figures
-
-
-@functools.cache
-def _json_tables(sep: str):
-    """The cell dtype for sep, the bytes that follow its sci9 part, and the
-    tables of _json_digits widened to the cell, where sep's bytes stay in
-    place and are kept.  A cell is at least 32 bytes wide: take copies
-    32-byte rows fastest.
-    """
-    layout, keep, figures = _json_digits()
-    width = max(32, _FIXED + len(sep))
-    p = np.arange(_FIXED, width)
-    layout = np.hstack([layout, np.broadcast_to(p.astype(np.uint8), (len(layout), len(p)))])
-    keep = np.hstack([keep, np.broadcast_to(p < _FIXED + len(sep), (len(keep), len(p)))])
-    cell = np.dtype(_CELL.descr[:-1] + [("sep", f"S{width - _ZERO}")])
-    tail = b"0".ljust(_FIXED - _ZERO, b" ") + sep.encode("ascii")
-    return cell, tail, layout, keep, figures
-
-
 def _json_block(values, sep: str):
-    """json.dumps(quantize(x)) of each value of a 1-D float64 array, joined
-    by sep, or None unless every value is in the kernel's class."""
-    cell, tail, layout, keep, figures = _json_tables(sep)
-    found = _sci9_cells(values, cell)
-    if found is None:
+    """The sci9 cells of a 1-D float64 array joined by sep, or None unless
+    every value is in the kernel's class."""
+    cells = _sci9_cells(values, np.dtype(_CELL.descr[:-1] + [("sep", f"S{len(sep)}")]))
+    if cells is None:
         return None
-    cells, e, hi, lo = found
-    cells["sep"] = tail
-    text = cells.view(np.uint8).reshape(len(cells), cell.itemsize)
-    if ((-4 + 99 <= e) & (e <= 15 + 99)).any():  # e holds exponent rows: fixed notation
-        starts = np.arange(0, text.size, cell.itemsize)
-        text = text.ravel().take(layout.take(e, axis=0) + starts[:, None], mode="clip")
-    rows = np.where(lo > 0, figures.take(lo) + 4, figures.take(hi))  # digits after the first
-    rows += 9 * e
-    return str(text[keep.take(rows, axis=0)].data, "ascii")[: -len(sep)]
+    cells["sep"] = sep.encode("ascii")
+    return str(cells.view(np.uint8).data, "ascii")[: -len(sep)]
+
+
+def _json_number(x: float) -> str:
+    """A JSON float as its sci9 cell; NaN and +-Infinity as json.dumps spells them."""
+    return sci9(x) if math.isfinite(x) else json.dumps(x)
 
 
 def write_csv(stream, header, rows) -> None:
@@ -344,11 +261,11 @@ def write_csv(stream, header, rows) -> None:
 
 
 def write_json(stream, payload) -> None:
-    """Write json.dumps(payload, indent=2) plus '\\n', with floats quantized.
+    """Write json.dumps(payload, indent=2) plus '\\n', with floats as sci9 cells.
 
-    Every float in the (string-keyed) dicts, lists and tuples of the payload
-    is written as json.dumps(quantize(x)), and every 1-D ndarray as the list
-    of its quantized values, one chunk at a time.
+    Every finite float in the (string-keyed) dicts, lists and tuples of the
+    payload is written as sci9(x), and every 1-D ndarray as the list of its
+    values spelled so, one chunk at a time.
     """
     _write_json_value(stream, payload, "")
     stream.write("\n")
@@ -358,7 +275,7 @@ def _write_json_value(stream, value, pad: str) -> None:
     if isinstance(value, np.ndarray):
         _write_json_array(stream, value, pad)
     elif isinstance(value, float):
-        stream.write(json.dumps(quantize(value)))
+        stream.write(_json_number(value))
     elif isinstance(value, (dict, list, tuple)) and value:
         inner = pad + "  "
         if isinstance(value, dict):
@@ -386,8 +303,6 @@ def _write_json_array(stream, values, pad: str) -> None:
         block = values[start : start + CHUNK]
         text = _json_block(block, sep)
         if text is None:
-            cells = (("%.8e " * len(block)) % tuple(block.tolist())).split()
-            # The compact encoder spells each float, NaN and Infinity as json.dumps does.
-            text = json.dumps(list(map(float, cells)), separators=(sep, ": "))[1:-1]
+            text = sep.join(map(_json_number, block.tolist()))
         stream.write((sep if start else "") + text)
     stream.write(f"\n{pad}]")

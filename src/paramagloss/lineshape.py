@@ -32,10 +32,15 @@ class LineshapeSpec:
 def lorentzian(detuning, gamma):
     """Unit-area Lorentzian (1/pi)(gamma/2) / (d^2 + (gamma/2)^2).
 
-    gamma is the full width at half maximum in rad/s.
+    gamma is the full width at half maximum in rad/s.  A density past the
+    float range, as at the center of a line too narrow to square, is an error.
     """
-    half = 0.5 * require("gamma", gamma, strict=True)
-    return (half / np.pi) / (detuning * detuning + half * half)
+    # A numpy half makes a zero denominator give inf, not ZeroDivisionError.
+    half = np.multiply(0.5, require("gamma", gamma, strict=True))
+    require("detuning", detuning, -np.inf)
+    with np.errstate(over="ignore", divide="ignore"):  # the density check rejects an inf
+        density = (half / np.pi) / (detuning * detuning + half * half)
+    return require("Lorentzian density", density)
 
 
 def _thermal_ratio(omega_if, temp, kt_scale):

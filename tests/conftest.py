@@ -1,5 +1,6 @@
-"""Shared helpers: independently typed constants, a CLI runner and a
-read-only loader of the benchmark's modules.
+"""Shared helpers: independently typed constants, a CLI runner, a text
+comparison that reports its first difference, and a read-only loader of
+the benchmark's modules.
 
 The constant literals here are typed from the CODATA 2018 tables on
 purpose, not imported from the package, so a typo in the package values
@@ -31,6 +32,21 @@ def run_cli(args, env=None, timeout=120):
         timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail with the first differing line and its number unless got == want.
+
+    Whole outputs run to megabytes; pytest's own diff of two such strings
+    takes minutes, and this report takes one pass.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for number, (a, b) in enumerate(zip(got_lines, want_lines), 1):
+        if a != b:
+            raise AssertionError(f"line {number} differs:\n  got  {a!r}\n  want {b!r}")
+    raise AssertionError(f"got {len(got_lines)} lines, want {len(want_lines)}")
 
 
 @functools.cache

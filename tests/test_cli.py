@@ -306,6 +306,21 @@ def test_malformed_database_names_species(tmp_path):
     assert "Fe" in err and "linewidth_mhz" in err
 
 
+def test_too_deeply_nested_input_exits_2(tmp_path):
+    """A file nested deeper than json can decode is bad input, not a crash."""
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 1000)
+    for argv, env in (
+        (["point", "--freq-ghz", "4.5", "--db", str(nested)], _clean_env()),
+        (["point", "--freq-ghz", "4.5"], _clean_env(PARAMAG_LOSS_DB=str(nested))),
+        (["emission", "--table", str(nested)], _clean_env()),
+    ):
+        code, out, err = run_cli(argv, env=env)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and f"{nested} is not valid JSON" in err, err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "name, env, output, shown",

@@ -377,6 +377,27 @@ def test_species_loss_validation():
         species_loss(CR, 0.0)
 
 
+def test_species_loss_names_first_bad_probe_value():
+    grid = np.linspace(-1.0, 1e10, 2000)
+    grid[5] = float("nan")
+    with pytest.raises(InvalidInputs) as exc:
+        species_loss(CR, grid)
+    assert str(exc.value) == "angular probe frequency must be in (0, 9.48e+153] rad/s, got -1.0"
+    with pytest.raises(InvalidInputs, match=r"got nan$"):
+        species_loss(CR, np.array([OMEGA_45, float("nan"), -1.0]))
+    with pytest.raises(InvalidInputs, match=r"got inf$"):
+        species_loss(CR, np.array([[OMEGA_45], [float("inf")]]))
+
+
+@pytest.mark.parametrize(
+    "omega, power",
+    [(np.array([]), None), (OMEGA_45, np.array([])), (np.array([]), 2.0), (np.empty((0, 3)), None)],
+)
+def test_species_loss_rejects_empty_grids(omega, power):
+    with pytest.raises(InvalidInputs, match="^omega and power must not be empty arrays$"):
+        species_loss(CR, omega, power=power)
+
+
 def test_sweep_range_validation():
     with pytest.raises(InvalidInputs):
         sweep([CR], 5.0, 5.0, 10)
@@ -745,7 +766,8 @@ def test_load_database_errors(tmp_path):
         assert str(exc.value).count("Cr") == 1, str(exc.value)
 
     path = tmp_path / "garbage.json"
-    for text in (b"[{,", b"\xff\xfe[", b"[" + b"9" * 5000 + b"]"):
+    # The last is nested too deep for json to decode.
+    for text in (b"[{,", b"\xff\xfe[", b"[" + b"9" * 5000 + b"]", b"[" * 1000):
         path.write_bytes(text)
         with pytest.raises(DatabaseError, match="JSON"):
             load_species_db(path)

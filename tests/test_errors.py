@@ -28,6 +28,7 @@ def test_require_returns_value_unchanged():
     assert require("x", 1.0, 1.0) == 1.0
     assert require("x", [1e-300], strict=True) == [1e-300]
     assert require("x", np.float32(2.0), strict=True) == 2.0
+    assert require("x", -1e300, -INF) == -1e300  # low = -inf: finite is enough
 
 
 @pytest.mark.parametrize(
@@ -71,7 +72,7 @@ BOUNDARY = [
     (absorption_coefficient, dict(n_def=1e23, sigma=1e-30), ("n_def", "sigma")),
     (loss_tangent, dict(a=1.0, omega=OMEGA, n_r=1.0), ("a", "omega", "n_r")),
     (LineshapeSpec, dict(kind="lorentzian", gamma=1.0), ("gamma",)),
-    (lorentzian, dict(detuning=0.0, gamma=1.0), ("gamma",)),
+    (lorentzian, dict(detuning=0.0, gamma=1.0), ("detuning", "gamma")),
     (power_broadened_gamma, dict(gamma0=1.0, power=1.0), ("gamma0", "power")),
     (wavelength_to_angular, dict(lambda_vac=1e-6), ("lambda_vac",)),
     (photon_dos, dict(omega=OMEGA, n_r=1.0), ("omega", "n_r")),
@@ -102,3 +103,25 @@ def test_non_finite_argument_raises_naming_it(call, kwargs, arg, bad):
     name = SPOKEN.get(arg, arg)
     with pytest.raises(InvalidInputs, match=rf"(^|: |< |of ){name}\b"):
         call(**dict(kwargs, **{arg: bad}))
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (lorentzian, (NAN, 1.0), "detuning must be finite, got nan"),
+        # (gamma / 2)^2 underflows to 0, so the density at line center is inf.
+        (lorentzian, (0.0, 1e-320), "Lorentzian density must be finite and >= 0, got inf"),
+        (lorentzian, (np.array([1e200, 0.0]), np.array([1.0, 1e-320])),
+         "Lorentzian density must be finite and >= 0, got inf"),
+        (loss_tangent, (1e308, 1.0), "loss tangent must be finite and >= 0, got inf"),
+        (loss_tangent, (np.array([1.0, 1e308]), 1.0), "loss tangent must be finite and >= 0, got inf"),
+        # c / omega overflows to inf, and inf * 0 is nan.
+        (loss_tangent, (0.0, 1e-320), "loss tangent must be finite and >= 0, got nan"),
+        (absorption_coefficient, (1e308, 1e308),
+         "absorption coefficient must be finite and >= 0, got inf"),
+    ],
+)
+def test_results_outside_float_range_raise(call, args, message):
+    with pytest.raises(InvalidInputs) as exc:
+        call(*args)
+    assert str(exc.value) == message

@@ -1,15 +1,18 @@
-"""Byte gate: CLI outputs must match the committed golden files exactly.
+"""Byte gate: CLI outputs must match the committed golden files exactly,
+and every number of a grid's JSON must be spelled as its CSV cell.
 
 Regenerate a golden file only in a change that says why its bytes moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 import os
 from pathlib import Path
 
 import pytest
 
+from conftest import assert_same_text
 from paramagloss import cli, ioformat
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -40,6 +43,7 @@ CASES = {
     ],
 }
 FORMATS = ("csv", "json")
+GRIDS = sorted(name for name in CASES if name.startswith(("sweep", "tempcurve", "powercurve")))
 
 
 def _argv(name, fmt, output):
@@ -52,7 +56,8 @@ def test_cli_output_matches_golden(name, fmt, tmp_path, monkeypatch):
     monkeypatch.delenv("PARAMAG_LOSS_DB", raising=False)
     out = tmp_path / f"{name}.{fmt}"
     assert cli.main(_argv(name, fmt, out)) == 0
-    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
+    golden = GOLDEN_DIR / f"{name}.{fmt}"
+    assert_same_text(out.read_bytes().decode(), golden.read_bytes().decode())
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -61,6 +66,20 @@ def test_small_chunks_match_golden(name, fmt, tmp_path, monkeypatch):
     # Every grid case then spans many chunks, most of them full.
     monkeypatch.setattr(ioformat, "CHUNK", 7)
     test_cli_output_matches_golden(name, fmt, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_json_numbers_are_the_csv_cells(name):
+    """Each array of a grid's JSON holds, token for token, its CSV column's cells."""
+    header, *rows = (GOLDEN_DIR / f"{name}.csv").read_text().splitlines()
+    columns = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+    payload = json.loads((GOLDEN_DIR / f"{name}.json").read_text(), parse_float=str)
+    if name.startswith("sweep"):  # the JSON nests the species and names the grid freqs_ghz
+        payload.update(payload.pop("species"), freq_ghz=payload.pop("freqs_ghz"))
+    arrays = {key: value for key, value in payload.items() if isinstance(value, list)}
+    assert sorted(arrays) == sorted(columns)
+    for key, cells in columns.items():
+        assert_same_text("\n".join(map(str, arrays[key])), "\n".join(cells))
 
 
 if __name__ == "__main__":

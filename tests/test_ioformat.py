@@ -2,14 +2,18 @@
 
 The references here format one cell at a time, the way the writers did
 before they worked in chunks: f"{x:.8e}" per CSV cell, and
-json.dumps(indent=2) of the payload with every float quantized for JSON.
-The digit kernel is held to "%.8e" % x byte for byte on ~2e6 adversarial
-values as CSV (ioformat.sci9_block), and to json.dumps(quantize(x)) on
-~1e6 as JSON (ioformat._json_block).
+json.dumps(indent=2) of the payload with every finite float spelled as that
+cell for JSON.  The digit kernel (ioformat._sci9_cells) is held to
+"%.8e" % x byte for byte on ~2e6 adversarial values through
+ioformat.sci9_block; JSON arrays take the same cells with the array
+separator after each (ioformat._json_block).  Whole outputs are compared
+with assert_same_text, which names the first differing line.
 """
 
 import io
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,17 +21,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_text
 from paramagloss import cli, ioformat
 from paramagloss.constants import ghz_to_angular
 from paramagloss.ensemble import default_db_path, load_species_db, species_loss, sweep
-from paramagloss.ioformat import quantize, write_csv, write_json
+from paramagloss.ioformat import write_csv, write_json
 from paramagloss.lineshape import tanh_factor, temperature_factor
 
 CHUNK = ioformat.CHUNK
 SIZES = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
 JSON_SEP = ",\n    "  # between the values of an array held by a top-level key
 
-# Values at the edges of the digit kernel's class and of repr's notations.
+# Values at the edges of the digit kernel's class and of the float range.
 SPECIAL_FLOATS = [
     0.0, -0.0, 1.0, -3.0, 15.0, 1e9, 999999999.7, 1e15, 9.999999999e15, 1e16,
     1e-4, 9.9999999996e-5, 1e-5, 1e-307, 3e-308, 2.2250738585072014e-308,
@@ -43,18 +48,22 @@ def _csv_reference(header, columns):
 
 
 def _json_reference(payload):
-    def plain(value):
+    """json.dumps(payload, indent=2) with every float spelled f"{x:.8e}", or
+    json.dumps(x) if it is not finite: each goes in as a string marked by a
+    leading U+0001, and its quotes come off after encoding."""
+
+    def marked(value):
         if isinstance(value, np.ndarray):
-            return [quantize(x) for x in value]
+            return [marked(x) for x in value.tolist()]
         if isinstance(value, float):
-            return quantize(value)
+            return "\x01" + (f"{value:.8e}" if math.isfinite(value) else json.dumps(value))
         if isinstance(value, dict):
-            return {key: plain(item) for key, item in value.items()}
+            return {key: marked(item) for key, item in value.items()}
         if isinstance(value, (list, tuple)):
-            return [plain(item) for item in value]
+            return [marked(item) for item in value]
         return value
 
-    return json.dumps(plain(payload), indent=2) + "\n"
+    return re.sub(r'"\\u0001([^"]*)"', r"\1", json.dumps(marked(payload), indent=2)) + "\n"
 
 
 def _written(writer, *args):
@@ -73,7 +82,7 @@ def test_writers_match_per_cell_reference(chunk, monkeypatch):
         np.linspace(1.0, 15.0, len(SPECIAL_FLOATS)),
     ]
     header = ["a", "b", "c"]
-    assert _written(write_csv, header, columns) == _csv_reference(header, columns)
+    assert_same_text(_written(write_csv, header, columns), _csv_reference(header, columns))
     payload = {
         "command": "x",
         "a": columns[0],
@@ -84,7 +93,7 @@ def test_writers_match_per_cell_reference(chunk, monkeypatch):
         "deep": {"a": {"b": {"c": {"d": {"e": {"f": {"g": columns[2]}}}}}}},
         "metadata": {"note": "line\nbreak", "values": [0.1, None]},
     }
-    assert _written(write_json, payload) == _json_reference(payload)
+    assert_same_text(_written(write_json, payload), _json_reference(payload))
 
 
 def test_json_quantizes_every_float():
@@ -96,21 +105,23 @@ def test_json_quantizes_every_float():
         "kept": [3, True, None, [], {}, "1/3"],
     }
     text = _written(write_json, payload)
-    assert text == _json_reference(payload)
-    assert '"long": 0.123456789,' in text
-    assert '"third": 0.333333333,' in text
-    assert '"neg_zero": -0.0,' in text
+    assert_same_text(text, _json_reference(payload))
+    assert '"long": 1.23456789e-01,' in text
+    assert '"third": 3.33333333e-01,' in text
+    assert '"neg_zero": -0.00000000e+00,' in text
     assert '"nan": NaN\n' in text
-    assert '"m_sq": 0.0108128045\n' in text
+    assert '"m_sq": 1.08128045e-02\n' in text
+    assert '"tuple": [\n    3.33333333e-01,\n    5.00000000e-01\n  ],' in text
     assert _written(write_json, payload["kept"]) == json.dumps(payload["kept"], indent=2) + "\n"
-    assert _written(write_json, 1 / 3) == "0.333333333\n"
+    assert _written(write_json, 1 / 3) == "3.33333333e-01\n"
+    assert _written(write_json, -math.inf) == "-Infinity\n"
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
 def test_json_array_matches_json_dumps(values):
     payload = {"values": np.array(values, dtype=np.float64)}
-    assert _written(write_json, payload) == _json_reference(payload)
+    assert_same_text(_written(write_json, payload), _json_reference(payload))
 
 
 def test_string_rows_written_as_given():
@@ -168,17 +179,19 @@ def test_chunk_boundaries_match_reference(command, points, tmp_path, monkeypatch
 
     csv_path = tmp_path / "out.csv"
     assert cli.main(argv + [str(csv_path)]) == 0
-    assert csv_path.read_text() == _csv_reference(header, columns)
+    assert_same_text(csv_path.read_text(), _csv_reference(header, columns))
 
     json_path = tmp_path / "out.json"
     assert cli.main(argv + [str(json_path), "--format", "json"]) == 0
     text = json_path.read_text()
     payload = json.loads(text)
-    assert text == json.dumps(payload, indent=2) + "\n"
+    # A read-back 9-digit value spells its own cell again.
+    assert_same_text(text, _json_reference(payload))
     if command == "sweep":  # the JSON nests the species and names the grid freqs_ghz
         payload.update(payload.pop("species"), freq_ghz=payload.pop("freqs_ghz"))
     for name, column in zip(header, columns):
-        assert payload[name] == [quantize(x) for x in column]
+        cells = [float(f"{x:.8e}") for x in column]
+        np.testing.assert_array_equal(payload[name], cells, err_msg=name)
 
 
 # --- the CSV digit kernel ---------------------------------------------------
@@ -266,12 +279,13 @@ def test_kernel_fast_class(value):
     json_text = ioformat._json_block(block.ravel(), JSON_SEP)
     if fast:
         assert text == "%.8e,1.50000000e+00\n" % value
-        assert json_text == json.dumps(quantize(value)) + JSON_SEP + "1.5"
+        assert json_text == "%.8e" % value + JSON_SEP + "1.50000000e+00"
     else:
         assert text is None and json_text is None
-    assert _written(write_csv, ["a", "b"], list(block.T)) == _csv_reference(["a", "b"], list(block.T))
+    columns = list(block.T)
+    assert_same_text(_written(write_csv, ["a", "b"], columns), _csv_reference(["a", "b"], columns))
     payload = {"a": block.ravel()}
-    assert _written(write_json, payload) == _json_reference(payload)
+    assert_same_text(_written(write_json, payload), _json_reference(payload))
 
 
 def test_kernel_redoes_every_cell_near_a_tie():
@@ -313,11 +327,9 @@ def _recorded(monkeypatch, name):
 def _assert_kernel_takes_every_chunk(monkeypatch, header, columns):
     csv_chunks = _recorded(monkeypatch, "sci9_block")
     json_chunks = _recorded(monkeypatch, "_json_block")
-    assert _written(write_csv, header, columns).count("\n") == len(columns[0]) + 1
+    assert_same_text(_written(write_csv, header, columns), _csv_reference(header, columns))
     payload = dict(zip(header, columns))
-    assert json.loads(_written(write_json, payload)) == {
-        name: [quantize(x) for x in column] for name, column in payload.items()
-    }
+    assert_same_text(_written(write_json, payload), _json_reference(payload))
     for results in (csv_chunks, json_chunks):
         assert results and all(text is not None for text in results)
 
@@ -346,101 +358,17 @@ def test_csv_column_matches_per_cell_reference(fast, mixed):
     columns.append(columns[0][::-1].copy())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ioformat, "CHUNK", 7)
-        assert _written(write_csv, ["a", "b"], columns) == _csv_reference(["a", "b"], columns)
+        written = _written(write_csv, ["a", "b"], columns)
+        assert_same_text(written, _csv_reference(["a", "b"], columns))
 
 
-# --- the JSON spelling of the digit kernel ----------------------------------
-
-
-def _assert_json_kernel_exact(values):
-    """_json_block spells every value as json.dumps(quantize(x)), without falling back."""
-    values = np.asarray(values, dtype=np.float64)
-    for start in range(0, len(values), 16_384):
-        part = values[start : start + 16_384]
-        text = ioformat._json_block(part, JSON_SEP)
-        assert text is not None, "a kernel-class chunk fell back to the exact path"
-        got = text.split(JSON_SEP)
-        want = [json.dumps(quantize(x)) for x in part.tolist()]
-        assert len(got) == len(want)
-        if got != want:
-            bad = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
-            pytest.fail(f"{part[bad]!r}: kernel {got[bad]!r}, reference {want[bad]!r}")
+# --- JSON arrays through the digit kernel ----------------------------------
 
 
 def _assert_json_array_exact(values):
     """write_json spells the array as the reference does, kernel or not."""
     payload = {"values": np.asarray(values, dtype=np.float64)}
-    assert _written(write_json, payload) == _json_reference(payload)
-
-
-def test_json_kernel_matches_repr_on_random_values():
-    rng = np.random.default_rng(20270)
-    mantissa = rng.integers(0, 2**52, 300_000, dtype=np.uint64)
-    exponent = rng.integers(1023 - 330, 1023 + 333, len(mantissa)).astype(np.uint64)
-    bit_patterns = _fast_range((exponent << np.uint64(52) | mantissa).view(np.float64))
-    fixed = 10.0 ** rng.uniform(-5, 17, 300_000)  # repr's fixed notation and its edges
-    _assert_json_kernel_exact(np.concatenate([bit_patterns, fixed]))
-
-
-def test_json_kernel_matches_repr_at_powers_of_ten():
-    powers = np.array([float(f"1e{k}") for k in range(-99, 100)])
-    around = _neighbours(powers, 2)
-    _assert_json_kernel_exact(_fast_range(around))
-    _assert_json_array_exact(around)  # nextafter(1e-99, 0) takes the exact path
-    spelled = ioformat._json_block(powers[94:103], ", ")
-    assert spelled == "1e-05, 0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0"
-
-
-def test_json_kernel_matches_repr_near_ties():
-    """Values up to 1e-6 off a 9-digit rounding tie, the band whose digits
-    come from "%.8e", and the nearest doubles to decimal ties, with their
-    neighbours."""
-    rng = np.random.default_rng(20271)
-    digits = rng.integers(10**8, 10**9, 4000).tolist()
-    shifts = rng.integers(-10, 11, 4000).tolist()  # tenths of a millionth off the tie
-    # Half in repr's fixed notation (exponents -4..15), half anywhere.
-    powers = np.where(np.arange(4000) % 2, rng.integers(-12, 8, 4000), rng.integers(-107, 91, 4000))
-    values = [
-        float((Fraction(2 * d + 1, 2) + Fraction(m, 10**7)) * Fraction(10) ** k)
-        for d, m, k in zip(digits, shifts, powers.tolist())
-    ]
-    many = rng.integers(10**8, 10**9, 100_000)
-    fixed_or_any = rng.integers(-12, 8, len(many)), rng.integers(-107, 91, len(many))
-    exponents = np.where(many % 2, *fixed_or_any)
-    ties = _decimal_ties(many, exponents)
-    _assert_json_kernel_exact(np.concatenate([values, _fast_range(_neighbours(ties, 1))]))
-
-
-def test_json_kernel_carries_notation_edges_and_integral_values():
-    values = [
-        # The 1e9 carry: each rounds up to the next power of ten.
-        999999999.5, 9.9999999995e-5, 9.9999999995e-6, 9.9999999995e15, 99999999.95,
-        # The -5/-4 and 15/16 notation edges.
-        1e-5, 1.5e-5, 9.99999999e-6, 1e-4, 1.23456789e-4, 9.99999999e-5,
-        1e15, 1.23456789e15, 9.99999999e15, 1e16, 1.5e16, 9.99999999e16,
-        # Integral values, which repr ends in ".0".
-        0.0, 1.0, 3.0, 10.0, 120.0, 123456789.0, 1e15, 2.0**40, 2.0**53,
-        # Padding zeros at exponents 9-15.
-        75007999100.0, 1.2e9, 1.23456789e10, 9.87654321e14, 1.00000001e15,
-    ]
-    values = np.array(values)
-    _assert_json_kernel_exact(np.concatenate([[0.0], _neighbours(values[values > 0], 3)]))
-    spelled = ioformat._json_block(values, ",").split(",")
-    assert spelled[:3] == ["1000000000.0", "0.0001", "1e-05"]
-    assert spelled[17:21] == ["0.0", "1.0", "3.0", "10.0"]
-    assert spelled[-5:] == [
-        "75007999100.0", "1200000000.0", "12345678900.0", "987654321000000.0", "1000000010000000.0",
-    ]
-    for edge in (1e-5, 1e-4, 1e15, 1e16):  # one exponent per chunk, alone and beside "d.ddde-XX"
-        alone = edge * np.linspace(1.0, 9.99, 50)
-        _assert_json_kernel_exact(alone)
-        _assert_json_kernel_exact(np.concatenate([alone, [1e-30, 1e30]]))
-    rng = np.random.default_rng(20272)
-    rounded = np.round(10.0 ** rng.uniform(0, 16, 50_000))
-    integral = np.concatenate([np.arange(0.0, 5000.0), rounded])
-    digits = rng.integers(10**8, 10**9, 20_000).tolist()
-    padded = [float(f"{d}e{e - 8}") for d, e in zip(digits, (np.arange(20_000) % 7 + 9).tolist())]
-    _assert_json_kernel_exact(np.concatenate([integral, padded]))
+    assert_same_text(_written(write_json, payload), _json_reference(payload))
 
 
 def test_json_chunks_mix_kernel_and_exact_path(monkeypatch):
@@ -463,7 +391,7 @@ def test_json_chunks_mix_kernel_and_exact_path(monkeypatch):
     st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
 )
 def test_json_array_across_chunks_matches_json_dumps(fixed, finite):
-    """Lists longer than a chunk of 7, in repr's fixed notation and anywhere."""
+    """Lists longer than a chunk of 7, of kernel-class values and of any finite ones."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ioformat, "CHUNK", 7)
         _assert_json_array_exact(fixed + finite)

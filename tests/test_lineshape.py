@@ -45,6 +45,8 @@ def test_profiles_nonnegative_and_even():
     values = lorentzian(grid, 1.1)
     assert np.all(values >= 0.0)
     assert np.allclose(values, values[::-1], rtol=1e-12)
+    # Far enough out, d^2 overflows and the density is 0, without a warning.
+    assert np.array_equal(lorentzian(np.array([1e200, -1e200]), 1.1), [0.0, 0.0])
 
 
 def test_width_validation():
