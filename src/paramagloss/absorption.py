@@ -13,7 +13,7 @@ import numpy as np
 
 from . import lineshape as ls
 from .constants import A0, ALPHA, C
-from .errors import require
+from .errors import broadcast_shape, require
 
 # sigma_MD = n_r * MD_PREFACTOR * coupling_sq * omega * L(omega - omega_if)
 MD_PREFACTOR = np.pi**2 * ALPHA**3 * A0**2
@@ -26,21 +26,26 @@ def sigma_md(omega, omega_if, coupling_sq, shape: ls.LineshapeSpec,
     coupling_sq is the squared dimensionless matrix element (polarization
     resolved, or the unpolarized average).  The Lorentzian of `shape` is
     evaluated at omega - omega_if.  If temp_k is given, the thermal
-    occupation factor multiplies the result.
+    occupation factor multiplies the result.  A cross section past the
+    float range raises InvalidInputs.
     """
     require("omega", omega, strict=True)
     require("omega_if", omega_if, strict=True)
     require("n_r", n_r, 1.0)
     require("coupling_sq", coupling_sq)
+    broadcast_shape(
+        omega=omega, omega_if=omega_if, coupling_sq=coupling_sq, n_r=n_r, temp_k=temp_k
+    )
     density = ls.lorentzian(omega - omega_if, shape.gamma)
-    value = n_r * MD_PREFACTOR * coupling_sq * omega * density
-    if temp_k is not None:
-        value = value * ls.temperature_factor(omega_if, temp_k)
-    return value
+    factor = 1.0 if temp_k is None else ls.temperature_factor(omega_if, temp_k)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails the check
+        value = n_r * MD_PREFACTOR * coupling_sq * omega * density * factor
+    return require("cross section", value)
 
 
 def absorption_coefficient(n_def, sigma):
     """Attenuation coefficient a = N_def * sigma [1/m]."""
+    broadcast_shape(n_def=n_def, sigma=sigma)
     with np.errstate(over="ignore"):  # an overflowing product fails the check
         return require("absorption coefficient", require("n_def", n_def) * require("sigma", sigma))
 
@@ -49,5 +54,6 @@ def loss_tangent(a, omega, n_r: float = 1.0):
     """Loss tangent tan(delta) = c a(omega) / (n_r omega)."""
     require("omega", omega, strict=True)
     require("n_r", n_r, 1.0)
+    broadcast_shape(a=a, omega=omega, n_r=n_r)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails the check
         return require("loss tangent", (C / (n_r * omega)) * require("a", a))

@@ -13,8 +13,10 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import A0, ALPHA, C, TWO_PI
-from .errors import DatabaseError, InvalidInputs, require
+from .errors import DatabaseError, InvalidInputs, broadcast_shape, require, require_number
 from .ioformat import NAME_RULE, number_field, plain_name, read_json_array
 
 # Rate prefactor: multiply by n_r^3, omega_if^3, and the squared moment.
@@ -25,7 +27,8 @@ EXTRACTION_COLUMNS = ("label", "lambda_nm", "freq_thz", "a_md_hz", "m_sq", "m_ab
 
 def wavelength_to_angular(lambda_vac: float) -> float:
     """Angular frequency [rad/s] of a vacuum wavelength [m]."""
-    omega = TWO_PI * C / require("lambda_vac", lambda_vac, strict=True)
+    with np.errstate(over="ignore"):  # an overflowing frequency fails the check
+        omega = TWO_PI * C / require("lambda_vac", lambda_vac, strict=True)
     return require(f"angular frequency of lambda_vac={lambda_vac!r}", omega)
 
 
@@ -33,9 +36,11 @@ def photon_dos(omega: float, n_r: float = 1.0) -> float:
     """Photon density of states [s/(rad m^3)] in a medium of index n_r."""
     require("omega", omega)
     require("n_r", n_r, 1.0)
+    broadcast_shape(omega=omega, n_r=n_r)
     try:
-        dos = n_r**3 * omega**2 / (C**3 * math.pi**2)
-    except OverflowError:  # a power past the float range
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's overflow gives inf, or nan
+            dos = n_r**3 * omega**2 / (C**3 * math.pi**2)
+    except OverflowError:  # a Python float power past the float range
         dos = math.inf
     return require(f"photon density of states at omega={omega!r}, n_r={n_r!r}", dos)
 
@@ -43,8 +48,9 @@ def photon_dos(omega: float, n_r: float = 1.0) -> float:
 def _rate_scale(omega_if: float, n_r: float = 1.0) -> float:
     """n_r^3 * EMISSION_PREFACTOR * omega_if^3, the rate per squared moment, or inf."""
     try:
-        return n_r**3 * EMISSION_PREFACTOR * omega_if**3
-    except OverflowError:  # a cube past the float range
+        with np.errstate(over="ignore"):  # numpy's overflow gives inf
+            return n_r**3 * EMISSION_PREFACTOR * omega_if**3
+    except OverflowError:  # a Python float cube past the float range
         return math.inf
 
 
@@ -53,7 +59,9 @@ def a_md(omega_if: float, m_sq: float, n_r: float = 1.0) -> float:
     require("omega_if", omega_if, strict=True)
     require("m_sq", m_sq)
     require("n_r", n_r, 1.0)
-    rate = _rate_scale(omega_if, n_r) * m_sq
+    broadcast_shape(omega_if=omega_if, m_sq=m_sq, n_r=n_r)
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, which fails the check
+        rate = _rate_scale(omega_if, n_r) * m_sq
     return require(f"emission rate at omega_if={omega_if!r}, m_sq={m_sq!r}, n_r={n_r!r}", rate)
 
 
@@ -65,8 +73,12 @@ def _moment(a: float, lambda_vac: float, n_r: float, names, wavelength):
     must keep n_r^3 times it finite, and the squared moment a / (n_r^3 *
     scale) must be finite and >= 0.  A failed check raises InvalidInputs
     naming the input as names spells (wavelength, n_r, rate), with its
-    value; the wavelength's value shown is `wavelength`.
+    value; the wavelength's value shown is `wavelength`.  Each input must
+    be a single finite real first.
     """
+    lambda_vac, n_r, a = (
+        require_number(name, value, -math.inf) for name, value in zip(names, (lambda_vac, n_r, a))
+    )
     # Not wavelength_to_angular, whose errors would not name the input as names does.
     omega_if = TWO_PI * C / lambda_vac if lambda_vac > 0.0 else math.inf
     if not sys.float_info.min <= _rate_scale(omega_if) < math.inf:
@@ -104,6 +116,8 @@ class EmissionLine:
     m_sq: float
 
     def __post_init__(self) -> None:
+        require(f"line {self.label!r}: lambda_vac", self.lambda_vac, strict=True)
+        require(f"line {self.label!r}: omega_if", self.omega_if, strict=True)
         require(f"line {self.label!r}: a_md", self.a_md)
         require(f"line {self.label!r}: m_sq", self.m_sq)
 

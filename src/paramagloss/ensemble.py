@@ -21,10 +21,10 @@ import numpy as np
 from . import _kernels
 from .absorption import MD_PREFACTOR
 from .constants import TWO_PI, C, ghz_to_angular
-from .errors import DatabaseError, InvalidInputs, require
+from .errors import DatabaseError, InvalidInputs, broadcast_shape, is_real, require_number
 from .ioformat import NAME_RULE, finite_float, number_field, plain_name, read_json_array
 from .lineshape import power_broadened_gamma, temperature_factor
-from .spin import ladder_m, line_coupling_sq
+from .spin import MAX_TWO_S, ladder_m, line_coupling_sq
 
 # Angular FWHM [rad/s] per unit of the database linewidth_mhz field, by
 # linewidth_convention: a cyclic frequency in MHz times 2*pi, or an angular
@@ -37,8 +37,8 @@ WEIGHT_SUM_TOL = 1e-9
 # a finite float, so no Lorentzian denominator overflows to a silent 0.
 MAX_RATE = math.sqrt(sys.float_info.max / 2.0)
 
-# Largest database 2S, far above the 2S <= 8 of real paramagnetic ions.
-MAX_TWO_S = 255
+# Most points of a sweep grid: each float64 column of it is at most 80 MB.
+MAX_POINTS = 10**7
 
 # Species names that would collide with the output: the fixed keys of
 # point's key,value CSV and of sweep's header, and any name with the '.' of
@@ -65,7 +65,10 @@ class SpeciesLines:
     def __post_init__(self) -> None:
         shapes = []
         for name in ("centers", "g", "weights"):
-            col = np.array(getattr(self, name), dtype=np.float64)
+            col = np.array(getattr(self, name))
+            if not is_real(col):
+                raise InvalidInputs(f"{name} must hold real numbers, got {getattr(self, name)!r}")
+            col = col.astype(np.float64, copy=False)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
             shapes.append(col.shape)
@@ -116,6 +119,10 @@ class DefectSpecies:
             where = f"species {ascii(self.name)}" + ("" if li is None else f": line {li}")
             raise InvalidInputs(f"{where}: {problem}")
 
+        for key in ("n_def", "gamma"):
+            value = getattr(self, key)
+            if not (np.ndim(value) == 0 and is_real(value)):
+                fail(f"{key} must be a real number, got {value!r}")
         if plain_name(self.name) is None:
             fail(f"field 'name' {NAME_RULE}")
         if self.name in OUTPUT_KEYS or "." in self.name:
@@ -198,6 +205,8 @@ def species_loss(
     grid point sums the lines in listed order, so a point equals the same
     point of a sweep bit for bit.
     """
+    if not is_real(omega):
+        raise InvalidInputs(f"angular probe frequency must be a real number, got {omega!r}")
     omega = np.asarray(omega, dtype=np.float64)
     if omega.size == 0 or np.size(power) == 0:
         raise InvalidInputs("omega and power must not be empty arrays")
@@ -209,12 +218,16 @@ def species_loss(
         )
     centers, amps = sp.lines.centers, sp.amps
     if temp_k is not None:
-        amps = amps * temperature_factor(centers, temp_k)
-    with np.errstate(over="ignore"):  # an overflowing width is rejected just below
-        gamma = sp.gamma if power is None else power_broadened_gamma(sp.gamma, power)
+        amps = amps * temperature_factor(centers, require_number("temp_k", temp_k))
+    gamma = sp.gamma
+    if power is not None:
+        try:
+            gamma = power_broadened_gamma(gamma, power)
+        except InvalidInputs as exc:
+            raise InvalidInputs(f"species {sp.name!r}: {exc}") from None
     if not 0.5 * np.max(gamma) <= MAX_RATE:
         raise InvalidInputs(f"species {sp.name!r}: power-broadened linewidth overflows")
-    out = np.zeros(np.broadcast_shapes(omega.shape, np.shape(gamma)))
+    out = np.zeros(broadcast_shape(omega=omega, power=gamma))
     _kernels.lorentzian_mix(np.broadcast_to(omega, out.shape), centers, gamma, amps, out)
     return float(out) if out.ndim == 0 else out
 
@@ -233,7 +246,7 @@ def database_loss(db, omega, temp_k=None, power=None):
         names = ", ".join(repr(sp.name) for sp in db)
         raise InvalidInputs(f"species {names}: peak losses sum to an infinite total loss")
     per_species = {}
-    total = np.zeros(np.shape(omega))
+    total = np.zeros(broadcast_shape(omega=omega, power=power))
     for sp in db:
         per_species[sp.name] = species_loss(sp, omega, temp_k, power)
         total += per_species[sp.name]
@@ -253,14 +266,19 @@ def sweep(
     The losses and their total come from database_loss over the grid, so
     a sweep point equals the same point evaluated alone bit for bit.
     """
-    require("fmin", fmin_ghz, strict=True)
-    if not fmin_ghz < fmax_ghz:
+    fmin = require_number("fmin", fmin_ghz, strict=True)
+    fmax = require_number("fmax", fmax_ghz, -math.inf)
+    if not fmin < fmax:
         raise InvalidInputs(f"need fmin < fmax, got [{fmin_ghz}, {fmax_ghz}]")
-    if isinstance(points, bool) or not (isinstance(points, (int, np.integer)) and points >= 2):
-        raise InvalidInputs(f"points must be an integer >= 2, got {points!r}")
-    if not ghz_to_angular(float(fmax_ghz)) <= MAX_RATE:
+    if isinstance(points, bool) or not (
+        isinstance(points, (int, np.integer)) and 2 <= points <= MAX_POINTS
+    ):
+        raise InvalidInputs(
+            f"points must be an integer >= 2 and at most {MAX_POINTS}, got {points!r}"
+        )
+    if not ghz_to_angular(fmax) <= MAX_RATE:
         raise InvalidInputs(f"angular frequency of fmax {fmax_ghz} GHz overflows")
-    freqs = np.linspace(fmin_ghz, fmax_ghz, points)
+    freqs = np.linspace(fmin, fmax, points)
     per_species, total = database_loss(db, ghz_to_angular(freqs), temp_k, power)
     for arr in (freqs, total, *per_species.values()):
         arr.setflags(write=False)

@@ -21,6 +21,26 @@ class DatabaseError(ParamagLossError):
     """A species database or emission-line file is malformed."""
 
 
+def is_real(value) -> bool:
+    """Whether value is an int or a float, or an array of them, NaN and +-inf included.
+
+    Booleans, complex numbers, strings, None and ints past int64 are not.
+    """
+    return np.asarray(value).dtype.kind in "iuf"
+
+
+def complex_array(what: str, value) -> np.ndarray:
+    """value as a complex128 array, if every entry is an int, float or complex number.
+
+    Otherwise raises InvalidInputs naming `what`; entries are not checked
+    to be finite.
+    """
+    arr = np.asarray(value)
+    if not (is_real(arr) or arr.dtype.kind == "c"):
+        raise InvalidInputs(f"{what} must hold numbers, got {value!r}")
+    return arr.astype(np.complex128)
+
+
 def require(what: str, value, low: float = 0.0, strict: bool = False):
     """value, if it (or every entry of an array) is a finite real >= low, or > low if strict.
 
@@ -30,10 +50,29 @@ def require(what: str, value, low: float = 0.0, strict: bool = False):
     """
     arr = np.asarray(value)
     bad = value
-    if arr.dtype.kind in "iuf":
+    if is_real(arr):
         ok = np.isfinite(arr) & (arr > low if strict else arr >= low)
         if ok.all():
             return value
         bad = arr[~ok][0].item()
     rule = f" and {'>' if strict else '>='} {low:g}" if low > -np.inf else ""
     raise InvalidInputs(f"{what} must be finite{rule}, got {bad!r}")
+
+
+def require_number(what: str, value, low: float = 0.0, strict: bool = False) -> float:
+    """require() for a single number, returned as a float; an array fails too."""
+    if np.ndim(value) != 0:
+        raise InvalidInputs(
+            f"{what} must be a single number, got an array of shape {np.shape(value)}"
+        )
+    return float(require(what, value, low, strict))
+
+
+def broadcast_shape(**values) -> tuple:
+    """The shape that the named values broadcast to; InvalidInputs naming their shapes if none."""
+    shapes = {name: np.shape(value) for name, value in values.items()}
+    try:
+        return np.broadcast_shapes(*shapes.values())
+    except ValueError:
+        spelled = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        raise InvalidInputs(f"shapes do not broadcast together: {spelled}") from None

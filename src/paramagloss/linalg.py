@@ -5,11 +5,12 @@ ascending eigenvalues with read-only arrays.  Repeated calls on the same
 input return identical results.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputs
+from .errors import InvalidInputs, complex_array
 
 MAX_DIM = 32
 HERMITIAN_RTOL = 1e-12
@@ -31,12 +32,19 @@ class EigenDecomposition:
 def require_hermitian(h, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     """Return h as a complex array, raising InvalidInputs if it is not
     square, finite and Hermitian within rtol (relative to the largest entry)."""
-    h = np.asarray(h, dtype=np.complex128)
+    h = complex_array("matrix", h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
         raise InvalidInputs(f"expected a square matrix of dim >= 1, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise InvalidInputs("matrix has a non-finite entry")
-    scale = float(np.abs(h).max())
+    with np.errstate(over="ignore"):  # a modulus past the float range fails the bound
+        scale = float(np.abs(h).max())
+    # Every entry of H -+ H^dag is at most 2 * scale and every eigenvalue dim * scale.
+    limit = sys.float_info.max / (2 * h.shape[0])
+    if not scale <= limit:
+        raise InvalidInputs(
+            f"matrix entries must be at most {limit:.3g} in modulus, got {scale:.3g}"
+        )
     deviation = float(np.abs(h - h.conj().T).max())
     if deviation > rtol * scale:
         raise InvalidInputs(

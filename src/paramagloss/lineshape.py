@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, KB
-from .errors import InvalidInputs, require
+from .errors import InvalidInputs, broadcast_shape, is_real, require, require_number
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,9 @@ def lorentzian(detuning, gamma):
     # A numpy half makes a zero denominator give inf, not ZeroDivisionError.
     half = np.multiply(0.5, require("gamma", gamma, strict=True))
     require("detuning", detuning, -np.inf)
-    with np.errstate(over="ignore", divide="ignore"):  # the density check rejects an inf
+    broadcast_shape(detuning=detuning, gamma=gamma)
+    # The density check rejects an inf, and the nan of 0 / 0 where gamma / 2 underflows to 0.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         density = (half / np.pi) / (detuning * detuning + half * half)
     return require("Lorentzian density", density)
 
@@ -51,15 +53,16 @@ def _thermal_ratio(omega_if, temp, kt_scale):
     takes its T -> 0 limit +inf.  That covers T = 0 and a T so small that
     kB T underflows to 0, and no division overflows.
     """
-    temp = np.asarray(temp, dtype=np.float64)
-    if not np.all(temp >= 0.0):
-        raise InvalidInputs(f"temperature must be >= 0 K, got {np.min(temp)}")
+    temp = np.asarray(require("temperature", temp), dtype=np.float64)
+    # omega_if = +inf is allowed, and gives the ratio +inf as T = 0 does.
+    if not is_real(omega_if):
+        raise InvalidInputs(f"omega_if must be positive, got {omega_if!r}")
     omega_if = np.asarray(omega_if, dtype=np.float64)
     if not np.all(omega_if > 0.0):
         raise InvalidInputs(f"omega_if must be positive, got {np.min(omega_if)}")
     energy = HBAR * omega_if
     kt = kt_scale * KB * temp
-    out = np.full(np.broadcast_shapes(energy.shape, kt.shape), np.inf)
+    out = np.full(broadcast_shape(omega_if=omega_if, temperature=temp), np.inf)
     return np.divide(energy, kt, out=out, where=energy < 1e3 * kt)
 
 
@@ -90,9 +93,13 @@ def power_broadened_gamma(gamma0: float, power):
     """Power-broadened FWHM gamma0 * sqrt(1 + P/P_c).
 
     `power` is the ratio P/P_c of drive to critical power, or an array of
-    ratios (a power grid), which gives an array of widths.
+    ratios (a power grid), which gives an array of widths.  A width past
+    the float range raises InvalidInputs.
     """
-    require("gamma0", gamma0, strict=True)
+    gamma0 = require_number("gamma0", gamma0, strict=True)
     ratio = np.asarray(require("p_over_pc", power), dtype=np.float64)
-    width = gamma0 * np.sqrt(1.0 + ratio)
+    with np.errstate(over="ignore"):  # an overflowing width fails the check
+        width = gamma0 * np.sqrt(1.0 + ratio)
+    if not np.isfinite(width).all():
+        raise InvalidInputs("power-broadened linewidth overflows")
     return float(width) if np.ndim(width) == 0 else width

@@ -16,7 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, MUB
-from .errors import InvalidInputs, require
+from .errors import InvalidInputs, complex_array, is_real, require, require_number
+
+# Largest 2S, far above the 2S <= 8 of real paramagnetic ions; its spin
+# matrices hold 256^2 entries.
+MAX_TWO_S = 255
 
 
 def m_values(two_s: int) -> np.ndarray:
@@ -25,8 +29,11 @@ def m_values(two_s: int) -> np.ndarray:
 
 
 def _check_two_s(two_s):
-    if not (1 <= two_s < math.inf and int(two_s) == two_s):
-        raise InvalidInputs(f"two_s must be a positive integer (2S), got {two_s!r}")
+    if not (np.ndim(two_s) == 0 and is_real(two_s) and 1 <= two_s <= MAX_TWO_S
+            and int(two_s) == two_s):
+        raise InvalidInputs(
+            f"two_s must be a positive integer (2S) of at most {MAX_TWO_S}, got {two_s!r}"
+        )
     return int(two_s)
 
 
@@ -78,7 +85,7 @@ def sublevel_index(two_s: int, m) -> int:
     """Position of |S, m> in the m-descending basis, 0 for m = S; InvalidInputs
     unless m is a finite half-integer (to 1e-9) on the ladder of S = two_s / 2."""
     two_s = _check_two_s(two_s)
-    twice = 2.0 * m
+    twice = 2.0 * m if np.ndim(m) == 0 and is_real(m) else math.nan
     if not (math.isfinite(twice) and abs(twice - round(twice)) <= 1e-9):
         raise InvalidInputs(f"m = {m} is not a half-integer")
     two_m = round(twice)
@@ -90,7 +97,10 @@ def sublevel_index(two_s: int, m) -> int:
 def ladder_m(two_s: int, transition: tuple[float, float]) -> float:
     """Lower m of a transition (m_i, m_f) between sublevels that changes m by
     exactly 1; InvalidInputs naming the pair otherwise."""
-    m_i, m_f = transition
+    try:
+        m_i, m_f = transition
+    except (TypeError, ValueError):
+        raise InvalidInputs(f"transition must be a pair (m_i, m_f), got {transition!r}") from None
     try:
         k_i, k_f = sublevel_index(two_s, m_i), sublevel_index(two_s, m_f)
     except InvalidInputs as exc:
@@ -123,12 +133,11 @@ class SpinHamiltonianParams:
     b_field: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        b = np.asarray(self.b_field, dtype=float)
+        b = np.asarray(require("b_field", self.b_field, -np.inf), dtype=float)
         if b.shape != (3,):
             raise InvalidInputs(f"b_field must be a 3-vector, got shape {b.shape}")
-        for name, value in (("d", self.d), ("e", self.e), ("g_e", self.g_e), ("b_field", b)):
-            if not np.isfinite(value).all():
-                raise InvalidInputs(f"{name} must be finite, got {value}")
+        for name in ("d", "e", "g_e"):
+            require_number(name, getattr(self, name), -np.inf)
         if not self.g_e > 0.0:
             raise InvalidInputs(f"g_e must be positive, got {self.g_e}")
         if abs(self.e) > abs(self.d) / 3.0:
@@ -169,30 +178,37 @@ def transition_moment(psi_i, psi_f, ops: SpinOperators, g_e: float,
     transition with a quenched orbital moment); the spin part is
     g_e <psi_f| S_alpha |psi_i>.
     """
-    psi_i = np.asarray(psi_i, dtype=np.complex128).reshape(-1)
-    psi_f = np.asarray(psi_f, dtype=np.complex128).reshape(-1)
+    psi_i = complex_array("psi_i", psi_i).reshape(-1)
+    psi_f = complex_array("psi_f", psi_f).reshape(-1)
     if psi_i.shape[0] != ops.dim or psi_f.shape[0] != ops.dim:
         raise InvalidInputs(
             f"state dims {psi_i.shape[0]}, {psi_f.shape[0]} do not match operator dim {ops.dim}"
         )
-    orb = np.asarray(orbital_moment, dtype=np.complex128)
+    orb = complex_array("orbital_moment", orbital_moment)
     if orb.shape != (3,):
         raise InvalidInputs(f"orbital_moment must have three components, got {orb.shape}")
+    g_e = require_number("g_e", g_e, -np.inf)
     bra = psi_f.conj()
-    m_vec = np.array(
-        [
-            orb[0] + g_e * (bra @ (ops.sx @ psi_i)),
-            orb[1] + g_e * (bra @ (ops.sy @ psi_i)),
-            orb[2] + g_e * (bra @ (ops.sz @ psi_i)),
-        ]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment fails the check
+        m_vec = np.array(
+            [
+                orb[0] + g_e * (bra @ (ops.sx @ psi_i)),
+                orb[1] + g_e * (bra @ (ops.sy @ psi_i)),
+                orb[2] + g_e * (bra @ (ops.sz @ psi_i)),
+            ]
+        )
+    if not np.isfinite(m_vec).all():
+        raise InvalidInputs(f"transition moment must be finite, got {m_vec.tolist()}")
     m_vec.setflags(write=False)
     return m_vec
 
 
 def unpolarized_coupling(m_vec) -> float:
     """Orientation-averaged squared coupling (1/3) sum_alpha |M_alpha|^2 of a 3-vector."""
-    return float(np.sum(np.abs(np.asarray(m_vec)) ** 2) / 3.0)
+    m_vec = complex_array("m_vec", m_vec)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coupling fails the check
+        coupling = float(np.sum(np.abs(m_vec) ** 2) / 3.0)
+    return require("unpolarized coupling", coupling)
 
 
 def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e):

@@ -1,18 +1,24 @@
 """End-to-end CLI behavior: formats, determinism, and exit codes."""
 
+import gc
 import importlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import perfbench_module, run_cli
 from paramagloss import cli, ensemble
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 CR_45 = 8.97232140725922e-09
 FE_45 = 2.1128703931021166e-08
@@ -614,3 +620,76 @@ def test_traced_entry_points_resolve():
     for layer, module_name, attr, _ in perfbench_module("spans").ENTRY_POINTS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (layer, module_name, attr)
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("point_4p5.csv", ["point", "--freq-ghz", "4.5"]),
+        ("sweep_101.json", ["sweep", "--points", "101", "--format", "json"]),
+    ],
+)
+def test_module_run_writes_golden_bytes(golden, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "paramagloss.cli", *argv],
+        capture_output=True,
+        env=_clean_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / golden).read_bytes()
+
+
+# The console script that pip writes for pyproject's [project.scripts] entry.
+CONSOLE_SCRIPT = "import sys\nfrom paramagloss.cli import run\nsys.exit(run())\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["point", "--freq-ghz", "4.5"], 0),
+        (["point", "--freq-ghz", "nan"], 2),
+        (["sweep", "--fmin-ghz", "5", "--fmax-ghz", "3"], 2),
+        (["sweep", "--output", "/nonexistent-dir/x.csv"], 3),
+    ],
+)
+def test_console_script_exit_codes(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-c", CONSOLE_SCRIPT, *argv],
+        capture_output=True,
+        text=True,
+        env=_clean_env(),
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_module_run_freezes_the_import_heap():
+    # The atexit hook runs after run() has exited, as the interpreter shuts down.
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "sys.argv = ['paramag-loss', 'point', '--freq-ghz', '4.5']\n"
+        "runpy.run_module('paramagloss.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=_clean_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b"True\n"
+    assert proc.stdout == (GOLDEN_DIR / "point_4p5.csv").read_bytes()
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path):
+    before = gc.get_freeze_count()
+    assert cli.main(["point", "--freq-ghz", "4.5", "--output", str(tmp_path / "p.csv")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_pyproject_script_is_run():
+    # A plain read of the [project.scripts] table; tomllib is not in Python 3.10.
+    text = PYPROJECT.read_text(encoding="utf-8")
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S).group(1)
+    scripts = re.findall(r"^(\S+) = \"(.+)\"$", table, re.M)
+    assert scripts == [("paramag-loss", "paramagloss.cli:run")]

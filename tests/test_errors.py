@@ -1,10 +1,16 @@
 """The one range rule of the library's numbers, and the arguments it guards."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import paramagloss
 from paramagloss.absorption import absorption_coefficient, loss_tangent, sigma_md
 from paramagloss.emission import (
     EmissionLine,
@@ -13,10 +19,25 @@ from paramagloss.emission import (
     photon_dos,
     wavelength_to_angular,
 )
-from paramagloss.ensemble import DefectSpecies, SpeciesLines, sweep
+from paramagloss.ensemble import DefectSpecies, SpeciesLines, species_loss, sweep
 from paramagloss.errors import InvalidInputs, ParamagLossError, require
-from paramagloss.lineshape import LineshapeSpec, lorentzian, power_broadened_gamma
-from paramagloss.spin import line_coupling_sq
+from paramagloss.linalg import diagonalize
+from paramagloss.lineshape import (
+    LineshapeSpec,
+    lorentzian,
+    power_broadened_gamma,
+    tanh_factor,
+    temperature_factor,
+)
+from paramagloss.spin import (
+    SpinHamiltonianParams,
+    basis_state,
+    build_hamiltonian,
+    line_coupling_sq,
+    spin_operators,
+    transition_moment,
+    unpolarized_coupling,
+)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -119,9 +140,131 @@ def test_non_finite_argument_raises_naming_it(call, kwargs, arg, bad):
         (loss_tangent, (0.0, 1e-320), "loss tangent must be finite and >= 0, got nan"),
         (absorption_coefficient, (1e308, 1e308),
          "absorption coefficient must be finite and >= 0, got inf"),
+        (sigma_md, (1e150, 1e150, 1e300, LineshapeSpec("lorentzian", 1.0)),
+         "cross section must be finite and >= 0, got inf"),
+        (power_broadened_gamma, (1e308, 1e308), "power-broadened linewidth overflows"),
+        (species_loss, (SPECIES, OMEGA, None, 1e308),
+         "species 'Cr': power-broadened linewidth overflows"),
     ],
 )
 def test_results_outside_float_range_raise(call, args, message):
     with pytest.raises(InvalidInputs) as exc:
         call(*args)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (temperature_factor, (1.0, "x"), "temperature must be finite and >= 0, got 'x'"),
+        (species_loss, (SPECIES, 1e10, "x"), "temp_k must be finite and >= 0, got 'x'"),
+        (line_coupling_sq, (3, (None, 0.5), 2.0), "(None, 0.5): m = None is not a half-integer"),
+        (extract_moment, (1.0, None), "lambda_vac must be finite, got None"),
+        (sweep, ([SPECIES], 1.0, None, 5), "fmax must be finite, got None"),
+    ],
+)
+def test_non_numbers_raise_naming_the_argument(call, args, message):
+    with pytest.raises(InvalidInputs) as exc:
+        call(*args)
+    assert str(exc.value) == message
+
+
+OPS = spin_operators(3)
+# Every function and record of paramagloss.__all__ that takes numbers: a valid
+# call, and the arguments a property below replaces with arbitrary values.
+NUMERIC = [
+    (sigma_md, dict(omega=OMEGA, omega_if=OMEGA, coupling_sq=1.0,
+                    shape=LineshapeSpec("lorentzian", 1e6), n_r=1.0, temp_k=0.1),
+     ("omega", "omega_if", "coupling_sq", "n_r", "temp_k")),
+    (absorption_coefficient, dict(n_def=1e23, sigma=1e-30), ("n_def", "sigma")),
+    (loss_tangent, dict(a=1.0, omega=OMEGA, n_r=1.0), ("a", "omega", "n_r")),
+    (LineshapeSpec, dict(kind="lorentzian", gamma=1.0), ("gamma",)),
+    (lorentzian, dict(detuning=0.0, gamma=1.0), ("detuning", "gamma")),
+    (power_broadened_gamma, dict(gamma0=1.0, power=1.0), ("gamma0", "power")),
+    (temperature_factor, dict(omega_if=OMEGA, temp=0.1), ("omega_if", "temp")),
+    (tanh_factor, dict(omega_if=OMEGA, temp=0.1), ("omega_if", "temp")),
+    (wavelength_to_angular, dict(lambda_vac=1e-6), ("lambda_vac",)),
+    (photon_dos, dict(omega=OMEGA, n_r=1.0), ("omega", "n_r")),
+    (a_md, dict(omega_if=OMEGA, m_sq=1.0, n_r=1.0), ("omega_if", "m_sq", "n_r")),
+    (extract_moment, dict(a=12.21, lambda_vac=1276e-9, n_r=1.0), ("a", "lambda_vac", "n_r")),
+    (EmissionLine, dict(label="x", lambda_vac=1e-6, omega_if=OMEGA, a_md=1.0, m_sq=1.0),
+     ("lambda_vac", "omega_if", "a_md", "m_sq")),
+    (line_coupling_sq, dict(two_s=3, transition=(1.5, 0.5), g_e=2.0),
+     ("two_s", "transition", "g_e")),
+    (species_loss, dict(sp=SPECIES, omega=OMEGA, temp_k=0.1, power=1.0),
+     ("omega", "temp_k", "power")),
+    (sweep, dict(db=[SPECIES], fmin_ghz=1.0, fmax_ghz=15.0, points=3, temp_k=0.1, power=1.0),
+     ("fmin_ghz", "fmax_ghz", "points", "temp_k", "power")),
+    (DefectSpecies, dict(name="Cr", two_s=3, n_def=1e23, gamma=1e8, transition=(1.5, 0.5),
+                         lines=SPECIES.lines), ("two_s", "n_def", "gamma", "transition")),
+    (SpeciesLines, dict(centers=[OMEGA], g=[1.984], weights=[1.0]), ("centers", "g", "weights")),
+    (basis_state, dict(two_s=3, m=0.5), ("two_s", "m")),
+    (spin_operators, dict(two_s=3), ("two_s",)),
+    (build_hamiltonian, dict(two_s=3, params=SpinHamiltonianParams(d=1e10, g_e=2.0)),
+     ("two_s",)),
+    (SpinHamiltonianParams, dict(d=1e10, g_e=2.0, e=1e9, b_field=(0.0, 0.0, 0.1)),
+     ("d", "g_e", "e", "b_field")),
+    (transition_moment, dict(psi_i=basis_state(3, 1.5), psi_f=basis_state(3, 0.5), ops=OPS,
+                             g_e=2.0, orbital_moment=(0.0, 0.0, 0.0)),
+     ("psi_i", "psi_f", "g_e", "orbital_moment")),
+    (unpolarized_coupling, dict(m_vec=(1.0, 1.0j, 0.0)), ("m_vec",)),
+    (diagonalize, dict(h=np.eye(2)), ("h",)),
+]
+# The rest of __all__: ghz_to_angular is plain arithmetic on a grid, whose
+# callers bound its result; the files of the two readers are fuzzed in
+# test_cli_properties; the remaining names take no numbers or only hold results.
+NOT_NUMERIC = {
+    "ghz_to_angular", "load_species_db", "read_emission_table", "default_db_path",
+    "default_emission_path", "ParamagLossError", "Spectrum", "SpinOperators",
+    "EigenDecomposition",
+}
+
+WILD = st.one_of(
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 5e-324, 2.2e-308, 1e154, 1e-154]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.complex_numbers(),
+    st.just(np.empty(0)),
+    hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=3), elements=st.floats()
+    ),
+)
+
+
+def assert_finite(result):
+    """Every number in result, through records, dicts and sequences, is finite."""
+    if dataclasses.is_dataclass(result):
+        for f in dataclasses.fields(result):
+            assert_finite(getattr(result, f.name))
+    elif isinstance(result, dict):
+        for value in result.values():
+            assert_finite(value)
+    elif not isinstance(result, str):
+        arr = np.asarray(result)
+        assert arr.dtype.kind in "biufc" and np.isfinite(arr).all(), result
+
+
+def test_numeric_table_covers_all():
+    assert {call.__name__ for call, _, _ in NUMERIC} | NOT_NUMERIC == set(paramagloss.__all__)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "call, kwargs, args", [pytest.param(*row, id=row[0].__name__) for row in NUMERIC]
+)
+def test_any_argument_gives_finite_values_or_a_library_error(call, kwargs, args, data):
+    kwargs = dict(kwargs)
+    for arg in args:
+        wild = st.tuples(WILD, WILD) if arg == "transition" else WILD
+        kwargs[arg] = data.draw(st.one_of(st.just(kwargs[arg]), wild), label=arg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call(**kwargs)
+        except ParamagLossError:
+            return
+    assert_finite(result)
