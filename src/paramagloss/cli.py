@@ -15,6 +15,14 @@ are spelled only by the ioformat writers, so identical invocations are
 byte-identical.
 Exit codes: 0 success, 2 bad usage or malformed input, 3 unwritable
 output.
+
+Start-up is most of a short run, so a run imports only its command's chain:
+this module needs the standard library and constants to parse the flags,
+and main then looks up the names of the parsed command's _CHAINS entry,
+which __getattr__ imports and binds.  tempcurve loads no spin algebra or
+database code, and emission no ensemble.  run, the program's entry, keeps
+the garbage collector off over those imports and freezes the heap on the
+way out.
 """
 
 from __future__ import annotations
@@ -22,31 +30,45 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import importlib
 import math
 import os
 import sys
 
-import numpy as np
+from .constants import MAX_POINTS, MAX_RATE, angular_to_ghz, ghz_to_angular
 
-from .constants import angular_to_ghz, ghz_to_angular
-from .ensemble import (
-    MAX_POINTS,
-    MAX_RATE,
-    database_loss,
-    default_db_path,
-    default_emission_path,
-    load_species_db,
-    species_loss,
-    sweep,
+# The names each command looks up in this module, by the module that defines
+# them.  __getattr__ binds one on its first lookup on this module, importing
+# its module, and main looks up those of the command it runs before running
+# it; a name already bound, such as a tracer's wrapper, is never looked up
+# through __getattr__ and so is kept.
+_SHARED = (
+    ("errors", ("InvalidInputs", "ParamagLossError")),
+    ("ioformat", ("default_db_path", "default_emission_path", "sci9", "write_csv", "write_json")),
 )
-from .emission import (
-    EXTRACTION_COLUMNS,
-    extraction_rows,
-    read_emission_table,
-)
-from .errors import InvalidInputs, ParamagLossError
-from .ioformat import sci9, write_csv, write_json
-from .lineshape import tanh_factor, temperature_factor
+_CHAINS = {
+    "sweep": (*_SHARED, ("ensemble", ("load_species_db", "sweep"))),
+    "point": (*_SHARED, ("ensemble", ("database_loss", "load_species_db"))),
+    "emission": (
+        *_SHARED,
+        ("emission", ("EXTRACTION_COLUMNS", "extraction_rows", "read_emission_table")),
+    ),
+    "tempcurve": (*_SHARED, ("lineshape", ("tanh_factor", "temperature_factor"))),
+    "powercurve": (*_SHARED, ("ensemble", ("load_species_db", "species_loss"))),
+}
+_MODULE_OF = {
+    name: module for chain in _CHAINS.values() for module, names in chain for name in names
+}
+
+
+def __getattr__(name):
+    """A chain's name not bound yet: import its module and bind it here."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 MOMENT_NOTE = (
     "m_sq is the squared dimensionless moment inferred from the rate; "
@@ -121,6 +143,8 @@ def _grid(start: float, stop: float, points: int) -> np.ndarray:
     before linspace overwrites that element with stop, so the grid is
     right and only the overflow warning is silenced.
     """
+    import numpy as np  # already loaded by the command's chain
+
     with np.errstate(over="ignore"):
         return np.linspace(start, stop, points)
 
@@ -317,6 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    this = sys.modules[__name__]
+    for _, names in _CHAINS[args.command]:
+        for name in names:
+            getattr(this, name)
     try:
         header, rows, payload = args.run(args)
     except ParamagLossError as exc:
@@ -330,14 +358,19 @@ def main(argv=None) -> int:
 def run() -> None:
     """Program entry, for `paramag-loss` and `python -m paramagloss.cli`: exit with main().
 
-    gc.freeze() first moves every object the imports left (numpy's and this
-    package's, ~21 000) into the collector's permanent generation, so neither
-    a full collection during the run nor those at interpreter shutdown walk
-    them again.  Output, flushes, atexit hooks and exit codes are unchanged;
-    main itself stays free of this, so callers in process keep their heap.
+    The collector is off from here on, so no collection walks the objects
+    that numpy's and the command's imports leave; gc.freeze() on the way
+    out, also after argparse's own exit, moves every object then alive
+    (~32 000 after point) into the permanent generation, which the
+    collections of interpreter shutdown skip.  Output, flushes, atexit
+    hooks and exit codes are unchanged; main itself stays free of this, so
+    callers in process keep their collector.
     """
-    gc.freeze()
-    sys.exit(main())
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""CODATA 2018 physical constants and frequency-unit helpers.
+"""CODATA 2018 physical constants, numeric limits and frequency-unit helpers.
 
 Every frequency inside the library is angular (rad/s).  User-facing
 interfaces quote cyclic frequencies in GHz (or linewidths in MHz) and
@@ -6,6 +6,7 @@ convert at the boundary with the helpers below.
 """
 
 import math
+import sys
 
 TWO_PI = 2.0 * math.pi
 
@@ -16,6 +17,13 @@ A0 = 5.29177210903e-11     # Bohr radius [m]
 HBAR = 1.054571817e-34     # reduced Planck constant [J s]
 KB = 1.380649e-23          # Boltzmann constant [J/K]
 MUB = 9.2740100783e-24     # Bohr magneton [J/T]
+
+# Largest angular frequency or half-width [rad/s] whose squares still sum to
+# a finite float, so no Lorentzian denominator overflows to a silent 0.
+MAX_RATE = math.sqrt(sys.float_info.max / 2.0)
+
+# Most points of a sweep grid: each float64 column of it is at most 80 MB.
+MAX_POINTS = 10**7
 
 
 def ghz_to_angular(freq_ghz):

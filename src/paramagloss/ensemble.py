@@ -14,15 +14,15 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
 from . import _kernels
 from .absorption import MD_PREFACTOR
-from .constants import TWO_PI, C, ghz_to_angular
+from .constants import MAX_POINTS, MAX_RATE, TWO_PI, C, ghz_to_angular
 from .errors import DatabaseError, InvalidInputs, broadcast_shape, is_real, require_number
 from .ioformat import NAME_RULE, finite_float, number_field, plain_name, read_json_array
+from .ioformat import default_db_path, default_emission_path  # noqa: F401  (re-exported)
 from .lineshape import power_broadened_gamma, temperature_factor
 from .spin import MAX_TWO_S, ladder_m, line_coupling_sq
 
@@ -33,20 +33,10 @@ LINEWIDTH_SCALES = {"cyclic_times_2pi": TWO_PI * 1.0e6, "angular_rate": 1.0e6}
 
 WEIGHT_SUM_TOL = 1e-9
 
-# Largest angular frequency or half-width [rad/s] whose squares still sum to
-# a finite float, so no Lorentzian denominator overflows to a silent 0.
-MAX_RATE = math.sqrt(sys.float_info.max / 2.0)
-
-# Most points of a sweep grid: each float64 column of it is at most 80 MB.
-MAX_POINTS = 10**7
-
 # Species names that would collide with the output: the fixed keys of
 # point's key,value CSV and of sweep's header, and any name with the '.' of
 # point's per-species keys such as '<name>.weights'.
 OUTPUT_KEYS = ("freq_ghz", "total", "n_r", "temp_k", "p_over_pc")
-
-DEFAULT_DB_RESOURCE = "sapphire_defects.json"
-DEFAULT_EMISSION_RESOURCE = "rare_earth_lines.json"
 
 
 @dataclass(frozen=True)
@@ -345,13 +335,3 @@ def load_species_db(path) -> list[DefectSpecies]:
     db = [parse_species(entry, idx) for idx, entry in enumerate(raw)]
     check_unique_names(db, DatabaseError)
     return db
-
-
-def default_db_path() -> str:
-    """Path of the bundled sapphire defect database."""
-    return str(resources.files("paramagloss.data") / DEFAULT_DB_RESOURCE)
-
-
-def default_emission_path() -> str:
-    """Path of the bundled emission-line table."""
-    return str(resources.files("paramagloss.data") / DEFAULT_EMISSION_RESOURCE)

@@ -7,7 +7,8 @@ NaN and Infinity for non-finite floats, which the CLI never writes.  Files
 use '\\n' line endings, so identical runs produce byte-identical output.
 read_json_array is the one read of every JSON input file, number_field
 and finite_float its one numeric read, and plain_name the one check of the
-names and labels the writers spell.
+names and labels the writers spell; default_db_path and
+default_emission_path name the two bundled input files.
 
 Grid columns (CSV) and arrays (JSON) are written CHUNK rows or values at a
 time, and no writer holds more than one chunk of text.  Both writers spell
@@ -29,6 +30,7 @@ separator: ',' or '\\n' in a CSV row, the array separator in JSON.
 import functools
 import json
 import math
+import os
 
 import numpy as np
 
@@ -57,6 +59,16 @@ def finite_float(value):
         return float(value)
     except OverflowError:
         return None
+
+
+def default_db_path() -> str:
+    """Path of the bundled sapphire defect database."""
+    return os.path.join(os.path.dirname(__file__), "data", "sapphire_defects.json")
+
+
+def default_emission_path() -> str:
+    """Path of the bundled emission-line table."""
+    return os.path.join(os.path.dirname(__file__), "data", "rare_earth_lines.json")
 
 
 def read_json_array(path, what: str) -> list:

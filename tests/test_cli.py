@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: formats, determinism, and exit codes."""
 
 import gc
-import importlib
 import json
 import os
 import re
@@ -616,10 +615,36 @@ def test_powercurve_builds_couplings_once(monkeypatch, tmp_path):
 def test_traced_entry_points_resolve():
     # The benchmark tracer wraps each (module, attribute) of ENTRY_POINTS and
     # records a name that no longer resolves as an absent layer; moving a
-    # function must keep the name its callers look up.
-    for layer, module_name, attr, _ in perfbench_module("spans").ENTRY_POINTS:
-        module = importlib.import_module(module_name)
-        assert callable(getattr(module, attr, None)), (layer, module_name, attr)
+    # function must keep the name its callers look up.  A fresh interpreter
+    # has bound none of cli's command chains yet.
+    spans = perfbench_module("spans")
+    entry_points = [(module, attr) for _, module, attr, _ in spans.ENTRY_POINTS]
+    code = (
+        "import importlib, sys\n"
+        f"for module_name, attr in {entry_points!r}:\n"
+        "    fn = getattr(importlib.import_module(module_name), attr, None)\n"
+        "    assert callable(fn), (module_name, attr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_clean_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_wrapper_bound_before_a_run_is_kept(tmp_path, monkeypatch):
+    # The tracer installs its wrappers before the first run binds the chain.
+    calls = []
+    original = cli.sweep
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep", wrapper)
+    monkeypatch.delenv("PARAMAG_LOSS_DB", raising=False)
+    assert cli.main(["sweep", "--points", "11", "--output", str(tmp_path / "s.csv")]) == 0
+    assert cli.sweep is wrapper
+    assert calls == [(1.0, 15.0)]
 
 
 @pytest.mark.parametrize(
@@ -682,9 +707,9 @@ def test_module_run_freezes_the_import_heap():
 
 
 def test_main_leaves_the_heap_unfrozen(tmp_path):
-    before = gc.get_freeze_count()
+    before = gc.isenabled(), gc.get_freeze_count()
     assert cli.main(["point", "--freq-ghz", "4.5", "--output", str(tmp_path / "p.csv")]) == 0
-    assert gc.get_freeze_count() == before
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 def test_pyproject_script_is_run():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -622,6 +623,17 @@ def test_load_default_database():
     assert va.lines.g[0] == 2.029
     assert va.lines.centers[-1] == ghz_to_angular(10.40)
     assert os.path.isfile(default_emission_path())
+
+
+def test_bundled_paths_are_the_package_data_files():
+    # Built from the package directory, not importlib.resources, whose import
+    # a bare interpreter would pay on every run; the strings are the same.
+    for path, name in (
+        (default_db_path(), "sapphire_defects.json"),
+        (default_emission_path(), "rare_earth_lines.json"),
+    ):
+        assert os.path.isfile(path)
+        assert path == str(resources.files("paramagloss.data") / name)
 
 
 def _write_db(tmp_path, entries, name="db.json"):
