@@ -13,7 +13,7 @@ import numpy as np
 
 from . import lineshape as ls
 from .constants import A0, ALPHA, C
-from .errors import broadcast_shape, require
+from .errors import broadcast_shape, evaluate, require
 
 # sigma_MD = n_r * MD_PREFACTOR * coupling_sq * omega * L(omega - omega_if)
 MD_PREFACTOR = np.pi**2 * ALPHA**3 * A0**2
@@ -38,16 +38,16 @@ def sigma_md(omega, omega_if, coupling_sq, shape: ls.LineshapeSpec,
     )
     density = ls.lorentzian(omega - omega_if, shape.gamma)
     factor = 1.0 if temp_k is None else ls.temperature_factor(omega_if, temp_k)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails the check
-        value = n_r * MD_PREFACTOR * coupling_sq * omega * density * factor
+    value = evaluate(lambda: n_r * MD_PREFACTOR * coupling_sq * omega * density * factor)
     return require("cross section", value)
 
 
 def absorption_coefficient(n_def, sigma):
     """Attenuation coefficient a = N_def * sigma [1/m]."""
     broadcast_shape(n_def=n_def, sigma=sigma)
-    with np.errstate(over="ignore"):  # an overflowing product fails the check
-        return require("absorption coefficient", require("n_def", n_def) * require("sigma", sigma))
+    require("n_def", n_def)
+    require("sigma", sigma)
+    return require("absorption coefficient", evaluate(lambda: n_def * sigma))
 
 
 def loss_tangent(a, omega, n_r: float = 1.0):
@@ -55,5 +55,5 @@ def loss_tangent(a, omega, n_r: float = 1.0):
     require("omega", omega, strict=True)
     require("n_r", n_r, 1.0)
     broadcast_shape(a=a, omega=omega, n_r=n_r)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails the check
-        return require("loss tangent", (C / (n_r * omega)) * require("a", a))
+    require("a", a)
+    return require("loss tangent", evaluate(lambda: (C / (n_r * omega)) * a))

@@ -43,7 +43,7 @@ from .constants import MAX_POINTS, MAX_RATE, angular_to_ghz, ghz_to_angular
 # it; a name already bound, such as a tracer's wrapper, is never looked up
 # through __getattr__ and so is kept.
 _SHARED = (
-    ("errors", ("InvalidInputs", "ParamagLossError")),
+    ("errors", ("InvalidInputs", "ParamagLossError", "evaluate")),
     ("ioformat", ("default_db_path", "default_emission_path", "sci9", "write_csv", "write_json")),
 )
 _CHAINS = {
@@ -140,13 +140,11 @@ def _grid(start: float, stop: float, points: int) -> np.ndarray:
     """np.linspace(start, stop, points) for any finite range.
 
     Near the float maximum the last step of linspace overflows to inf
-    before linspace overwrites that element with stop, so the grid is
-    right and only the overflow warning is silenced.
+    before linspace overwrites that element with stop, so the grid is right.
     """
     import numpy as np  # already loaded by the command's chain
 
-    with np.errstate(over="ignore"):
-        return np.linspace(start, stop, points)
+    return evaluate(lambda: np.linspace(start, stop, points))
 
 
 def cmd_sweep(args: argparse.Namespace):

@@ -13,10 +13,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import A0, ALPHA, C, TWO_PI
-from .errors import DatabaseError, InvalidInputs, broadcast_shape, require, require_number
+from .errors import DatabaseError, InvalidInputs, broadcast_shape, evaluate, require, require_number
 from .ioformat import NAME_RULE, number_field, plain_name, read_json_array
 
 # Rate prefactor: multiply by n_r^3, omega_if^3, and the squared moment.
@@ -27,8 +25,8 @@ EXTRACTION_COLUMNS = ("label", "lambda_nm", "freq_thz", "a_md_hz", "m_sq", "m_ab
 
 def wavelength_to_angular(lambda_vac: float) -> float:
     """Angular frequency [rad/s] of a vacuum wavelength [m]."""
-    with np.errstate(over="ignore"):  # an overflowing frequency fails the check
-        omega = TWO_PI * C / require("lambda_vac", lambda_vac, strict=True)
+    require("lambda_vac", lambda_vac, strict=True)
+    omega = evaluate(lambda: TWO_PI * C / lambda_vac)
     return require(f"angular frequency of lambda_vac={lambda_vac!r}", omega)
 
 
@@ -37,21 +35,13 @@ def photon_dos(omega: float, n_r: float = 1.0) -> float:
     require("omega", omega)
     require("n_r", n_r, 1.0)
     broadcast_shape(omega=omega, n_r=n_r)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # numpy's overflow gives inf, or nan
-            dos = n_r**3 * omega**2 / (C**3 * math.pi**2)
-    except OverflowError:  # a Python float power past the float range
-        dos = math.inf
+    dos = evaluate(lambda: n_r**3 * omega**2 / (C**3 * math.pi**2))
     return require(f"photon density of states at omega={omega!r}, n_r={n_r!r}", dos)
 
 
 def _rate_scale(omega_if: float, n_r: float = 1.0) -> float:
     """n_r^3 * EMISSION_PREFACTOR * omega_if^3, the rate per squared moment, or inf."""
-    try:
-        with np.errstate(over="ignore"):  # numpy's overflow gives inf
-            return n_r**3 * EMISSION_PREFACTOR * omega_if**3
-    except OverflowError:  # a Python float cube past the float range
-        return math.inf
+    return evaluate(lambda: n_r**3 * EMISSION_PREFACTOR * omega_if**3)
 
 
 def a_md(omega_if: float, m_sq: float, n_r: float = 1.0) -> float:
@@ -60,8 +50,7 @@ def a_md(omega_if: float, m_sq: float, n_r: float = 1.0) -> float:
     require("m_sq", m_sq)
     require("n_r", n_r, 1.0)
     broadcast_shape(omega_if=omega_if, m_sq=m_sq, n_r=n_r)
-    with np.errstate(invalid="ignore"):  # inf * 0 is nan, which fails the check
-        rate = _rate_scale(omega_if, n_r) * m_sq
+    rate = evaluate(lambda: _rate_scale(omega_if, n_r) * m_sq)
     return require(f"emission rate at omega_if={omega_if!r}, m_sq={m_sq!r}, n_r={n_r!r}", rate)
 
 

@@ -20,9 +20,8 @@ import numpy as np
 from . import _kernels
 from .absorption import MD_PREFACTOR
 from .constants import MAX_POINTS, MAX_RATE, TWO_PI, C, ghz_to_angular
-from .errors import DatabaseError, InvalidInputs, broadcast_shape, is_real, require_number
+from .errors import DatabaseError, InvalidInputs, broadcast_shape, evaluate, is_real, require_number
 from .ioformat import NAME_RULE, finite_float, number_field, plain_name, read_json_array
-from .ioformat import default_db_path, default_emission_path  # noqa: F401  (re-exported)
 from .lineshape import power_broadened_gamma, temperature_factor
 from .spin import MAX_TWO_S, ladder_m, line_coupling_sq
 
@@ -154,8 +153,7 @@ class DefectSpecies:
         if abs(weight_sum - 1.0) > WEIGHT_SUM_TOL:
             fail(f"field 'weight': line weights sum to {weight_sum}, expected 1")
         coupling = line_coupling_sq(two_s, self.transition, lines.g)
-        with np.errstate(over="ignore"):  # an overflowing amplitude fails the peak bound
-            amps = C * MD_PREFACTOR * self.n_def * lines.weights * coupling
+        amps = evaluate(lambda: C * MD_PREFACTOR * self.n_def * lines.weights * coupling)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         # The loss never exceeds the on-resonance peak sum(amps) * 2 / (pi gamma):
@@ -283,9 +281,11 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
     """
     if not isinstance(entry, dict):
         raise DatabaseError(f"species entry {index} is not an object")
-    name = entry.get("name")
-    if not isinstance(name, str) or not name:
+    if "name" not in entry:
         raise DatabaseError(f"species entry {index}: missing field 'name'")
+    name = entry["name"]
+    if not isinstance(name, str) or not name:
+        raise DatabaseError(f"species entry {index}: field 'name' must be a non-empty string")
     where = f"species {name!r}"
     n_cm3 = number_field(entry, "concentration_per_cm3", where)
     linewidth_mhz = number_field(entry, "linewidth_mhz", where)
@@ -313,8 +313,7 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
         for column, key in zip(columns, ("g", "freq_ghz", "weight")):
             column.append(number_field(raw, key, line))
     g, freq_ghz, weights = columns
-    with np.errstate(over="ignore"):  # an overflowing frequency fails the species' bound
-        centers = ghz_to_angular(np.array(freq_ghz))
+    centers = evaluate(lambda: ghz_to_angular(np.array(freq_ghz)))
     try:
         return DefectSpecies(
             name=name,

@@ -4,7 +4,15 @@ All subclass ValueError so callers that do not care about the exact
 failure mode can catch the builtin.  InvalidInputs is a bad argument or
 value handed to a physics operation; DatabaseError a malformed species
 database or emission-line file, naming the entry and field at fault.
+
+require is the rule every number of the chain keeps: finite and at least
+(or above) a lower bound.  A formula leaves the float range only inside
+evaluate, whose caller rejects the inf or nan it gets back.  No other module
+silences numpy's floating-point warnings, and only ioformat.finite_float,
+which converts a JSON integer, catches OverflowError.
 """
+
+import math
 
 import numpy as np
 
@@ -39,6 +47,21 @@ def complex_array(what: str, value) -> np.ndarray:
     if not (is_real(arr) or arr.dtype.kind == "c"):
         raise InvalidInputs(f"{what} must hold numbers, got {value!r}")
     return arr.astype(np.complex128)
+
+
+def evaluate(compute):
+    """compute(), with a result past the float range given as inf or nan, not raised.
+
+    numpy's overflow, division-by-zero and invalid-operation warnings are
+    silenced, and a Python float operation that raises OverflowError gives
+    math.inf; no other exception is caught.  Every caller checks what it
+    gets back, by require or by a bound of its own.
+    """
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return compute()
+    except OverflowError:
+        return math.inf
 
 
 def require(what: str, value, low: float = 0.0, strict: bool = False):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputs, complex_array
+from .errors import InvalidInputs, complex_array, evaluate
 
 MAX_DIM = 32
 HERMITIAN_RTOL = 1e-12
@@ -37,8 +37,7 @@ def require_hermitian(h, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
         raise InvalidInputs(f"expected a square matrix of dim >= 1, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise InvalidInputs("matrix has a non-finite entry")
-    with np.errstate(over="ignore"):  # a modulus past the float range fails the bound
-        scale = float(np.abs(h).max())
+    scale = evaluate(lambda: float(np.abs(h).max()))
     # Every entry of H -+ H^dag is at most 2 * scale and every eigenvalue dim * scale.
     limit = sys.float_info.max / (2 * h.shape[0])
     if not scale <= limit:

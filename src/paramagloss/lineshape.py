@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, KB
-from .errors import InvalidInputs, broadcast_shape, is_real, require, require_number
+from .errors import InvalidInputs, broadcast_shape, evaluate, is_real, require, require_number
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ def lorentzian(detuning, gamma):
     require("detuning", detuning, -np.inf)
     broadcast_shape(detuning=detuning, gamma=gamma)
     # The density check rejects an inf, and the nan of 0 / 0 where gamma / 2 underflows to 0.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        density = (half / np.pi) / (detuning * detuning + half * half)
+    density = evaluate(lambda: (half / np.pi) / (detuning * detuning + half * half))
     return require("Lorentzian density", density)
 
 
@@ -98,8 +97,7 @@ def power_broadened_gamma(gamma0: float, power):
     """
     gamma0 = require_number("gamma0", gamma0, strict=True)
     ratio = np.asarray(require("p_over_pc", power), dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflowing width fails the check
-        width = gamma0 * np.sqrt(1.0 + ratio)
+    width = evaluate(lambda: gamma0 * np.sqrt(1.0 + ratio))
     if not np.isfinite(width).all():
         raise InvalidInputs("power-broadened linewidth overflows")
     return float(width) if np.ndim(width) == 0 else width

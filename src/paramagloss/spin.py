@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, MUB
-from .errors import InvalidInputs, complex_array, is_real, require, require_number
+from .errors import InvalidInputs, complex_array, evaluate, is_real, require, require_number
 
 # Largest 2S, far above the 2S <= 8 of real paramagnetic ions; its spin
 # matrices hold 256^2 entries.
@@ -189,14 +189,9 @@ def transition_moment(psi_i, psi_f, ops: SpinOperators, g_e: float,
         raise InvalidInputs(f"orbital_moment must have three components, got {orb.shape}")
     g_e = require_number("g_e", g_e, -np.inf)
     bra = psi_f.conj()
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment fails the check
-        m_vec = np.array(
-            [
-                orb[0] + g_e * (bra @ (ops.sx @ psi_i)),
-                orb[1] + g_e * (bra @ (ops.sy @ psi_i)),
-                orb[2] + g_e * (bra @ (ops.sz @ psi_i)),
-            ]
-        )
+    m_vec = evaluate(
+        lambda: orb + g_e * np.array([bra @ (op @ psi_i) for op in (ops.sx, ops.sy, ops.sz)])
+    )
     if not np.isfinite(m_vec).all():
         raise InvalidInputs(f"transition moment must be finite, got {m_vec.tolist()}")
     m_vec.setflags(write=False)
@@ -206,8 +201,7 @@ def transition_moment(psi_i, psi_f, ops: SpinOperators, g_e: float,
 def unpolarized_coupling(m_vec) -> float:
     """Orientation-averaged squared coupling (1/3) sum_alpha |M_alpha|^2 of a 3-vector."""
     m_vec = complex_array("m_vec", m_vec)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coupling fails the check
-        coupling = float(np.sum(np.abs(m_vec) ** 2) / 3.0)
+    coupling = evaluate(lambda: float(np.sum(np.abs(m_vec) ** 2) / 3.0))
     return require("unpolarized coupling", coupling)
 
 
@@ -223,9 +217,8 @@ def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e):
     """
     m, s = ladder_m(two_s, transition), two_s / 2.0
     g = np.asarray(require("g", g_e, strict=True), dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflowing coupling is rejected just below
-        gh = g * (0.5 * math.sqrt(s * (s + 1.0) - m * (m + 1.0)))
-        coupling = (gh * gh + gh * gh) / 3.0
+    half = 0.5 * math.sqrt(s * (s + 1.0) - m * (m + 1.0))
+    coupling = evaluate(lambda: 2.0 * np.square(g * half) / 3.0)  # (|M_x|^2 + |M_y|^2) / 3
     if not np.isfinite(coupling).all():
         raise InvalidInputs(f"g must give a finite coupling for two_s={two_s}, got {np.max(g)}")
     return float(coupling) if coupling.ndim == 0 else coupling

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import perfbench_module, run_cli
-from paramagloss import cli, ensemble
+from paramagloss import cli, ensemble, ioformat
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -337,7 +337,7 @@ def test_too_deeply_nested_input_exits_2(tmp_path):
     ids=["comma", "non_ascii_stdout", "surrogate_output"],
 )
 def test_unwritable_species_name_exits_2(tmp_path, fmt, name, env, output, shown):
-    with open(ensemble.default_db_path(), encoding="utf-8") as fh:
+    with open(ioformat.default_db_path(), encoding="utf-8") as fh:
         db = json.load(fh)
     db[0]["name"] = name
     path = tmp_path / "names.json"
@@ -359,7 +359,7 @@ def test_unwritable_species_name_exits_2(tmp_path, fmt, name, env, output, shown
 def test_species_named_like_an_output_key_exits_2(tmp_path, capsys, command, name):
     # Such a name would print two rows with one key, or a header naming
     # 'total' twice.
-    with open(ensemble.default_db_path(), encoding="utf-8") as fh:
+    with open(ioformat.default_db_path(), encoding="utf-8") as fh:
         db = json.load(fh)
     db[0]["name"] = name
     path = tmp_path / "names.json"
@@ -606,7 +606,7 @@ def test_powercurve_builds_couplings_once(monkeypatch, tmp_path):
     ]
     assert cli.main(argv) == 0
     built = len(calls)
-    db = ensemble.load_species_db(ensemble.default_db_path())
+    db = ensemble.load_species_db(ioformat.default_db_path())
     assert sum(len(sp.lines) for sp in db) == 10
     # One array call per species covers all of its lines.
     assert built == len(db) == 3

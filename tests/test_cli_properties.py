@@ -5,8 +5,9 @@ exit 0 every number it prints is finite, the JSON parses under a parser
 that rejects NaN and Infinity, and the CSV and JSON carry the same values.
 For a database with one field of one species or line replaced, `point` and
 `sweep` exit 0 or 2 without a traceback or a RuntimeWarning, and an exit 2
-prints one line naming that species and field; `emission` keeps the same
-contract for an emission table with one field of one line replaced.  Species
+prints one line naming that species and field; a species or line replaced
+by a non-object exits 2.  `emission` keeps the same contract for an
+emission table with one field of one line, or a whole line, replaced.  Species
 names and emission labels are drawn as any text, and output goes to a UTF-8
 stream, an ASCII stream (what PYTHONIOENCODING=ascii gives stdout) or an
 --output file: a name that is not printable ASCII without ',', '"' or ';'
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 from conftest import perfbench_module
 from paramagloss import cli
 from paramagloss.emission import EXTRACTION_COLUMNS
-from paramagloss.ensemble import default_db_path, default_emission_path
+from paramagloss.ioformat import default_db_path, default_emission_path
 
 PLAUSIBLE_FLOAT = st.floats(min_value=1.0, max_value=1e3).map(repr)
 ANY_FLOAT = st.one_of(
@@ -253,9 +254,11 @@ MISSING = object()
 BAD_VALUES = st.sampled_from(
     [
         True, False, "2", None, MISSING, 0, 0.0, -1, -2.5, 5e-324, 1e-310, 1e154, 1e300,
-        1.7976931348623157e308, 10**400, [], [0.5], [1.5, 0.5, -0.5],
+        1.7976931348623157e308, 10**400, [], [0.5], [1.5, 0.5, -0.5], {}, {"g": 1}, [[[]]],
     ]
 )
+# A whole species, line or emission-table entry replaced by one of these.
+NON_OBJECTS = st.sampled_from(["x", 3, [], None])
 SPECIES_FIELDS = [
     "name", "two_s", "concentration_per_cm3", "linewidth_mhz", "linewidth_convention",
     "transition", "lines",
@@ -271,10 +274,21 @@ DB_ARGV = [
 
 @st.composite
 def mutated_databases(draw):
-    """The bundled database with one field replaced: (entries, species name, field)."""
+    """The bundled database with one field replaced: (entries, species name, field).
+
+    field None means the whole species was replaced by a non-object; field
+    "lines" may mean that one of its lines was.
+    """
     db = json.loads(Path(default_db_path()).read_text())
-    sp = db[draw(st.integers(0, len(db) - 1))]
-    field = draw(st.sampled_from(SPECIES_FIELDS + LINE_FIELDS))
+    index = draw(st.integers(0, len(db) - 1))
+    sp = db[index]
+    field = draw(st.sampled_from(SPECIES_FIELDS + LINE_FIELDS + [None]))
+    if field is None:
+        db[index] = draw(NON_OBJECTS)
+        return db, sp["name"], None
+    if field == "lines" and draw(st.booleans()):
+        sp["lines"][draw(st.integers(0, len(sp["lines"]) - 1))] = draw(NON_OBJECTS)
+        return db, sp["name"], field
     if field in LINE_FIELDS:
         holder, key = sp["lines"][draw(st.integers(0, len(sp["lines"]) - 1))], field
     elif field == "transition" and draw(st.booleans()):
@@ -308,6 +322,10 @@ def test_any_database_keeps_exit_contract(tmp_path_factory, case, argv, fmt, sin
     if field == "name":
         # Only the name changed: it loads exactly when it keeps the rule.
         assert code == (0 if isinstance(name, str) and _species_name(name) else 2), err
+    if field is None:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: species entry ") and err.endswith(" is not an object\n")
+        return
     if code == 2:
         assert out == ""
         assert err.startswith("error: species ") and err.count("\n") == 1, err
@@ -327,15 +345,20 @@ EMISSION_FIELDS = ["label", "lambda_nm", "a_md_hz", "n_r"]
 EMISSION_VALUES = st.sampled_from(
     [
         True, "x", None, MISSING, 0, -1, -2.5, 5e-324, 1e-310, 1e-300, 1e-200, 1e103, 1e300,
-        1e308, 10**400,
+        1e308, 10**400, {}, {"g": 1}, [[[]]],
     ]
 )
 
 
 @st.composite
 def emission_mutations(draw):
-    """(field, value): a label becomes any text or a bad value, another field a bad value."""
-    field = draw(st.sampled_from(EMISSION_FIELDS))
+    """(field, value): a label becomes any text or a bad value, another field a bad value.
+
+    field None replaces the whole entry by a non-object.
+    """
+    field = draw(st.sampled_from(EMISSION_FIELDS + [None]))
+    if field is None:
+        return field, draw(NON_OBJECTS)
     return field, draw(NAME_TEXT | EMISSION_VALUES if field == "label" else EMISSION_VALUES)
 
 
@@ -345,7 +368,9 @@ def test_any_emission_table_keeps_exit_contract(tmp_path_factory, line, mutation
     field, value = mutation
     table = json.loads(Path(default_emission_path()).read_text())
     entry = table[line]
-    if value is MISSING:
+    if field is None:
+        table[line] = value
+    elif value is MISSING:
         entry.pop(field, None)
     else:
         entry[field] = value
@@ -363,10 +388,12 @@ def test_any_emission_table_keeps_exit_contract(tmp_path_factory, line, mutation
     assert csv_err == json_err
     if field == "label":
         assert code == (0 if isinstance(value, str) and _plain(value) else 2), csv_err
+    if field is None:
+        assert code == 2 and csv_err == f"error: emission table entry {line} is not an object\n"
     if code == 2:
         assert csv_text == json_text == ""
         assert csv_err.startswith("error: ") and csv_err.count("\n") == 1, csv_err
-        assert f"'{field}'" in csv_err
+        assert field is None or f"'{field}'" in csv_err
         return
     assert csv_err == ""
     payload = json.loads(json_text, parse_constant=_reject_constant)

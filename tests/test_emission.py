@@ -21,9 +21,8 @@ from paramagloss.emission import (
     wavelength_to_angular,
 )
 from paramagloss.absorption import sigma_md
-from paramagloss.ensemble import default_emission_path
 from paramagloss.errors import DatabaseError, InvalidInputs
-from paramagloss.ioformat import write_csv
+from paramagloss.ioformat import default_emission_path, write_csv
 from paramagloss.lineshape import LineshapeSpec
 from conftest import BOHR_RADIUS, C_LIGHT, FINE_STRUCTURE
 

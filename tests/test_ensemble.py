@@ -21,14 +21,13 @@ from paramagloss.ensemble import (
     DefectSpecies,
     SpeciesLines,
     database_loss,
-    default_db_path,
-    default_emission_path,
     line_coupling_sq,
     load_species_db,
     species_loss,
     sweep,
 )
 from paramagloss.errors import DatabaseError, InvalidInputs, ParamagLossError
+from paramagloss.ioformat import default_db_path, default_emission_path
 from paramagloss.lineshape import temperature_factor
 from paramagloss.spin import basis_state, spin_operators, transition_moment, unpolarized_coupling
 
@@ -654,6 +653,30 @@ def _cr_entry(**overrides):
     }
     entry.update(overrides)
     return entry
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "name, problem",
+    [
+        (MISSING, "missing field 'name'"),
+        (5, "field 'name' must be a non-empty string"),
+        (None, "field 'name' must be a non-empty string"),
+        ("", "field 'name' must be a non-empty string"),
+    ],
+)
+def test_species_without_a_string_name_is_rejected(tmp_path, name, problem):
+    entry = _cr_entry()
+    if name is MISSING:
+        del entry["name"]
+    else:
+        entry["name"] = name
+    path = _write_db(tmp_path, [_cr_entry(name="Fe"), entry], "name.json")
+    with pytest.raises(DatabaseError) as exc:
+        load_species_db(path)
+    assert str(exc.value) == f"species entry 1: {problem}"
 
 
 def test_load_database_errors(tmp_path):

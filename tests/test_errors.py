@@ -1,8 +1,10 @@
 """The one range rule of the library's numbers, and the arguments it guards."""
 
+import ast
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,44 @@ def test_require_names_what_and_first_bad_value(value, low, strict, got):
     assert isinstance(exc.value, ParamagLossError)
 
 
+# Where each module may set numpy's floating-point flags or catch a float
+# error: evaluate is the one place a formula leaves the float range, and
+# finite_float converts a JSON integer and evaluates no formula.
+FLOAT_RANGE_HOMES = {
+    "errstate": {("errors", "evaluate")},
+    "seterr": set(),
+    "OverflowError": {("errors", "evaluate"), ("ioformat", "finite_float")},
+    "FloatingPointError": set(),
+    "ArithmeticError": set(),
+}
+
+
+def float_range_sites(tree):
+    """(name, enclosing top-level function) of each flag call and float-error handler in tree."""
+    for top in tree.body:
+        home = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                yield getattr(func, "attr", getattr(func, "id", None)), home
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                for exc in caught:
+                    yield getattr(exc, "id", getattr(exc, "attr", None)), home
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(paramagloss.__file__).parent.glob("*.py")), ids=lambda p: p.stem
+)
+def test_only_evaluate_lets_a_formula_leave_the_float_range(path):
+    misplaced = [
+        f"{name} in {home}"
+        for name, home in float_range_sites(ast.parse(path.read_text(encoding="utf-8")))
+        if name in FLOAT_RANGE_HOMES and (path.stem, home) not in FLOAT_RANGE_HOMES[name]
+    ]
+    assert not misplaced, f"{path.name}: {', '.join(misplaced)}"
+
+
 OMEGA = 2.0 * math.pi * 11.45e9
 SPECIES = DefectSpecies(
     name="Cr",
@@ -145,6 +185,11 @@ def test_non_finite_argument_raises_naming_it(call, kwargs, arg, bad):
         (power_broadened_gamma, (1e308, 1e308), "power-broadened linewidth overflows"),
         (species_loss, (SPECIES, OMEGA, None, 1e308),
          "species 'Cr': power-broadened linewidth overflows"),
+        # Once drawn by the property below: the rate scale is a finite
+        # 1.797693135, and that times m_sq = 1e308 is not.
+        (a_md, (np.array([[5.2952471745e14]]), 1e308),
+         "emission rate at omega_if=array([[5.29524717e+14]]), m_sq=1e+308, n_r=1.0 "
+         "must be finite and >= 0, got inf"),
     ],
 )
 def test_results_outside_float_range_raise(call, args, message):
@@ -251,6 +296,17 @@ def test_numeric_table_covers_all():
     assert {call.__name__ for call, _, _ in NUMERIC} | NOT_NUMERIC == set(paramagloss.__all__)
 
 
+def assert_finite_or_library_error(call, kwargs):
+    """call(**kwargs) gives finite values or raises ParamagLossError, and warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call(**kwargs)
+        except ParamagLossError:
+            return
+    assert_finite(result)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize(
@@ -261,10 +317,18 @@ def test_any_argument_gives_finite_values_or_a_library_error(call, kwargs, args,
     for arg in args:
         wild = st.tuples(WILD, WILD) if arg == "transition" else WILD
         kwargs[arg] = data.draw(st.one_of(st.just(kwargs[arg]), wild), label=arg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            result = call(**kwargs)
-        except ParamagLossError:
-            return
-    assert_finite(result)
+    assert_finite_or_library_error(call, kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, kwargs, arg",
+    [
+        pytest.param(call, kwargs, arg, id=f"{call.__name__}-{arg}")
+        for call, kwargs, args in NUMERIC
+        for arg in args
+    ],
+)
+def test_float_maximum_array_gives_finite_values_or_a_library_error(call, kwargs, arg):
+    # Near-maximal floats as a 2-D array in each argument in turn: products past
+    # the float range on the array path, tried on every run rather than drawn.
+    assert_finite_or_library_error(call, dict(kwargs, **{arg: np.full((2, 1), 1e308)}))

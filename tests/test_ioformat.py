@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from conftest import assert_same_text
 from paramagloss import cli, ioformat
 from paramagloss.constants import ghz_to_angular
-from paramagloss.ensemble import default_db_path, load_species_db, species_loss, sweep
-from paramagloss.ioformat import write_csv, write_json
+from paramagloss.ensemble import load_species_db, species_loss, sweep
+from paramagloss.ioformat import default_db_path, write_csv, write_json
 from paramagloss.lineshape import tanh_factor, temperature_factor
 
 CHUNK = ioformat.CHUNK
