@@ -9,14 +9,9 @@ cross section linearly and the loss tangent inversely, so it cancels from
 the full chain.
 """
 
-import numpy as np
-
 from . import lineshape as ls
-from .constants import A0, ALPHA, C
+from .constants import MD_PREFACTOR, C
 from .errors import broadcast_shape, evaluate, require
-
-# sigma_MD = n_r * MD_PREFACTOR * coupling_sq * omega * L(omega - omega_if)
-MD_PREFACTOR = np.pi**2 * ALPHA**3 * A0**2
 
 
 def sigma_md(omega, omega_if, coupling_sq, shape: ls.LineshapeSpec,

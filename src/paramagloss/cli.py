@@ -10,9 +10,9 @@ powercurve  on-resonance and detuned loss versus drive power
 
 All user input is in GHz / MHz / K / cm^-3; conversions happen here.
 Each command returns a CSV table and a JSON payload of plain numbers,
-arrays and strings, and main writes the one the format asks for; numbers
-are spelled only by the ioformat writers, so identical invocations are
-byte-identical.
+arrays and strings, and main writes the one the format asks for; numbers,
+the array cell of point's line weights included, are spelled only by the
+ioformat writers, so identical invocations are byte-identical.
 Exit codes: 0 success, 2 bad usage or malformed input, 3 unwritable
 output.
 
@@ -44,7 +44,7 @@ from .constants import MAX_POINTS, MAX_RATE, angular_to_ghz, ghz_to_angular
 # through __getattr__ and so is kept.
 _SHARED = (
     ("errors", ("InvalidInputs", "ParamagLossError", "evaluate")),
-    ("ioformat", ("default_db_path", "default_emission_path", "sci9", "write_csv", "write_json")),
+    ("ioformat", ("default_db_path", "default_emission_path", "write_csv", "write_json")),
 )
 _CHAINS = {
     "sweep": (*_SHARED, ("ensemble", ("load_species_db", "sweep"))),
@@ -177,7 +177,7 @@ def cmd_point(args: argparse.Namespace):
         rows += [
             [f"{sp.name}.gamma_rad_per_s", sp.gamma],
             [f"{sp.name}.linewidth_convention", sp.linewidth_convention],
-            [f"{sp.name}.weights", ";".join(sci9(w) for w in sp.lines.weights)],
+            [f"{sp.name}.weights", sp.lines.weights],
         ]
     payload = {
         "command": "point",

@@ -1,4 +1,5 @@
-"""CODATA 2018 physical constants, numeric limits and frequency-unit helpers.
+"""CODATA 2018 physical constants, the magnetic-dipole cross-section prefactor
+they give, numeric limits and frequency-unit helpers.
 
 Every frequency inside the library is angular (rad/s).  User-facing
 interfaces quote cyclic frequencies in GHz (or linewidths in MHz) and
@@ -17,6 +18,9 @@ A0 = 5.29177210903e-11     # Bohr radius [m]
 HBAR = 1.054571817e-34     # reduced Planck constant [J s]
 KB = 1.380649e-23          # Boltzmann constant [J/K]
 MUB = 9.2740100783e-24     # Bohr magneton [J/T]
+
+# sigma_MD = n_r * MD_PREFACTOR * coupling_sq * omega * L(omega - omega_if)
+MD_PREFACTOR = math.pi**2 * ALPHA**3 * A0**2
 
 # Largest angular frequency or half-width [rad/s] whose squares still sum to
 # a finite float, so no Lorentzian denominator overflows to a silent 0.

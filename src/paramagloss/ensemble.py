@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .absorption import MD_PREFACTOR
-from .constants import MAX_POINTS, MAX_RATE, TWO_PI, C, ghz_to_angular
+from .constants import MAX_POINTS, MAX_RATE, MD_PREFACTOR, TWO_PI, C, ghz_to_angular
 from .errors import DatabaseError, InvalidInputs, broadcast_shape, evaluate, is_real, require_number
 from .ioformat import NAME_RULE, finite_float, number_field, plain_name, read_json_array
 from .lineshape import power_broadened_gamma, temperature_factor

@@ -10,20 +10,20 @@ and finite_float its one numeric read, and plain_name the one check of the
 names and labels the writers spell; default_db_path and
 default_emission_path name the two bundled input files.
 
-Grid columns (CSV) and arrays (JSON) are written CHUNK rows or values at a
-time, and no writer holds more than one chunk of text.  Both writers spell
-a chunk with one numpy digit kernel when every value in it is finite and
-positive or +0.0 with a decimal exponent inside [-99, 99]; any other chunk
-takes the exact path: one '%' operation over "%.8e" cells (CSV), or one
-sci9 call per value (JSON).
+Grid columns (CSV) and arrays (JSON) go through one chunk writer,
+_write_cells, CHUNK rows or values at a time, and no writer holds more than
+one chunk of text.  A chunk whose values are all finite and positive or
++0.0 with a decimal exponent inside [-99, 99] is spelled by one numpy digit
+kernel; any other chunk takes the exact path, one call per value of the
+writer's number speller (sci9, or its JSON form).
 
 The kernel (_sci9_cells) finds each value's decimal exponent e with
 floor(log10(x)), scales x to s = x * 10**(8 - e) by one product with a
 correctly rounded power of ten and rounds s to the 9-digit significand.
 The scale costs at most two roundings, so s is within 2.3e-7 of the exact
 product; a value whose s lies within 1e-6 of a rounding tie (x.5) takes
-its digits from "%.8e" % x instead.  It then builds each cell, the bytes
-of "%.8e" % x, from digit tables into a record whose last field holds the
+its digits from sci9(x) instead.  It then builds each cell, the bytes of
+sci9(x), from digit tables into a record whose last field holds the
 separator: ',' or '\\n' in a CSV row, the array separator in JSON.
 """
 
@@ -118,13 +118,13 @@ def plain_name(value):
 
 
 # Half the distance to a rounding tie inside which _sci9_cells takes a cell's
-# digits from "%.8e": well above the 2.3e-7 error bound of the scaled
+# digits from sci9: well above the 2.3e-7 error bound of the scaled
 # significand.
 TIE_BAND = 1e-6
 
-# One CSV cell: "d." + 4 digits + 4 digits + "e+XX" + separator, 15 bytes.
-# Each field holds the bytes of one lookup-table entry.
-_CELL = np.dtype([("lead", "u2"), ("hi", "u4"), ("lo", "u4"), ("exp", "u4"), ("sep", "u1")])
+# One cell before its separator: "d." + 4 digits + 4 digits + "e+XX", 14
+# bytes.  Each field holds the bytes of one lookup-table entry.
+_CELL = [("lead", "u2"), ("hi", "u4"), ("lo", "u4"), ("exp", "u4")]
 
 # Entry e + _E0 of the scale tables belongs to the exponent estimate
 # e = floor(log10(x)), in [-100, 100] for x in [1e-99, 1e100) as log10 rounds.
@@ -157,27 +157,12 @@ def _tables():
     return scale, lead, _ascii(quad + ord("0")), _ascii(exp)
 
 
-def sci9_block(block):
-    """The CSV rows of a 2-D float64 array as sci9 cells, or None.
-
-    Returns None, leaving the block to "%.8e", unless every cell is in the
-    kernel's class (see _sci9_cells).
-    """
-    cells = _sci9_cells(block.ravel(), _CELL)
-    if cells is None:
-        return None
-    cells = cells.reshape(block.shape)
-    cells["sep"] = ord(",")
-    cells["sep"][:, -1] = ord("\n")
-    return str(cells.view(np.uint8).data, "ascii")
-
-
-def _sci9_cells(x, dtype):
+def _sci9_cells(x, width: int):
     """The sci9 cells of a 1-D float64 array, or None.
 
     Returns None unless every value is finite and positive or +0.0 with a
-    decimal exponent in [-99, 99].  Otherwise returns the records of dtype
-    (_CELL, or _CELL with a wider "sep") with their "sep" bytes unset.
+    decimal exponent in [-99, 99].  Otherwise returns one record per value:
+    the _CELL fields and a "sep" field of width bytes, left unset.
     """
     if np.signbit(x).any() or not x.max() < 1e100:  # also catches nan
         return None
@@ -187,14 +172,14 @@ def _sci9_cells(x, dtype):
     digits, e, near_tie = _significands(positive)
     digits[x == 0] = 0
     for i in near_tie:
-        cell = "%.8e" % positive[i]
+        cell = sci9(positive[i])
         digits[i] = int(cell[0] + cell[2:10])
         e[i] = int(cell[11:])
     e += 99  # the row of the exponent table
     if e.max() > 198 or e.min() < 0:
         return None
     _, lead, quad, exp = _tables()
-    cells = np.empty(len(x), dtype)
+    cells = np.empty(len(x), _CELL + [("sep", f"S{width}")])
     first = digits // 100_000_000
     # Every index is in range by now; "clip" only skips take's bounds copy.
     lead.take(first, out=cells["lead"], mode="clip")
@@ -211,7 +196,7 @@ def _significands(x):
     """9-digit significands and decimal exponents of x, and the cells to redo.
 
     x holds normal values in [1e-99, 1e100).  Returns the int32 significands
-    and int exponents of "%.8e" % x, and the indices of the cells whose
+    and int exponents of sci9(x), and the indices of the cells whose
     scaled value lies within TIE_BAND of a rounding tie: their significand
     and exponent are not to be trusted.
     """
@@ -234,42 +219,48 @@ def _significands(x):
     return d.astype(np.int32), e, near_tie
 
 
-def _json_block(values, sep: str):
-    """The sci9 cells of a 1-D float64 array joined by sep, or None unless
-    every value is in the kernel's class."""
-    cells = _sci9_cells(values, np.dtype(_CELL.descr[:-1] + [("sep", f"S{len(sep)}")]))
-    if cells is None:
-        return None
-    cells["sep"] = sep.encode("ascii")
-    return str(cells.view(np.uint8).data, "ascii")[: -len(sep)]
-
-
 def _json_number(x: float) -> str:
     """A JSON float as its sci9 cell; NaN and +-Infinity as json.dumps spells them."""
     return sci9(x) if math.isfinite(x) else json.dumps(x)
 
 
+def _write_cells(stream, columns, seps, number, end) -> None:
+    """Write equal-length 1-D float columns row by row, CHUNK rows at a time.
+
+    Each cell is followed by its column's separator, of seps (all of one
+    length), and the last cell by end instead; empty columns write nothing.
+    A chunk the digit kernel takes is spelled by it, any other by number,
+    one call per value.
+    """
+    rows = len(columns[0])
+    for start in range(0, rows, CHUNK):
+        block = np.column_stack([col[start : start + CHUNK] for col in columns])
+        cells = _sci9_cells(block.ravel(), len(seps[0]))
+        if cells is None:
+            text = "".join(number(x) + sep for row in block.tolist() for x, sep in zip(row, seps))
+        else:
+            cells.reshape(block.shape)["sep"] = np.array(seps, "S")
+            text = str(cells.view(np.uint8).data, "ascii")
+        if start + CHUNK >= rows:
+            text = text[: -len(seps[-1])] + end
+        stream.write(text)
+
+
 def write_csv(stream, header, rows) -> None:
     """Write a CSV with '\\n' endings.
 
-    rows is a list of rows, whose string cells are written as given and
-    whose number cells as sci9 cells, or a sequence of equal-length 1-D
-    float arrays, one per header column, written as sci9 cells.
+    rows is a list of rows, whose string cells are written as given, whose
+    number cells as sci9 cells and whose array cells as the sci9 cells of
+    their values joined by ';', or a sequence of equal-length 1-D float
+    arrays, one per header column, written as sci9 cells.
     """
     stream.write(",".join(header) + "\n")
-    if not (rows and isinstance(rows[0], np.ndarray)):
-        for row in rows:
-            stream.write(",".join(c if isinstance(c, str) else sci9(c) for c in row) + "\n")
+    if rows and isinstance(rows[0], np.ndarray):
+        _write_cells(stream, rows, [","] * (len(rows) - 1) + ["\n"], sci9, "\n")
         return
-    row_format = ",".join(["%.8e"] * len(rows)) + "\n"
-    chunk_format = row_format * CHUNK
-    for start in range(0, len(rows[0]), CHUNK):
-        block = np.column_stack([col[start : start + CHUNK] for col in rows])
-        text = sci9_block(block)
-        if text is None:
-            fmt = chunk_format if len(block) == CHUNK else row_format * len(block)
-            text = fmt % tuple(block.ravel().tolist())
-        stream.write(text)
+    for row in rows:
+        cells = (c if isinstance(c, str) else ";".join(map(sci9, np.ravel(c))) for c in row)
+        stream.write(",".join(cells) + "\n")
 
 
 def write_json(stream, payload) -> None:
@@ -309,12 +300,5 @@ def _write_json_array(stream, values, pad: str) -> None:
         stream.write("[]")
         return
     inner = pad + "  "
-    sep = ",\n" + inner
     stream.write("[\n" + inner)
-    for start in range(0, len(values), CHUNK):
-        block = values[start : start + CHUNK]
-        text = _json_block(block, sep)
-        if text is None:
-            text = sep.join(map(_json_number, block.tolist()))
-        stream.write((sep if start else "") + text)
-    stream.write(f"\n{pad}]")
+    _write_cells(stream, [values], [",\n" + inner], _json_number, f"\n{pad}]")

@@ -29,9 +29,9 @@ class EigenDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def require_hermitian(h, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Return h as a complex array, raising InvalidInputs if it is not
-    square, finite and Hermitian within rtol (relative to the largest entry)."""
+def require_hermitian(h) -> np.ndarray:
+    """Return h as a complex array, raising InvalidInputs if it is not square,
+    finite and Hermitian within HERMITIAN_RTOL (relative to the largest entry)."""
     h = complex_array("matrix", h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
         raise InvalidInputs(f"expected a square matrix of dim >= 1, got shape {h.shape}")
@@ -45,10 +45,10 @@ def require_hermitian(h, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
             f"matrix entries must be at most {limit:.3g} in modulus, got {scale:.3g}"
         )
     deviation = float(np.abs(h - h.conj().T).max())
-    if deviation > rtol * scale:
+    if deviation > HERMITIAN_RTOL * scale:
         raise InvalidInputs(
             f"matrix is not Hermitian: max |H - H^dag| = {deviation:.3e} "
-            f"exceeds {rtol:.1e} * max|H| = {rtol * scale:.3e}"
+            f"exceeds {HERMITIAN_RTOL:.1e} * max|H| = {HERMITIAN_RTOL * scale:.3e}"
         )
     return h
 

@@ -47,10 +47,10 @@ def lorentzian(detuning, gamma):
 def _thermal_ratio(omega_if, temp, kt_scale):
     """hbar omega_if / (kt_scale kB T) over the broadcast inputs.
 
-    Above 1e3 both thermal factors are exactly 1.0 in double precision
-    (exp(-1e3) underflows to 0, tanh saturates near 19), so there the ratio
-    takes its T -> 0 limit +inf.  That covers T = 0 and a T so small that
-    kB T underflows to 0, and no division overflows.
+    The ratio is (omega_if / T) * (hbar / (kt_scale kB)), so neither hbar
+    omega_if nor kB T underflows first.  At T = 0 it takes its T -> 0 limit
+    +inf; where omega_if / T overflows it is +inf too, and both thermal
+    factors are exactly 1.0 there, as they are for any ratio above ~745.
     """
     temp = np.asarray(require("temperature", temp), dtype=np.float64)
     # omega_if = +inf is allowed, and gives the ratio +inf as T = 0 does.
@@ -59,10 +59,11 @@ def _thermal_ratio(omega_if, temp, kt_scale):
     omega_if = np.asarray(omega_if, dtype=np.float64)
     if not np.all(omega_if > 0.0):
         raise InvalidInputs(f"omega_if must be positive, got {np.min(omega_if)}")
-    energy = HBAR * omega_if
-    kt = kt_scale * KB * temp
-    out = np.full(broadcast_shape(omega_if=omega_if, temperature=temp), np.inf)
-    return np.divide(energy, kt, out=out, where=energy < 1e3 * kt)
+    inf_filled = np.full(broadcast_shape(omega_if=omega_if, temperature=temp), np.inf)
+    return evaluate(
+        lambda: np.divide(omega_if, temp, out=inf_filled, where=temp > 0.0)
+        * (HBAR / (kt_scale * KB))
+    )
 
 
 def temperature_factor(omega_if, temp):

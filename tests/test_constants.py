@@ -28,9 +28,9 @@ def test_aliases_match_dataclass():
     # The formula modules import the pinned constants rather than keeping
     # copies of their own, so one CODATA set feeds every formula.
     for module, names in (
-        (absorption, ("A0", "ALPHA", "C")),
+        (absorption, ("C", "MD_PREFACTOR")),
         (emission, ("A0", "ALPHA", "C", "TWO_PI")),
-        (ensemble, ("TWO_PI", "C")),
+        (ensemble, ("TWO_PI", "C", "MD_PREFACTOR")),
         (lineshape, ("HBAR", "KB")),
         (spin, ("HBAR", "MUB")),
     ):

@@ -36,6 +36,8 @@ CASES = {
     ],
     "point_4p5_t0": ["point", "--freq-ghz", "4.5", "--temp-k", "0"],
     "sweep_2001_t_p": ["sweep", "--points", "2001", "--temp-k", "0.7", "--p-over-pc", "4"],
+    # A subnormal frequency cell sends its chunks down the writers' per-value path.
+    "sweep_3_subnormal": ["sweep", "--fmin-ghz", "1e-320", "--points", "3"],
     # 3 species x ~200 lines (two_s 2, 3 and 5, both linewidth conventions).
     "sweep_many_lines_t": [
         "sweep", "--db", str(GOLDEN_DIR / "many_lines_db.json"), "--fmin-ghz", "1.5",

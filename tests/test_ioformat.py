@@ -4,10 +4,11 @@ The references here format one cell at a time, the way the writers did
 before they worked in chunks: f"{x:.8e}" per CSV cell, and
 json.dumps(indent=2) of the payload with every finite float spelled as that
 cell for JSON.  The digit kernel (ioformat._sci9_cells) is held to
-"%.8e" % x byte for byte on ~2e6 adversarial values through
-ioformat.sci9_block; JSON arrays take the same cells with the array
-separator after each (ioformat._json_block).  Whole outputs are compared
-with assert_same_text, which names the first differing line.
+"%.8e" % x byte for byte on ~2e6 adversarial values through the chunk
+writer both formats share (ioformat._write_cells), with a number speller
+that refuses every value, so no cell can come from the per-value path.
+Whole outputs are compared with assert_same_text, which names the first
+differing line.
 """
 
 import io
@@ -131,9 +132,11 @@ def test_string_rows_written_as_given():
 
 
 def test_number_cells_spelled_as_sci9():
-    rows = [["t", 1 / 3], ("n", 3), ["x", 0.5, -2, "s"]]
+    # An array cell is the sci9 cells of its values joined by ';'.
+    rows = [["t", 1 / 3], ("n", 3), ["x", 0.5, -2, "s"], ["w", np.array([0.5, 1 / 3]), "s"]]
     assert _written(write_csv, ["key", "value"], rows) == (
         "key,value\nt,3.33333333e-01\nn,3.00000000e+00\nx,5.00000000e-01,-2.00000000e+00,s\n"
+        "w,5.00000000e-01;3.33333333e-01,s\n"
     )
 
 
@@ -201,16 +204,32 @@ def test_chunk_boundaries_match_reference(command, points, tmp_path, monkeypatch
 SCALE_ERROR = 2.3e-7
 
 
+class _PerValue(Exception):
+    """A chunk left the digit kernel for the per-value path."""
+
+
+def _refuse(x):
+    raise _PerValue(x)
+
+
+def _kernel_text(columns, seps, end="\n"):
+    """_write_cells's text of columns, or None if a chunk takes the per-value path."""
+    try:
+        return _written(ioformat._write_cells, columns, seps, _refuse, end)
+    except _PerValue:
+        return None
+
+
 def _assert_kernel_exact(values, cols=4):
-    """sci9_block spells every value as "%.8e" % x, without falling back."""
+    """The kernel spells every value as "%.8e" % x, without falling back."""
     values = np.asarray(values, dtype=np.float64)
     values = np.concatenate([values, np.ones(-len(values) % cols)])
     row = ",".join(["%.8e"] * cols) + "\n"
     step = 16_384 * cols
     for start in range(0, len(values), step):
         part = values[start : start + step]
-        text = ioformat.sci9_block(part.reshape(-1, cols))
-        assert text is not None, "a fast-class block fell back to '%'"
+        text = _kernel_text(list(part.reshape(-1, cols).T), [","] * (cols - 1) + ["\n"])
+        assert text is not None, "a fast-class chunk took the per-value path"
         expected = (row * (len(part) // cols)) % tuple(part.tolist())
         if text != expected:
             got = text.replace("\n", ",").split(",")
@@ -265,7 +284,8 @@ def test_kernel_matches_printf_at_powers_of_ten_and_carries():
     carries = np.array([float(f"{m}e{k}") for k in range(-99, 99) for m in ("9.999999995", "9.9999999949999999")])
     values = np.concatenate([_neighbours(powers, 8), _neighbours(carries, 8)])
     _assert_kernel_exact(_fast_range(values))
-    assert ioformat.sci9_block(np.array([[1e-99, 9.9999999949e99]])) == "1.00000000e-99,9.99999999e+99\n"
+    columns = [np.array([1e-99]), np.array([9.9999999949e99])]
+    assert _kernel_text(columns, [",", "\n"]) == "1.00000000e-99,9.99999999e+99\n"
 
 
 @pytest.mark.parametrize(
@@ -275,8 +295,8 @@ def test_kernel_fast_class(value):
     """Finite +0.0 or positive cells with |exponent| <= 99 stay in the kernel."""
     block = np.array([[value, 1.5]])
     fast = len("%.8e" % value) == 14 and not 0 < value < 1e-99  # d.dddddddde+XX
-    text = ioformat.sci9_block(block)
-    json_text = ioformat._json_block(block.ravel(), JSON_SEP)
+    text = _kernel_text(list(block.T), [",", "\n"])
+    json_text = _kernel_text([block.ravel()], [JSON_SEP], end="")
     if fast:
         assert text == "%.8e,1.50000000e+00\n" % value
         assert json_text == "%.8e" % value + JSON_SEP + "1.50000000e+00"
@@ -325,13 +345,14 @@ def _recorded(monkeypatch, name):
 
 
 def _assert_kernel_takes_every_chunk(monkeypatch, header, columns):
-    csv_chunks = _recorded(monkeypatch, "sci9_block")
-    json_chunks = _recorded(monkeypatch, "_json_block")
+    json_chunks = _recorded(monkeypatch, "_sci9_cells")
     assert_same_text(_written(write_csv, header, columns), _csv_reference(header, columns))
+    csv_chunks = json_chunks[:]
+    json_chunks.clear()
     payload = dict(zip(header, columns))
     assert_same_text(_written(write_json, payload), _json_reference(payload))
     for results in (csv_chunks, json_chunks):
-        assert results and all(text is not None for text in results)
+        assert results and all(cells is not None for cells in results)
 
 
 def test_bulk_sweep_takes_the_digit_kernel(monkeypatch):
@@ -353,7 +374,7 @@ def test_powercurve_from_zero_takes_the_digit_kernel(monkeypatch):
     st.lists(st.floats(), max_size=3),
 )
 def test_csv_column_matches_per_cell_reference(fast, mixed):
-    """Chunks of fast-class cells go through the kernel, the rest to '%'."""
+    """Chunks of fast-class cells go through the kernel, the rest value by value."""
     columns = [np.array(fast + mixed, dtype=np.float64)]
     columns.append(columns[0][::-1].copy())
     with pytest.MonkeyPatch.context() as patch:
@@ -375,14 +396,14 @@ def test_json_chunks_mix_kernel_and_exact_path(monkeypatch):
     """A chunk holding one value outside the class takes the exact path; the
     chunks around it stay in the kernel, and the bytes match either way."""
     monkeypatch.setattr(ioformat, "CHUNK", 7)
-    chunks = _recorded(monkeypatch, "_json_block")
+    chunks = _recorded(monkeypatch, "_sci9_cells")
     rng = np.random.default_rng(20273)
     for odd in (-1.5, -0.0, float("nan"), float("inf"), 1e-300, 5e-324, 1e100, 9.9999999995e99):
         values = 10.0 ** rng.uniform(-6, 17, 21)
         values[10] = odd
         chunks.clear()
         _assert_json_array_exact(values)
-        assert [text is None for text in chunks] == [False, True, False], odd
+        assert [cells is None for cells in chunks] == [False, True, False], odd
 
 
 @settings(max_examples=200, deadline=None)

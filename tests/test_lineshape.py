@@ -107,10 +107,27 @@ def test_temperature_factors_monotone_decreasing():
 
 
 def test_temperature_factors_subnormal_temperature():
-    # kB T underflows to 0 here; both factors take their T -> 0 value.
+    # omega_if / T overflows here; both factors take their T -> 0 value.
     omega = TWO_PI * 4.5e9
     assert temperature_factor(omega, 1e-320) == 1.0
     assert tanh_factor(omega, 1e-320) == 1.0
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200])
+def test_temperature_factors_depend_on_omega_over_t_only(scale):
+    # At 1e-300 both hbar omega_if and kB T underflow; omega_if / T does not.
+    omega, temps = TWO_PI * 4.5e9, np.array([0.05, 0.2, 1.0, 30.0])
+    for factor in (temperature_factor, tanh_factor):
+        np.testing.assert_allclose(
+            factor(omega * scale, temps * scale), factor(omega, temps), rtol=1e-12
+        )
+
+
+def test_temperature_factors_at_tiny_frequency_and_temperature():
+    # The second row of tempcurve --freq-ghz 1e-300 --tmin-k 0 --tmax-k 1e-300 --points 3.
+    omega = TWO_PI * 1e9 * 1e-300
+    assert f"{temperature_factor(omega, 5e-301):.8e}" == "2.74552744e-01"
+    assert f"{tanh_factor(omega, 5e-301):.8e}" == "4.79556181e-02"
 
 
 def test_temperature_factors_arrays_match_scalars():

@@ -48,10 +48,11 @@ CHAINS = {
         ["ensemble", "spin", "emission", "linalg", "_kernels"],
     ),
     "emission": (["emission"], "emission", ["ensemble", "spin", "lineshape"]),
-    "sweep": (["sweep", "--points", "11"], "ensemble", ["emission", "linalg"]),
-    "point": (["point", "--freq-ghz", "4.5"], "ensemble", ["emission", "linalg"]),
+    "sweep": (["sweep", "--points", "11"], "ensemble", ["absorption", "emission", "linalg"]),
+    "point": (["point", "--freq-ghz", "4.5"], "ensemble", ["absorption", "emission", "linalg"]),
     "powercurve": (
-        ["powercurve", "--freq-ghz", "9.0", "--points", "3"], "ensemble", ["emission", "linalg"],
+        ["powercurve", "--freq-ghz", "9.0", "--points", "3"], "ensemble",
+        ["absorption", "emission", "linalg"],
     ),
 }
 
