@@ -35,7 +35,7 @@ import math
 import os
 import sys
 
-from .constants import MAX_POINTS, MAX_RATE, angular_to_ghz, ghz_to_angular
+from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, angular_to_ghz, ghz_to_angular
 
 # The names each command looks up in this module, by the module that defines
 # them.  __getattr__ binds one on its first lookup on this module, importing
@@ -203,7 +203,10 @@ def cmd_emission(args: argparse.Namespace):
 def cmd_tempcurve(args: argparse.Namespace):
     if not args.tmin_k < args.tmax_k:
         raise InvalidInputs(f"need tmin < tmax, got [{args.tmin_k}, {args.tmax_k}]")
-    omega_if = ghz_to_angular(args.freq_ghz)
+    try:
+        omega_if = ghz_to_angular(args.freq_ghz)
+    except InvalidInputs:  # past the float range: the thermal factors take their limit
+        omega_if = math.inf
     temps = _grid(args.tmin_k, args.tmax_k, args.points)
     header = ["temp_k", "w_factor", "tanh_factor"]
     columns = (temps, temperature_factor(omega_if, temps), tanh_factor(omega_if, temps))
@@ -263,7 +266,7 @@ POINTS = _number(int, f"between 2 and {MAX_POINTS}", lambda n: 2 <= n <= MAX_POI
 PROBE_GHZ = _number(
     float,
     f"a finite number > 0 whose angular frequency is at most {MAX_RATE:.3g} rad/s",
-    lambda x: 0.0 < ghz_to_angular(x) <= MAX_RATE,
+    lambda x: 0.0 < x <= MAX_GHZ,
 )
 
 

@@ -26,13 +26,25 @@ MD_PREFACTOR = math.pi**2 * ALPHA**3 * A0**2
 # a finite float, so no Lorentzian denominator overflows to a silent 0.
 MAX_RATE = math.sqrt(sys.float_info.max / 2.0)
 
+# Largest cyclic frequency [GHz] whose angular frequency is at most MAX_RATE;
+# callers compare GHz with it before converting.
+MAX_GHZ = MAX_RATE / (TWO_PI * 1.0e9)
+
 # Most points of a sweep grid: each float64 column of it is at most 80 MB.
 MAX_POINTS = 10**7
 
 
 def ghz_to_angular(freq_ghz):
-    """Cyclic frequency in GHz to angular frequency in rad/s."""
-    return TWO_PI * 1.0e9 * freq_ghz
+    """Cyclic frequency in GHz to angular frequency in rad/s.
+
+    freq_ghz is a number or an array of them; InvalidInputs unless each is
+    finite and converts to a finite angular frequency.
+    """
+    # Imported here: cli parses its flags with this module before numpy loads.
+    from .errors import evaluate, require
+
+    omega = evaluate(lambda: TWO_PI * 1.0e9 * require("freq_ghz", freq_ghz, -math.inf))
+    return require("angular frequency", omega, -math.inf)
 
 
 def angular_to_ghz(omega):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .constants import MAX_POINTS, MAX_RATE, MD_PREFACTOR, TWO_PI, C, ghz_to_angular
+from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, MD_PREFACTOR, TWO_PI, C, ghz_to_angular
 from .errors import DatabaseError, InvalidInputs, broadcast_shape, evaluate, is_real, require_number
 from .ioformat import NAME_RULE, finite_float, number_field, plain_name, read_json_array
 from .lineshape import power_broadened_gamma, temperature_factor
@@ -263,7 +263,7 @@ def sweep(
         raise InvalidInputs(
             f"points must be an integer >= 2 and at most {MAX_POINTS}, got {points!r}"
         )
-    if not ghz_to_angular(fmax) <= MAX_RATE:
+    if not fmax <= MAX_GHZ:
         raise InvalidInputs(f"angular frequency of fmax {fmax_ghz} GHz overflows")
     freqs = np.linspace(fmin, fmax, points)
     per_species, total = database_loss(db, ghz_to_angular(freqs), temp_k, power)
@@ -312,7 +312,7 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
         for column, key in zip(columns, ("g", "freq_ghz", "weight")):
             column.append(number_field(raw, key, line))
     g, freq_ghz, weights = columns
-    centers = evaluate(lambda: ghz_to_angular(np.array(freq_ghz)))
+    centers = evaluate(lambda: TWO_PI * 1.0e9 * np.array(freq_ghz))  # quoted as is past MAX_RATE
     try:
         return DefectSpecies(
             name=name,

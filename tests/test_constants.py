@@ -1,10 +1,13 @@
 """Pinned constant values and unit-conversion helpers."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from paramagloss import absorption, constants, emission, ensemble, lineshape, spin
+from paramagloss.errors import InvalidInputs
 from conftest import (
     BOHR_RADIUS,
     C_LIGHT,
@@ -46,6 +49,31 @@ def test_ghz_to_angular():
     assert constants.ghz_to_angular(11.45) == pytest.approx(
         2.0 * math.pi * 11.45e9, rel=1e-15
     )
+
+
+def test_max_ghz_is_the_largest_frequency_within_max_rate():
+    # Comparing GHz with MAX_GHZ decides exactly what comparing the converted
+    # angular frequency with MAX_RATE would.
+    top = constants.MAX_GHZ
+    assert constants.ghz_to_angular(top) <= constants.MAX_RATE
+    assert 2.0 * math.pi * 1.0e9 * math.nextafter(top, math.inf) > constants.MAX_RATE
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("x", "freq_ghz must be finite, got 'x'"),
+        (None, "freq_ghz must be finite, got None"),
+        (math.nan, "freq_ghz must be finite, got nan"),
+        (np.array([1.0, 1e308]), "angular frequency must be finite, got inf"),
+    ],
+)
+def test_ghz_to_angular_rejects_non_numbers_and_overflow(value, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputs) as exc:
+            constants.ghz_to_angular(value)
+    assert str(exc.value) == message
 
 
 def test_angular_to_ghz_round_trip():

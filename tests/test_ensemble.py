@@ -345,6 +345,12 @@ def test_line_table_built_once(monkeypatch):
         return coupling(*args)
 
     monkeypatch.setattr(ensemble, "line_coupling_sq", counting)
+    # A load makes one array call per species, covering all of its lines.
+    for path in (default_db_path(), Path(__file__).parent / "golden" / "many_lines_db.json"):
+        calls.clear()
+        db = load_species_db(path)
+        assert [len(args[2]) for args in calls] == [len(sp.lines) for sp in db]
+    calls.clear()
     va = DefectSpecies(
         name="V", two_s=3, n_def=1e22, gamma=GAMMA, transition=(1.5, 0.5), lines=VA.lines
     )
@@ -602,10 +608,12 @@ def test_sweep_argmax_at_line_center():
     assert peak == pytest.approx(11.45, abs=1e-9)
 
 
-def test_empty_database_sweep():
-    spectrum = sweep([], 1.0, 15.0, 11)
-    assert spectrum.per_species == {}
-    assert np.array_equal(spectrum.total, np.zeros(11))
+def test_empty_database_sweep(tmp_path):
+    for db in ([], load_species_db(_write_db(tmp_path, []))):
+        assert db == []
+        spectrum = sweep(db, 1.0, 15.0, 11)
+        assert spectrum.per_species == {}
+        assert np.array_equal(spectrum.total, np.zeros(11))
 
 
 def test_load_default_database():
@@ -809,6 +817,134 @@ def test_load_database_errors(tmp_path):
 
     with pytest.raises(DatabaseError, match="cannot read"):
         load_species_db(tmp_path / "nope.json")
+
+
+# (2S, transition, line count, linewidth convention) of each species of a
+# mixed database.
+MIXED = [
+    (1, [0.5, -0.5], 1, "cyclic_times_2pi"),
+    (2, [1.0, 0.0], 7, "angular_rate"),
+    (3, [1.5, 0.5], 3, "cyclic_times_2pi"),
+    (5, [0.5, 1.5], 5, "angular_rate"),
+    (255, [-126.5, -127.5], 2, "cyclic_times_2pi"),
+    (3, [-0.5, -1.5], 6, "angular_rate"),
+    (2, [0.0, -1.0], 4, "cyclic_times_2pi"),
+]
+
+
+def test_loaded_species_equal_species_built_alone(tmp_path):
+    # Each species of a mixed database is bit for bit the species built alone
+    # in code from the same numbers: amps, peak_loss and losses, at a point
+    # and over a grid, with and without temperature and drive power.
+    rng = np.random.default_rng(21)
+    entries = []
+    for i, (two_s, transition, count, convention) in enumerate(MIXED):
+        lines = [
+            {"g": float(rng.uniform(1.9, 2.1)), "freq_ghz": float(rng.uniform(2.0, 14.0)),
+             "weight": 1.0 / count}
+            for _ in range(count)
+        ]
+        entries.append(_cr_entry(
+            name=f"S{i}", two_s=two_s, transition=transition, lines=lines,
+            linewidth_convention=convention, linewidth_mhz=float(rng.uniform(5.0, 50.0)),
+            concentration_per_cm3=float(rng.uniform(1e16, 1e18)),
+        ))
+    db = load_species_db(_write_db(tmp_path, entries))
+    omegas = ghz_to_angular(np.linspace(1.0, 15.0, 57))
+    for sp, entry in zip(db, entries):
+        alone = DefectSpecies(
+            name=entry["name"],
+            two_s=entry["two_s"],
+            n_def=entry["concentration_per_cm3"] * 1e6,
+            gamma=ensemble.LINEWIDTH_SCALES[entry["linewidth_convention"]] * entry["linewidth_mhz"],
+            transition=tuple(entry["transition"]),
+            lines=_lines(*((ln["g"], ln["freq_ghz"], ln["weight"]) for ln in entry["lines"])),
+            linewidth_convention=entry["linewidth_convention"],
+        )
+        assert len(sp.lines) == len(alone.lines) == len(entry["lines"])
+        for name in ("centers", "g", "weights"):
+            assert np.array_equal(getattr(sp.lines, name), getattr(alone.lines, name))
+        assert np.array_equal(sp.amps, alone.amps) and not sp.amps.flags.writeable
+        assert sp.peak_loss == alone.peak_loss and type(sp.peak_loss) is float
+        # Up to 7 lines: the amplitudes are summed in listed order by sum().
+        assert sp.peak_loss == sum(sp.amps.tolist()) * 2.0 / (math.pi * sp.gamma)
+        for kwargs in ({}, {"temp_k": 0.4, "power": 3.0}):
+            assert species_loss(sp, OMEGA_45, **kwargs) == species_loss(alone, OMEGA_45, **kwargs)
+            assert np.array_equal(
+                species_loss(sp, omegas, **kwargs), species_loss(alone, omegas, **kwargs)
+            )
+
+
+# Each range fault, as (species overrides, line-3 overrides, field, whether the
+# error names line 3).
+FAULTS = [
+    ({}, {"g": 0.0}, "g", True),
+    ({}, {"freq_ghz": -1.0}, "freq_ghz", True),
+    ({}, {"freq_ghz": 1e200}, "freq_ghz", True),
+    ({}, {"weight": 1.2}, "weight", True),
+    ({}, {"weight": 0.5}, "weight", False),  # the weights sum to 1.25
+    ({"transition": [2.5, 1.5]}, {}, "transition", False),
+    ({"two_s": 0}, {}, "two_s", False),
+    ({"linewidth_mhz": 0.0}, {}, "linewidth_mhz", False),
+    ({"concentration_per_cm3": -1.0}, {}, "concentration_per_cm3", False),
+    ({"concentration_per_cm3": 1e290, "linewidth_mhz": 1e-150}, {}, "linewidth_mhz", False),
+]
+
+
+@pytest.mark.parametrize("species, line, field, at_line", FAULTS)
+def test_fault_named_at_its_species_and_line(tmp_path, species, line, field, at_line):
+    # The fault sits in the third species, at line 3, of a four-species
+    # database; its error is the one the species gives alone, and names that
+    # species, line and field once.
+    names = ["Alpha", "Beta", "Gamma", "Delta"]
+    lines = [{"g": 1.984, "freq_ghz": 11.0 + 0.1 * i, "weight": 0.25} for i in range(4)]
+    entries = [_cr_entry(name=name, lines=[dict(ln) for ln in lines]) for name in names]
+    entries[2].update(species)
+    entries[2]["lines"][3].update(line)
+    with pytest.raises(DatabaseError) as exc:
+        load_species_db(_write_db(tmp_path, entries))
+    with pytest.raises(DatabaseError) as alone:
+        load_species_db(_write_db(tmp_path, [entries[2]], "alone.json"))
+    message = str(exc.value)
+    assert message == str(alone.value)
+    assert message.startswith("species 'Gamma': " + ("line 3: " if at_line else ""))
+    assert f"'{field}'" in message
+    assert message.count("Gamma") == 1 and len(re.findall(r"line \d", message)) == int(at_line)
+    assert not any(name in message for name in ("Alpha", "Beta", "Delta"))
+
+
+def test_first_fault_in_database_order(tmp_path):
+    # With several faults, the error is the first fault of the first species
+    # at fault, in the order its fields are read: pinned so that a loader
+    # which checks a whole database at once keeps it.
+    line = {"g": 1.984, "freq_ghz": 11.45, "weight": 0.5}
+    for entries, message in (
+        # Within a species, line objects are read one line at a time.
+        (
+            [_cr_entry(lines=[dict(line, freq_ghz="x"), dict(line, g="x")])],
+            "species 'Cr': line 0: field 'freq_ghz' must be a finite number",
+        ),
+        # A range fault of an earlier species comes before a type fault of a
+        # later one.
+        (
+            [_cr_entry(lines=[line]), _cr_entry(name="Fe", lines=[dict(line, g=None)] * 2)],
+            "species 'Cr': field 'weight': line weights sum to 0.5, expected 1",
+        ),
+        # The transition is checked before the lines.
+        (
+            [_cr_entry(transition=[2.5, 1.5], lines=[dict(line, g=0.0)] * 2)],
+            "species 'Cr': field 'transition' (2.5, 1.5): m = 2.5 is not a valid "
+            "projection for S = 1.5",
+        ),
+        # Weights are summed in listed order, one species at a time, by sum().
+        (
+            [_cr_entry(lines=[dict(line, weight=w) for w in (0.1, 0.2, 0.3)])],
+            "species 'Cr': field 'weight': line weights sum to 0.6000000000000001, expected 1",
+        ),
+    ):
+        with pytest.raises(DatabaseError) as exc:
+            load_species_db(_write_db(tmp_path, entries))
+        assert str(exc.value) == message
 
 
 def test_loaded_database_matches_programmatic_species():

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import paramagloss
 from paramagloss.absorption import absorption_coefficient, loss_tangent, sigma_md
+from paramagloss.constants import ghz_to_angular
 from paramagloss.emission import (
     EmissionLine,
     a_md,
@@ -136,6 +137,7 @@ BOUNDARY = [
     (lorentzian, dict(detuning=0.0, gamma=1.0), ("detuning", "gamma")),
     (power_broadened_gamma, dict(gamma0=1.0, power=1.0), ("gamma0", "power")),
     (wavelength_to_angular, dict(lambda_vac=1e-6), ("lambda_vac",)),
+    (ghz_to_angular, dict(freq_ghz=11.45), ("freq_ghz",)),
     (photon_dos, dict(omega=OMEGA, n_r=1.0), ("omega", "n_r")),
     (a_md, dict(omega_if=OMEGA, m_sq=1.0, n_r=1.0), ("omega_if", "m_sq", "n_r")),
     (extract_moment, dict(a=12.21, lambda_vac=1276e-9, n_r=1.0), ("a", "lambda_vac", "n_r")),
@@ -229,6 +231,7 @@ NUMERIC = [
     (temperature_factor, dict(omega_if=OMEGA, temp=0.1), ("omega_if", "temp")),
     (tanh_factor, dict(omega_if=OMEGA, temp=0.1), ("omega_if", "temp")),
     (wavelength_to_angular, dict(lambda_vac=1e-6), ("lambda_vac",)),
+    (ghz_to_angular, dict(freq_ghz=11.45), ("freq_ghz",)),
     (photon_dos, dict(omega=OMEGA, n_r=1.0), ("omega", "n_r")),
     (a_md, dict(omega_if=OMEGA, m_sq=1.0, n_r=1.0), ("omega_if", "m_sq", "n_r")),
     (extract_moment, dict(a=12.21, lambda_vac=1276e-9, n_r=1.0), ("a", "lambda_vac", "n_r")),
@@ -255,11 +258,10 @@ NUMERIC = [
     (unpolarized_coupling, dict(m_vec=(1.0, 1.0j, 0.0)), ("m_vec",)),
     (diagonalize, dict(h=np.eye(2)), ("h",)),
 ]
-# The rest of __all__: ghz_to_angular is plain arithmetic on a grid, whose
-# callers bound its result; the files of the two readers are fuzzed in
+# The rest of __all__: the files of the two readers are fuzzed in
 # test_cli_properties; the remaining names take no numbers or only hold results.
 NOT_NUMERIC = {
-    "ghz_to_angular", "load_species_db", "read_emission_table", "default_db_path",
+    "load_species_db", "read_emission_table", "default_db_path",
     "default_emission_path", "ParamagLossError", "Spectrum", "SpinOperators",
     "EigenDecomposition",
 }

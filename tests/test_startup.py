@@ -67,6 +67,23 @@ def test_each_command_imports_only_its_chain(command):
     assert not {f"paramagloss.{name}" for name in absent} & set(modules)
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["sweep", "--help"], 0), (["point", "--freq-ghz", "nan"], 2)],
+    ids=["help", "sweep-help", "rejected-flag"],
+)
+def test_argparse_ended_run_loads_no_numpy(argv, code):
+    # A run that argparse ends, with help or a rejected flag, needs only the
+    # flag parser: no numpy and no package module beyond cli (which runs as
+    # __main__ here) and constants.
+    proc = _python(RUN_AND_LIST_MODULES, *argv)
+    exit_code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert exit_code == code, proc.stderr
+    assert "numpy" not in modules
+    package = {name for name in modules if name.split(".")[0] == "paramagloss"}
+    assert package == {"paramagloss", "paramagloss.constants"}
+
+
 def test_package_exports_resolve_lazily():
     code = (
         "import paramagloss\n"
