@@ -30,7 +30,7 @@ _EXPORTS = {
     "diagonalize": "linalg",
     "extract_moment": "emission",
     "ghz_to_angular": "constants",
-    "line_coupling_sq": "spin",
+    "line_coupling_sq": "ladder",
     "load_species_db": "ensemble",
     "lorentzian": "lineshape",
     "loss_tangent": "absorption",

@@ -24,10 +24,10 @@ def sigma_md(omega, omega_if, coupling_sq, shape: ls.LineshapeSpec,
     occupation factor multiplies the result.  A cross section past the
     float range raises InvalidInputs.
     """
-    require("omega", omega, strict=True)
-    require("omega_if", omega_if, strict=True)
-    require("n_r", n_r, 1.0)
-    require("coupling_sq", coupling_sq)
+    omega = require("omega", omega, strict=True)
+    omega_if = require("omega_if", omega_if, strict=True)
+    n_r = require("n_r", n_r, 1.0)
+    coupling_sq = require("coupling_sq", coupling_sq)
     broadcast_shape(
         omega=omega, omega_if=omega_if, coupling_sq=coupling_sq, n_r=n_r, temp_k=temp_k
     )
@@ -40,15 +40,15 @@ def sigma_md(omega, omega_if, coupling_sq, shape: ls.LineshapeSpec,
 def absorption_coefficient(n_def, sigma):
     """Attenuation coefficient a = N_def * sigma [1/m]."""
     broadcast_shape(n_def=n_def, sigma=sigma)
-    require("n_def", n_def)
-    require("sigma", sigma)
+    n_def = require("n_def", n_def)
+    sigma = require("sigma", sigma)
     return require("absorption coefficient", evaluate(lambda: n_def * sigma))
 
 
 def loss_tangent(a, omega, n_r: float = 1.0):
     """Loss tangent tan(delta) = c a(omega) / (n_r omega)."""
-    require("omega", omega, strict=True)
-    require("n_r", n_r, 1.0)
+    omega = require("omega", omega, strict=True)
+    n_r = require("n_r", n_r, 1.0)
     broadcast_shape(a=a, omega=omega, n_r=n_r)
-    require("a", a)
+    a = require("a", a)
     return require("loss tangent", evaluate(lambda: (C / (n_r * omega)) * a))

@@ -19,8 +19,8 @@ output.
 Start-up is most of a short run, so a run imports only its command's chain:
 this module needs the standard library and constants to parse the flags,
 and main then looks up the names of the parsed command's _CHAINS entry,
-which __getattr__ imports and binds.  tempcurve loads no spin algebra or
-database code, and emission no ensemble.  run, the program's entry, keeps
+which __getattr__ imports and binds.  tempcurve loads no database code,
+emission no ensemble, and no command the spin matrices.  run, the program's entry, keeps
 the garbage collector off over those imports and freezes the heap on the
 way out.
 """

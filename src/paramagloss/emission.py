@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .constants import A0, ALPHA, C, TWO_PI
-from .errors import DatabaseError, InvalidInputs, broadcast_shape, evaluate, require, require_number
+from .errors import (
+    DatabaseError, InvalidInputs, Record, broadcast_shape, evaluate, require, require_number,
+)
 from .ioformat import NAME_RULE, number_field, plain_name, read_json_array
 
 # Rate prefactor: multiply by n_r^3, omega_if^3, and the squared moment.
@@ -25,15 +26,15 @@ EXTRACTION_COLUMNS = ("label", "lambda_nm", "freq_thz", "a_md_hz", "m_sq", "m_ab
 
 def wavelength_to_angular(lambda_vac: float) -> float:
     """Angular frequency [rad/s] of a vacuum wavelength [m]."""
-    require("lambda_vac", lambda_vac, strict=True)
+    lambda_vac = require("lambda_vac", lambda_vac, strict=True)
     omega = evaluate(lambda: TWO_PI * C / lambda_vac)
     return require(f"angular frequency of lambda_vac={lambda_vac!r}", omega)
 
 
 def photon_dos(omega: float, n_r: float = 1.0) -> float:
     """Photon density of states [s/(rad m^3)] in a medium of index n_r."""
-    require("omega", omega)
-    require("n_r", n_r, 1.0)
+    omega = require("omega", omega)
+    n_r = require("n_r", n_r, 1.0)
     broadcast_shape(omega=omega, n_r=n_r)
     dos = evaluate(lambda: n_r**3 * omega**2 / (C**3 * math.pi**2))
     return require(f"photon density of states at omega={omega!r}, n_r={n_r!r}", dos)
@@ -46,9 +47,9 @@ def _rate_scale(omega_if: float, n_r: float = 1.0) -> float:
 
 def a_md(omega_if: float, m_sq: float, n_r: float = 1.0) -> float:
     """Spontaneous emission rate [1/s] of a magnetic-dipole transition."""
-    require("omega_if", omega_if, strict=True)
-    require("m_sq", m_sq)
-    require("n_r", n_r, 1.0)
+    omega_if = require("omega_if", omega_if, strict=True)
+    m_sq = require("m_sq", m_sq)
+    n_r = require("n_r", n_r, 1.0)
     broadcast_shape(omega_if=omega_if, m_sq=m_sq, n_r=n_r)
     rate = evaluate(lambda: _rate_scale(omega_if, n_r) * m_sq)
     return require(f"emission rate at omega_if={omega_if!r}, m_sq={m_sq!r}, n_r={n_r!r}", rate)
@@ -94,21 +95,18 @@ def extract_moment(a: float, lambda_vac: float, n_r: float = 1.0) -> float:
     return _moment(a, lambda_vac, n_r, ("lambda_vac", "n_r", "a"), lambda_vac)[1]
 
 
-@dataclass(frozen=True)
-class EmissionLine:
+class EmissionLine(Record):
     """One radiative line with its measured rate and extracted moment."""
 
-    label: str
-    lambda_vac: float
-    omega_if: float
-    a_md: float
-    m_sq: float
+    __slots__ = ("label", "lambda_vac", "omega_if", "a_md", "m_sq")
 
-    def __post_init__(self) -> None:
-        require(f"line {self.label!r}: lambda_vac", self.lambda_vac, strict=True)
-        require(f"line {self.label!r}: omega_if", self.omega_if, strict=True)
-        require(f"line {self.label!r}: a_md", self.a_md)
-        require(f"line {self.label!r}: m_sq", self.m_sq)
+    def __init__(self, label: str, lambda_vac: float, omega_if: float, a_md: float,
+                 m_sq: float) -> None:
+        require(f"line {label!r}: lambda_vac", lambda_vac, strict=True)
+        require(f"line {label!r}: omega_if", omega_if, strict=True)
+        require(f"line {label!r}: a_md", a_md)
+        require(f"line {label!r}: m_sq", m_sq)
+        self._set_fields(label, lambda_vac, omega_if, a_md, m_sq)
 
     @property
     def m_abs(self) -> float:

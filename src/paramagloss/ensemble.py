@@ -13,16 +13,17 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, MD_PREFACTOR, TWO_PI, C, ghz_to_angular
-from .errors import DatabaseError, InvalidInputs, broadcast_shape, evaluate, is_real, require_number
+from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, MD_PREFACTOR, TWO_PI, C
+from .errors import (
+    DatabaseError, InvalidInputs, Record, broadcast_shape, evaluate, is_real, require_number,
+)
 from .ioformat import NAME_RULE, finite_float, number_field, plain_name, read_json_array
+from .ladder import MAX_TWO_S, ladder_m, line_coupling_sq
 from .lineshape import power_broadened_gamma, temperature_factor
-from .spin import MAX_TWO_S, ladder_m, line_coupling_sq
 
 # Angular FWHM [rad/s] per unit of the database linewidth_mhz field, by
 # linewidth_convention: a cyclic frequency in MHz times 2*pi, or an angular
@@ -37,8 +38,7 @@ WEIGHT_SUM_TOL = 1e-9
 OUTPUT_KEYS = ("freq_ghz", "total", "n_r", "temp_k", "p_over_pc")
 
 
-@dataclass(frozen=True)
-class SpeciesLines:
+class SpeciesLines(Record):
     """The transition lines of one species as read-only float64 arrays.
 
     centers are the line frequencies omega_if [rad/s], g the g-factors and
@@ -46,31 +46,29 @@ class SpeciesLines:
     the species' FWHM.  The arrays are copied, so the caller's stay writable.
     """
 
-    centers: np.ndarray
-    g: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("centers", "g", "weights")
 
-    def __post_init__(self) -> None:
-        shapes = []
-        for name in ("centers", "g", "weights"):
-            col = np.array(getattr(self, name))
+    def __init__(self, centers: np.ndarray, g: np.ndarray, weights: np.ndarray) -> None:
+        cols = []
+        for name, value in zip(self.__slots__, (centers, g, weights)):
+            col = np.array(value)
             if not is_real(col):
-                raise InvalidInputs(f"{name} must hold real numbers, got {getattr(self, name)!r}")
+                raise InvalidInputs(f"{name} must hold real numbers, got {value!r}")
             col = col.astype(np.float64, copy=False)
             col.setflags(write=False)
-            object.__setattr__(self, name, col)
-            shapes.append(col.shape)
+            cols.append(col)
+        shapes = [col.shape for col in cols]
         if not (len(shapes[0]) == 1 and shapes[0] == shapes[1] == shapes[2]):
             raise InvalidInputs(
                 f"line arrays must be 1-D and of equal length, got shapes {shapes}"
             )
+        self._set_fields(*cols)
 
     def __len__(self) -> int:
         return self.centers.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class DefectSpecies:
+class DefectSpecies(Record):
     """A defect population with its transition lines, checked on construction.
 
     The transition field names the (m_i, m_f) sublevel pair whose coupling
@@ -86,51 +84,52 @@ class DefectSpecies:
     l's loss-tangent contribution.  It is computed here, once per species,
     with peak_loss = sum(amps) * 2 / (pi gamma), which bounds the species'
     loss at any probe frequency, temperature and drive power.
+    linewidth_convention is how the database spelled the linewidth, kept
+    for run metadata only: gamma is already angular.
     """
 
-    name: str
-    two_s: int
-    n_def: float
-    gamma: float
-    transition: tuple[float, float]
-    lines: SpeciesLines
-    # How the database spelled the linewidth; kept for run metadata only,
-    # gamma is already angular.
-    linewidth_convention: str = "cyclic_times_2pi"
-    amps: np.ndarray = field(init=False, repr=False)
-    peak_loss: float = field(init=False, repr=False)
+    __slots__ = (
+        "name", "two_s", "n_def", "gamma", "transition", "lines", "linewidth_convention",
+        "amps", "peak_loss",
+    )
 
-    def __post_init__(self) -> None:
-        two_s, lines = self.two_s, self.lines
-
+    def __init__(
+        self,
+        name: str,
+        two_s: int,
+        n_def: float,
+        gamma: float,
+        transition: tuple[float, float],
+        lines: SpeciesLines,
+        linewidth_convention: str = "cyclic_times_2pi",
+    ) -> None:
         def fail(problem, li=None):
-            where = f"species {ascii(self.name)}" + ("" if li is None else f": line {li}")
+            where = f"species {ascii(name)}" + ("" if li is None else f": line {li}")
             raise InvalidInputs(f"{where}: {problem}")
 
-        for key in ("n_def", "gamma"):
-            value = getattr(self, key)
+        for key, value in (("n_def", n_def), ("gamma", gamma)):
             if not (np.ndim(value) == 0 and is_real(value)):
                 fail(f"{key} must be a real number, got {value!r}")
-        if plain_name(self.name) is None:
+        if plain_name(name) is None:
             fail(f"field 'name' {NAME_RULE}")
-        if self.name in OUTPUT_KEYS or "." in self.name:
+        if name in OUTPUT_KEYS or "." in name:
             fail(f"field 'name' must contain no '.' and be none of {', '.join(OUTPUT_KEYS)}")
         if isinstance(two_s, bool) or not (isinstance(two_s, int) and 1 <= two_s <= MAX_TWO_S):
             fail(f"field 'two_s' must be an integer in [1, {MAX_TWO_S}]")
-        if not 0.0 <= self.n_def < math.inf:
+        if not 0.0 <= n_def < math.inf:
             fail(
                 "field 'concentration_per_cm3' must give a finite concentration >= 0, "
-                f"got {self.n_def:.6g} m^-3"
+                f"got {n_def:.6g} m^-3"
             )
         # The kernel divides by the squared half-width.
-        half = 0.5 * self.gamma
+        half = 0.5 * gamma
         if not (0.0 < half <= MAX_RATE and half * half >= sys.float_info.min):
             fail(
                 "field 'linewidth_mhz' must give a positive FWHM whose half-width squares to a "
-                f"normal double, got {self.gamma:.6g} rad/s"
+                f"normal double, got {gamma:.6g} rad/s"
             )
         try:
-            ladder_m(two_s, self.transition)
+            ladder_m(two_s, transition)
         except InvalidInputs as exc:
             fail(f"field 'transition' {exc}")
         if len(lines) == 0:
@@ -151,25 +150,26 @@ class DefectSpecies:
         weight_sum = sum(lines.weights.tolist())
         if abs(weight_sum - 1.0) > WEIGHT_SUM_TOL:
             fail(f"field 'weight': line weights sum to {weight_sum}, expected 1")
-        coupling = line_coupling_sq(two_s, self.transition, lines.g)
-        amps = evaluate(lambda: C * MD_PREFACTOR * self.n_def * lines.weights * coupling)
+        coupling = line_coupling_sq(two_s, transition, lines.g)
+        amps = evaluate(lambda: C * MD_PREFACTOR * n_def * lines.weights * coupling)
         amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
         # The loss never exceeds the on-resonance peak sum(amps) * 2 / (pi gamma):
         # power broadening and the thermal factor only lower it.
-        peak_loss = sum(amps.tolist()) * 2.0 / (math.pi * float(self.gamma))
+        peak_loss = sum(amps.tolist()) * 2.0 / (math.pi * float(gamma))
         if not math.isfinite(peak_loss):
             fail("fields 'concentration_per_cm3' and 'linewidth_mhz' give an infinite peak loss")
-        object.__setattr__(self, "peak_loss", peak_loss)
+        self._set_fields(
+            name, two_s, n_def, gamma, transition, lines, linewidth_convention, amps, peak_loss
+        )
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Frequency grid with per-species and total loss tangents."""
 
-    freqs_ghz: np.ndarray
-    per_species: dict
-    total: np.ndarray
+    __slots__ = ("freqs_ghz", "per_species", "total")
+
+    def __init__(self, freqs_ghz: np.ndarray, per_species: dict, total: np.ndarray):
+        self._set_fields(freqs_ghz, per_species, total)
 
 
 def check_unique_names(db, error=InvalidInputs) -> None:
@@ -266,7 +266,9 @@ def sweep(
     if not fmax <= MAX_GHZ:
         raise InvalidInputs(f"angular frequency of fmax {fmax_ghz} GHz overflows")
     freqs = np.linspace(fmin, fmax, points)
-    per_species, total = database_loss(db, ghz_to_angular(freqs), temp_k, power)
+    # fmin > 0 and fmax <= MAX_GHZ bound the grid, so the bare product of
+    # ghz_to_angular is finite and needs none of its checks.
+    per_species, total = database_loss(db, TWO_PI * 1.0e9 * freqs, temp_k, power)
     for arr in (freqs, total, *per_species.values()):
         arr.setflags(write=False)
     return Spectrum(freqs_ghz=freqs, per_species=per_species, total=total)

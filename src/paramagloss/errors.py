@@ -10,6 +10,9 @@ require is the rule every number of the chain keeps: finite and at least
 evaluate, whose caller rejects the inf or nan it gets back.  No other module
 silences numpy's floating-point warnings, and only ioformat.finite_float,
 which converts a JSON integer, catches OverflowError.
+
+Record is the base of the package's records: plain __slots__ classes whose
+fields are set once, in __init__.
 """
 
 import math
@@ -27,6 +30,32 @@ class InvalidInputs(ParamagLossError):
 
 class DatabaseError(ParamagLossError):
     """A species database or emission-line file is malformed."""
+
+
+class Record:
+    """A read-only record: a subclass names its fields in __slots__ and sets them in
+    __init__ through _set_fields.
+
+    Assigning or deleting a field afterwards raises AttributeError.  Records
+    compare and hash by identity; copy and pickle rebuild their fields.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set_fields(self, *values):
+        """Set the fields, in __slots__ order, to values."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def is_real(value) -> bool:
@@ -69,14 +98,15 @@ def require(what: str, value, low: float = 0.0, strict: bool = False):
 
     Otherwise raises InvalidInputs naming `what` and the first bad entry;
     NaN, +-inf, booleans and non-numbers all fail.  low = -inf asks only
-    for a finite real.
+    for a finite real.  A list or tuple comes back as an ndarray, so the
+    caller's arithmetic works on it; a number or an ndarray comes back as given.
     """
     arr = np.asarray(value)
     bad = value
     if is_real(arr):
         ok = np.isfinite(arr) & (arr > low if strict else arr >= low)
         if ok.all():
-            return value
+            return arr if isinstance(value, (list, tuple)) else value
         bad = arr[~ok][0].item()
     rule = f" and {'>' if strict else '>='} {low:g}" if low > -np.inf else ""
     raise InvalidInputs(f"{what} must be finite{rule}, got {bad!r}")

@@ -146,7 +146,8 @@ def _tables():
     """
     scale = np.array([float(f"1e{j}") for j in range(8 + _E0, 8 - _E0 - 1, -1)])
     lead = _ascii(np.column_stack([np.arange(10) + ord("0"), np.full(10, ord("."))]))
-    quad = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    # Column n of the (4, 10 000) index grid holds the four digits of n.
+    quad = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
     e = np.arange(-99, 100)
     exp = np.column_stack([
         np.full(len(e), ord("e")),

@@ -6,23 +6,23 @@ input return identical results.
 """
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputs, complex_array, evaluate
+from .errors import InvalidInputs, Record, complex_array, evaluate
 
 MAX_DIM = 32
 HERMITIAN_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(Record):
     """Eigenvalues in ascending order with matching orthonormal eigenvector
     columns, both read-only."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("eigenvalues", "eigenvectors")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self._set_fields(eigenvalues, eigenvectors)
 
     @property
     def dim(self) -> int:

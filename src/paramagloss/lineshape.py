@@ -5,28 +5,26 @@ its values carry units of seconds.  It is evaluated at the detuning from
 line center, omega - omega_if.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import HBAR, KB
-from .errors import InvalidInputs, broadcast_shape, evaluate, is_real, require, require_number
+from .errors import (
+    InvalidInputs, Record, broadcast_shape, evaluate, is_real, require, require_number,
+)
 
 
-@dataclass(frozen=True)
-class LineshapeSpec:
+class LineshapeSpec(Record):
     """Broadening model plus its width: a Lorentzian of FWHM gamma [rad/s].
 
     kind names the model; "lorentzian" is the only one.
     """
 
-    kind: str
-    gamma: float = 0.0
+    __slots__ = ("kind", "gamma")
 
-    def __post_init__(self):
-        if self.kind != "lorentzian":
-            raise InvalidInputs(f"unknown lineshape kind {self.kind!r}; expected 'lorentzian'")
-        require("gamma", self.gamma, strict=True)
+    def __init__(self, kind: str, gamma: float = 0.0):
+        if kind != "lorentzian":
+            raise InvalidInputs(f"unknown lineshape kind {kind!r}; expected 'lorentzian'")
+        self._set_fields(kind, require("gamma", gamma, strict=True))
 
 
 def lorentzian(detuning, gamma):
@@ -37,7 +35,7 @@ def lorentzian(detuning, gamma):
     """
     # A numpy half makes a zero denominator give inf, not ZeroDivisionError.
     half = np.multiply(0.5, require("gamma", gamma, strict=True))
-    require("detuning", detuning, -np.inf)
+    detuning = require("detuning", detuning, -np.inf)
     broadcast_shape(detuning=detuning, gamma=gamma)
     # The density check rejects an inf, and the nan of 0 / 0 where gamma / 2 underflows to 0.
     density = evaluate(lambda: (half / np.pi) / (detuning * detuning + half * half))

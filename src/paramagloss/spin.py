@@ -8,19 +8,16 @@ Conventions
 * Basis states are ordered by m_s descending, from +S down to -S.
 * Operator matrices are in units of hbar (dimensionless entries).
 * Hamiltonians are expressed in angular-frequency units, rad/s.
-"""
 
-import math
-from dataclasses import dataclass
+The sublevel ladder and the closed-form line coupling, which a species
+needs without any matrix, are in the ladder module.
+"""
 
 import numpy as np
 
+from . import ladder
 from .constants import HBAR, MUB
-from .errors import InvalidInputs, complex_array, evaluate, is_real, require, require_number
-
-# Largest 2S, far above the 2S <= 8 of real paramagnetic ions; its spin
-# matrices hold 256^2 entries.
-MAX_TWO_S = 255
+from .errors import InvalidInputs, Record, complex_array, evaluate, require, require_number
 
 
 def m_values(two_s: int) -> np.ndarray:
@@ -28,23 +25,13 @@ def m_values(two_s: int) -> np.ndarray:
     return (two_s - 2.0 * np.arange(two_s + 1)) / 2.0
 
 
-def _check_two_s(two_s):
-    if not (np.ndim(two_s) == 0 and is_real(two_s) and 1 <= two_s <= MAX_TWO_S
-            and int(two_s) == two_s):
-        raise InvalidInputs(
-            f"two_s must be a positive integer (2S) of at most {MAX_TWO_S}, got {two_s!r}"
-        )
-    return int(two_s)
-
-
-@dataclass(frozen=True)
-class SpinOperators:
+class SpinOperators(Record):
     """Cartesian spin matrices for a single spin S = two_s / 2."""
 
-    two_s: int
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
+    __slots__ = ("two_s", "sx", "sy", "sz")
+
+    def __init__(self, two_s: int, sx: np.ndarray, sy: np.ndarray, sz: np.ndarray):
+        self._set_fields(two_s, sx, sy, sz)
 
     @property
     def dim(self) -> int:
@@ -57,7 +44,7 @@ def spin_operators(two_s: int) -> SpinOperators:
     Sz is diagonal with entries S, S-1, ..., -S; the matrices satisfy
     [Sx, Sy] = i Sz and Sx^2 + Sy^2 + Sz^2 = S(S+1) I.
     """
-    two_s = _check_two_s(two_s)
+    two_s = ladder.check_two_s(two_s)
     s = two_s / 2.0
     m = m_values(two_s)
     dim = two_s + 1
@@ -81,70 +68,38 @@ def spin_operators(two_s: int) -> SpinOperators:
     return SpinOperators(two_s=two_s, sx=sx, sy=sy, sz=sz)
 
 
-def sublevel_index(two_s: int, m) -> int:
-    """Position of |S, m> in the m-descending basis, 0 for m = S; InvalidInputs
-    unless m is a finite half-integer (to 1e-9) on the ladder of S = two_s / 2."""
-    two_s = _check_two_s(two_s)
-    twice = 2.0 * m if np.ndim(m) == 0 and is_real(m) else math.nan
-    if not (math.isfinite(twice) and abs(twice - round(twice)) <= 1e-9):
-        raise InvalidInputs(f"m = {m} is not a half-integer")
-    two_m = round(twice)
-    if (two_s - two_m) % 2 != 0 or not -two_s <= two_m <= two_s:
-        raise InvalidInputs(f"m = {m} is not a valid projection for S = {two_s / 2}")
-    return (two_s - two_m) // 2
-
-
-def ladder_m(two_s: int, transition: tuple[float, float]) -> float:
-    """Lower m of a transition (m_i, m_f) between sublevels that changes m by
-    exactly 1; InvalidInputs naming the pair otherwise."""
-    try:
-        m_i, m_f = transition
-    except (TypeError, ValueError):
-        raise InvalidInputs(f"transition must be a pair (m_i, m_f), got {transition!r}") from None
-    try:
-        k_i, k_f = sublevel_index(two_s, m_i), sublevel_index(two_s, m_f)
-    except InvalidInputs as exc:
-        raise InvalidInputs(f"({m_i}, {m_f}): {exc}") from None
-    if abs(k_i - k_f) != 1:
-        raise InvalidInputs(f"({m_i}, {m_f}) must change m by 1")
-    return two_s / 2.0 - max(k_i, k_f)
-
-
 def basis_state(two_s: int, m) -> np.ndarray:
     """Unit vector for |S, m> in the m-descending basis."""
-    vec = np.zeros(_check_two_s(two_s) + 1, dtype=np.complex128)
-    vec[sublevel_index(two_s, m)] = 1.0
+    vec = np.zeros(ladder.check_two_s(two_s) + 1, dtype=np.complex128)
+    vec[ladder.sublevel_index(two_s, m)] = 1.0
     vec.setflags(write=False)
     return vec
 
 
-@dataclass(frozen=True)
-class SpinHamiltonianParams:
+class SpinHamiltonianParams(Record):
     """Zero-field-splitting and Zeeman parameters.
 
     d, e are the axial and rhombic splittings in rad/s; b_field is the
-    static field in tesla.  The conventional ordering |e| <= |d|/3 is
-    enforced (so e must vanish when d does).
+    static field in tesla, kept as a tuple of three floats.  The
+    conventional ordering |e| <= |d|/3 is enforced (so e must vanish when d
+    does).
     """
 
-    d: float
-    g_e: float
-    e: float = 0.0
-    b_field: tuple = (0.0, 0.0, 0.0)
+    __slots__ = ("d", "g_e", "e", "b_field")
 
-    def __post_init__(self):
-        b = np.asarray(require("b_field", self.b_field, -np.inf), dtype=float)
+    def __init__(self, d: float, g_e: float, e: float = 0.0, b_field: tuple = (0.0, 0.0, 0.0)):
+        b = np.asarray(require("b_field", b_field, -np.inf), dtype=float)
         if b.shape != (3,):
             raise InvalidInputs(f"b_field must be a 3-vector, got shape {b.shape}")
-        for name in ("d", "e", "g_e"):
-            require_number(name, getattr(self, name), -np.inf)
-        if not self.g_e > 0.0:
-            raise InvalidInputs(f"g_e must be positive, got {self.g_e}")
-        if abs(self.e) > abs(self.d) / 3.0:
+        for name, value in (("d", d), ("e", e), ("g_e", g_e)):
+            require_number(name, value, -np.inf)
+        if not g_e > 0.0:
+            raise InvalidInputs(f"g_e must be positive, got {g_e}")
+        if abs(e) > abs(d) / 3.0:
             raise InvalidInputs(
-                f"rhombicity |e| = {abs(self.e):.6g} exceeds |d|/3 = {abs(self.d) / 3.0:.6g}"
+                f"rhombicity |e| = {abs(e):.6g} exceeds |d|/3 = {abs(d) / 3.0:.6g}"
             )
-        object.__setattr__(self, "b_field", (float(b[0]), float(b[1]), float(b[2])))
+        self._set_fields(d, g_e, e, (float(b[0]), float(b[1]), float(b[2])))
 
 
 def build_hamiltonian(two_s: int, params: SpinHamiltonianParams) -> np.ndarray:
@@ -155,7 +110,7 @@ def build_hamiltonian(two_s: int, params: SpinHamiltonianParams) -> np.ndarray:
     The trace of the d term vanishes, so eigenvalues are splittings about
     the multiplet center.
     """
-    two_s = _check_two_s(two_s)
+    two_s = ladder.check_two_s(two_s)
     ops = spin_operators(two_s)
     s = two_s / 2.0
     eye = np.eye(ops.dim, dtype=np.complex128)
@@ -203,22 +158,3 @@ def unpolarized_coupling(m_vec) -> float:
     m_vec = complex_array("m_vec", m_vec)
     coupling = evaluate(lambda: float(np.sum(np.abs(m_vec) ** 2) / 3.0))
     return require("unpolarized coupling", coupling)
-
-
-def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e):
-    """Unpolarized squared coupling of a transition that ladder_m accepts.
-
-    g_e is one g-factor, which gives a float, or a 1-D array of them, which
-    gives one coupling per entry; each must be finite and > 0 and give a
-    finite coupling, else InvalidInputs names g.  Sx and Sy each carry half
-    of the ladder element of the lower sublevel m and Sz nothing, so every
-    entry equals unpolarized_coupling(transition_moment(psi_i, psi_f, ops,
-    g)) bit for bit.
-    """
-    m, s = ladder_m(two_s, transition), two_s / 2.0
-    g = np.asarray(require("g", g_e, strict=True), dtype=np.float64)
-    half = 0.5 * math.sqrt(s * (s + 1.0) - m * (m + 1.0))
-    coupling = evaluate(lambda: 2.0 * np.square(g * half) / 3.0)  # (|M_x|^2 + |M_y|^2) / 3
-    if not np.isfinite(coupling).all():
-        raise InvalidInputs(f"g must give a finite coupling for two_s={two_s}, got {np.max(g)}")
-    return float(coupling) if coupling.ndim == 0 else coupling

@@ -1,8 +1,10 @@
 """The one range rule of the library's numbers, and the arguments it guards."""
 
 import ast
-import dataclasses
+import copy
+import inspect
 import math
+import pickle
 import warnings
 from pathlib import Path
 
@@ -22,9 +24,10 @@ from paramagloss.emission import (
     photon_dos,
     wavelength_to_angular,
 )
-from paramagloss.ensemble import DefectSpecies, SpeciesLines, species_loss, sweep
-from paramagloss.errors import InvalidInputs, ParamagLossError, require
-from paramagloss.linalg import diagonalize
+from paramagloss.ensemble import DefectSpecies, SpeciesLines, Spectrum, species_loss, sweep
+from paramagloss.errors import InvalidInputs, ParamagLossError, Record, require
+from paramagloss.ladder import line_coupling_sq
+from paramagloss.linalg import EigenDecomposition, diagonalize
 from paramagloss.lineshape import (
     LineshapeSpec,
     lorentzian,
@@ -34,9 +37,9 @@ from paramagloss.lineshape import (
 )
 from paramagloss.spin import (
     SpinHamiltonianParams,
+    SpinOperators,
     basis_state,
     build_hamiltonian,
-    line_coupling_sq,
     spin_operators,
     transition_moment,
     unpolarized_coupling,
@@ -50,9 +53,14 @@ def test_require_returns_value_unchanged():
     assert require("x", values) is values
     assert require("x", 3) == 3 and type(require("x", 3)) is int
     assert require("x", 1.0, 1.0) == 1.0
-    assert require("x", [1e-300], strict=True) == [1e-300]
     assert require("x", np.float32(2.0), strict=True) == 2.0
     assert require("x", -1e300, -INF) == -1e300  # low = -inf: finite is enough
+
+
+@pytest.mark.parametrize("value", [[1e-300], (1.0, 2.0), [], [[1.0], [2.0]]], ids=repr)
+def test_require_returns_a_list_or_tuple_as_an_array(value):
+    got = require("x", value)
+    assert type(got) is np.ndarray and np.array_equal(got, np.array(value))
 
 
 @pytest.mark.parametrize(
@@ -216,6 +224,24 @@ def test_non_numbers_raise_naming_the_argument(call, args, message):
     assert str(exc.value) == message
 
 
+def test_list_arguments_give_arrays():
+    # Each once raised TypeError in the arithmetic after its checks.
+    assert type(ghz_to_angular(4.5)) is float
+    assert np.array_equal(ghz_to_angular([1.0, 2.0]), ghz_to_angular(np.array([1.0, 2.0])))
+    for call, args in [
+        (wavelength_to_angular, ([1e-6],)),
+        (lorentzian, ([0.0], 1.0)),
+        (photon_dos, ([1e9], 1.0)),
+        (a_md, ([1e-6], [1.0], 1.0)),
+        (sigma_md, ([1e10], [1e10], [1.0], LineshapeSpec("lorentzian", [1e6]), [1.0])),
+        (absorption_coefficient, ([1e23], [1e-30])),
+        (loss_tangent, ([1.0], [OMEGA], [1.0])),
+    ]:
+        listed = call(*args)
+        arrays = call(*(np.array(a) if isinstance(a, list) else a for a in args))
+        assert type(listed) is np.ndarray and np.array_equal(listed, arrays), call.__name__
+
+
 OPS = spin_operators(3)
 # Every function and record of paramagloss.__all__ that takes numbers: a valid
 # call, and the arguments a property below replaces with arbitrary values.
@@ -266,7 +292,49 @@ NOT_NUMERIC = {
     "EigenDecomposition",
 }
 
-WILD = st.one_of(
+# Each record of __all__: valid fields as keywords, in its constructor's order,
+# and the defaults of its trailing fields.
+RECORDS = [
+    (SpeciesLines, dict(centers=[OMEGA], g=[1.984], weights=[1.0]), {}),
+    (DefectSpecies, dict(name="Cr", two_s=3, n_def=1e23, gamma=1e8, transition=(1.5, 0.5),
+                         lines=SPECIES.lines, linewidth_convention="angular_rate"),
+     {"linewidth_convention": "cyclic_times_2pi"}),
+    (Spectrum, dict(freqs_ghz=np.ones(2), per_species={"Cr": np.zeros(2)}, total=np.zeros(2)), {}),
+    (LineshapeSpec, dict(kind="lorentzian", gamma=1.0), {"gamma": 0.0}),
+    (EmissionLine, dict(label="x", lambda_vac=1e-6, omega_if=OMEGA, a_md=1.0, m_sq=1.0), {}),
+    (SpinOperators, dict(two_s=3, sx=OPS.sx, sy=OPS.sy, sz=OPS.sz), {}),
+    (SpinHamiltonianParams, dict(d=1e10, g_e=2.0, e=1e9, b_field=(0.0, 0.0, 0.1)),
+     {"e": 0.0, "b_field": (0.0, 0.0, 0.0)}),
+    (EigenDecomposition, dict(eigenvalues=np.ones(2), eigenvectors=np.eye(2)), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, defaults", [pytest.param(*row, id=row[0].__name__) for row in RECORDS]
+)
+def test_records_take_their_fields_in_order_and_stay_read_only(cls, fields, defaults):
+    params = inspect.signature(cls).parameters
+    assert list(params) == list(fields)
+    assert {name: p.default for name, p in params.items() if p.default is not p.empty} == defaults
+    record = cls(**fields)
+    slots = type(record).__slots__
+    assert slots[: len(fields)] == tuple(fields)  # DefectSpecies adds amps and peak_loss
+    by_position, shallow = cls(*fields.values()), copy.copy(record)
+    for name in slots:
+        np.testing.assert_equal(getattr(by_position, name), getattr(record, name))
+        assert getattr(shallow, name) is getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1.0
+    assert pickle.dumps(pickle.loads(pickle.dumps(record))) == pickle.dumps(record)
+    # Records compare and hash by identity.
+    assert record == record and record != shallow and len({record, shallow}) == 2
+
+
+NOT_LISTS = (
     st.floats(),
     st.sampled_from([1e308, -1e308, 5e-324, 2.2e-308, 1e154, 1e-154]),
     st.integers(),
@@ -279,13 +347,20 @@ WILD = st.one_of(
         np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=3), elements=st.floats()
     ),
 )
+WILD = st.one_of(*NOT_LISTS, st.lists(st.floats(), max_size=3))
+# SpeciesLines holds a species' numbers unchecked, NaN and +-inf included:
+# DefectSpecies checks them, naming the species and line (tests/test_ensemble.py),
+# so the lists drawn for it hold finite floats.
+LINES_WILD = st.one_of(
+    *NOT_LISTS, st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3)
+)
 
 
 def assert_finite(result):
     """Every number in result, through records, dicts and sequences, is finite."""
-    if dataclasses.is_dataclass(result):
-        for f in dataclasses.fields(result):
-            assert_finite(getattr(result, f.name))
+    if isinstance(result, Record):
+        for name in type(result).__slots__:
+            assert_finite(getattr(result, name))
     elif isinstance(result, dict):
         for value in result.values():
             assert_finite(value)
@@ -316,8 +391,9 @@ def assert_finite_or_library_error(call, kwargs):
 )
 def test_any_argument_gives_finite_values_or_a_library_error(call, kwargs, args, data):
     kwargs = dict(kwargs)
+    base = LINES_WILD if call is SpeciesLines else WILD
     for arg in args:
-        wild = st.tuples(WILD, WILD) if arg == "transition" else WILD
+        wild = st.tuples(WILD, WILD) if arg == "transition" else base
         kwargs[arg] = data.draw(st.one_of(st.just(kwargs[arg]), wild), label=arg)
     assert_finite_or_library_error(call, kwargs)
 

@@ -259,6 +259,11 @@ def _neighbours(values, ulps):
     return np.concatenate(out)
 
 
+def test_four_digit_table_spells_0000_to_9999():
+    _, _, quad, _ = ioformat._tables()
+    assert quad.view("S4").tolist() == [f"{n:04d}".encode() for n in range(10_000)]
+
+
 def test_kernel_matches_printf_on_random_values():
     rng = np.random.default_rng(20260)
     # Random bit patterns over every binary exponent of the fast range.

@@ -4,6 +4,7 @@ Each test starts its own interpreter, because this one has long since
 imported the whole package.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -40,19 +41,36 @@ def _python(code, *argv):
     )
 
 
+@functools.cache
+def numpy_loads_dataclasses():
+    proc = _python("import sys, numpy; print('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout == "True\n"
+
+
+def assert_no_generated_records(modules):
+    # The package's records are plain classes: a run loads dataclasses only
+    # if numpy's own import does.
+    assert "dataclasses" not in modules or numpy_loads_dataclasses()
+
+
 # Per command: its argv, a module its chain must load, and the package
 # modules it must leave unloaded.
 CHAINS = {
     "tempcurve": (
         ["tempcurve", "--freq-ghz", "11.45", "--points", "3"], "lineshape",
-        ["ensemble", "spin", "emission", "linalg", "_kernels"],
+        ["ensemble", "ladder", "spin", "emission", "linalg", "_kernels"],
     ),
-    "emission": (["emission"], "emission", ["ensemble", "spin", "lineshape"]),
-    "sweep": (["sweep", "--points", "11"], "ensemble", ["absorption", "emission", "linalg"]),
-    "point": (["point", "--freq-ghz", "4.5"], "ensemble", ["absorption", "emission", "linalg"]),
+    "emission": (["emission"], "emission", ["ensemble", "ladder", "spin", "lineshape"]),
+    "sweep": (
+        ["sweep", "--points", "11"], "ensemble", ["absorption", "emission", "linalg", "spin"],
+    ),
+    "point": (
+        ["point", "--freq-ghz", "4.5"], "ensemble", ["absorption", "emission", "linalg", "spin"],
+    ),
     "powercurve": (
         ["powercurve", "--freq-ghz", "9.0", "--points", "3"], "ensemble",
-        ["absorption", "emission", "linalg"],
+        ["absorption", "emission", "linalg", "spin"],
     ),
 }
 
@@ -65,6 +83,7 @@ def test_each_command_imports_only_its_chain(command):
     assert code == 0, proc.stderr
     assert f"paramagloss.{loaded}" in modules
     assert not {f"paramagloss.{name}" for name in absent} & set(modules)
+    assert_no_generated_records(modules)
 
 
 @pytest.mark.parametrize(
@@ -82,6 +101,7 @@ def test_argparse_ended_run_loads_no_numpy(argv, code):
     assert "numpy" not in modules
     package = {name for name in modules if name.split(".")[0] == "paramagloss"}
     assert package == {"paramagloss", "paramagloss.constants"}
+    assert "dataclasses" not in modules
 
 
 def test_package_exports_resolve_lazily():
@@ -112,7 +132,7 @@ def test_submodules_resolve_as_package_attributes():
         "import paramagloss\n"
         "assert issubclass(paramagloss.errors.InvalidInputs, paramagloss.ParamagLossError)\n"
         "for name in ('_kernels', 'absorption', 'constants', 'emission', 'ensemble',\n"
-        "             'ioformat', 'linalg', 'lineshape', 'spin'):\n"
+        "             'ioformat', 'ladder', 'linalg', 'lineshape', 'spin'):\n"
         "    module = getattr(paramagloss, name)\n"
         "    assert module.__name__ == 'paramagloss.' + name, name\n"
     )
