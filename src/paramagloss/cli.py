@@ -8,7 +8,8 @@ emission    matrix-moment extraction from an emission-line table
 tempcurve   temperature factor and its tanh comparison over a T range
 powercurve  on-resonance and detuned loss versus drive power
 
-All user input is in GHz / MHz / K / cm^-3; conversions happen here.
+All user input is in GHz / MHz / K / cm^-3: the flags are converted here,
+the database's fields by ensemble.parse_species.
 Each command returns a CSV table and a JSON payload of plain numbers,
 arrays and strings, and main writes the one the format asks for; numbers,
 the array cell of point's line weights included, are spelled only by the
@@ -20,14 +21,15 @@ Start-up is most of a short run, so a run imports only its command's chain:
 this module needs the standard library and constants to parse the flags,
 and main then looks up the names of the parsed command's _CHAINS entry,
 which __getattr__ imports and binds.  tempcurve loads no database code,
-emission no ensemble, and no command the spin matrices.  run, the program's entry, keeps
-the garbage collector off over those imports and freezes the heap on the
-way out.
+emission no ensemble, and no command the spin matrices.  run, the program's
+entry, keeps the garbage collector off over those imports and ends the
+process once the output is flushed, without tearing the interpreter down.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import errno
 import gc
 import importlib
@@ -360,18 +362,40 @@ def run() -> None:
     """Program entry, for `paramag-loss` and `python -m paramagloss.cli`: exit with main().
 
     The collector is off from here on, so no collection walks the objects
-    that numpy's and the command's imports leave; gc.freeze() on the way
-    out, also after argparse's own exit, moves every object then alive
-    (~32 000 after point) into the permanent generation, which the
-    collections of interpreter shutdown skip.  Output, flushes, atexit
-    hooks and exit codes are unchanged; main itself stays free of this, so
-    callers in process keep their collector.
+    that numpy's and the command's imports leave.  Once main has returned,
+    or argparse has exited with an int code, shutdown would only flush the
+    output and then tear down every module and object, which changes no
+    output.  So run does the first part itself, running the atexit hooks
+    and flushing stdout and stderr, and then ends the process with os._exit.
+    It exits through sys.exit, and so through the interpreter's own
+    shutdown, when another thread is alive, when -i asks for the prompt
+    after the run, when the code is not an int, or when a flush raises, so
+    each of those ends as it always has.  main itself stays free of this,
+    so callers in process keep their collector and their interpreter.
     """
     gc.disable()
     try:
-        sys.exit(main())
-    finally:
-        gc.freeze()
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    threading = sys.modules.get("threading")
+    if (
+        isinstance(code, int)
+        and not sys.flags.inspect
+        and (threading is None or threading.active_count() == 1)
+    ):
+        # The hooks run first, as in shutdown, so what they write is flushed
+        # too; they are then unregistered, and a fallback exit skips them.
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except Exception:
+            pass  # shutdown flushes again and reports what fails
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -102,11 +102,14 @@ class EmissionLine(Record):
 
     def __init__(self, label: str, lambda_vac: float, omega_if: float, a_md: float,
                  m_sq: float) -> None:
-        require(f"line {label!r}: lambda_vac", lambda_vac, strict=True)
-        require(f"line {label!r}: omega_if", omega_if, strict=True)
-        require(f"line {label!r}: a_md", a_md)
-        require(f"line {label!r}: m_sq", m_sq)
-        self._set_fields(label, lambda_vac, omega_if, a_md, m_sq)
+        where = f"line {label!r}"
+        self._set_fields(
+            label,
+            require_number(f"{where}: lambda_vac", lambda_vac, strict=True),
+            require_number(f"{where}: omega_if", omega_if, strict=True),
+            require_number(f"{where}: a_md", a_md),
+            require_number(f"{where}: m_sq", m_sq),
+        )
 
     @property
     def m_abs(self) -> float:

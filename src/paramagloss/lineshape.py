@@ -21,7 +21,7 @@ class LineshapeSpec(Record):
 
     __slots__ = ("kind", "gamma")
 
-    def __init__(self, kind: str, gamma: float = 0.0):
+    def __init__(self, kind: str, gamma: float):
         if kind != "lorentzian":
             raise InvalidInputs(f"unknown lineshape kind {kind!r}; expected 'lorentzian'")
         self._set_fields(kind, require("gamma", gamma, strict=True))

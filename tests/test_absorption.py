@@ -59,7 +59,7 @@ def test_sigma_md_temperature_multiplier():
 
 def test_sigma_md_rejects_delta_and_bad_inputs():
     with pytest.raises(InvalidInputs, match="delta"):
-        sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, LineshapeSpec(kind="delta"))
+        sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, LineshapeSpec(kind="delta", gamma=GAMMA))
     with pytest.raises(InvalidInputs):
         sigma_md(0.0, OMEGA_RES, COUPLING, LORENTZ)
     with pytest.raises(InvalidInputs):

@@ -690,20 +690,134 @@ def test_console_script_exit_codes(argv, code):
     assert "Traceback" not in proc.stderr
 
 
-def test_module_run_freezes_the_import_heap():
-    # The atexit hook runs after run() has exited, as the interpreter shuts down.
-    code = (
-        "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+def _buffered_env():
+    # Without PYTHONUNBUFFERED, stdout is block-buffered: what is written
+    # reaches the descriptor only when the stream is flushed.
+    env = _clean_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+# A script prefix whose __main__ holds an object that writes "teardown" when
+# freed: the line shows that the run took the interpreter's own shutdown,
+# which frees the modules' objects, and not run's os._exit, which frees none.
+WITNESS = (
+    "import os, sys\n"
+    "class Witness:\n"
+    "    def __del__(self, write=os.write):\n"
+    "        write(2, b'teardown\\n')\n"
+    "witness = Witness()\n"
+)
+
+
+def test_module_run_ends_after_its_exit_hooks():
+    # The hook registered before the module runs writes after the output, and
+    # run flushes that too; the process then ends inside run, with no
+    # teardown, so no line after run_module runs.
+    code = WITNESS + (
+        "import atexit, runpy\n"
+        "atexit.register(lambda: print('hook'))\n"
         "sys.argv = ['paramag-loss', 'point', '--freq-ghz', '4.5']\n"
         "runpy.run_module('paramagloss.cli', run_name='__main__', alter_sys=True)\n"
+        "print('after run_module', file=sys.stderr)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=_clean_env(), timeout=120
+        [sys.executable, "-c", code], capture_output=True, env=_buffered_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == b"True\n"
-    assert proc.stdout == (GOLDEN_DIR / "point_4p5.csv").read_bytes()
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN_DIR / "point_4p5.csv").read_bytes() + b"hook\n"
+
+
+def _witnessed(script, *argv):
+    """Run a console script that calls cli.run, after WITNESS."""
+    return subprocess.run(
+        [sys.executable, "-c", WITNESS + "from paramagloss import cli\n" + script, *argv],
+        capture_output=True,
+        text=True,
+        env=_buffered_env(),
+        timeout=120,
+    )
+
+
+def test_live_thread_takes_the_normal_exit():
+    # The thread outlives run: it waits for shutdown to stop the main thread,
+    # then writes, and the interpreter joins it before exiting.
+    script = (
+        "import threading, time\n"
+        "def late():\n"
+        "    while threading.main_thread().is_alive():\n"
+        "        time.sleep(0.01)\n"
+        "    print('thread done', file=sys.stderr, flush=True)\n"
+        "threading.Thread(target=late).start()\n"
+        "sys.exit(cli.run())\n"
+    )
+    proc = _witnessed(script, "point", "--freq-ghz", "4.5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "thread done\nteardown\n"
+    assert proc.stdout == (GOLDEN_DIR / "point_4p5.csv").read_text()
+
+
+def test_non_int_exit_code_takes_the_normal_exit():
+    # The interpreter prints the message, then runs the exit hooks.
+    script = (
+        "import atexit\n"
+        "atexit.register(lambda: print('hook', file=sys.stderr))\n"
+        "def main():\n"
+        "    raise SystemExit('stopped')\n"
+        "cli.main = main\n"
+        "sys.exit(cli.run())\n"
+    )
+    proc = _witnessed(script)
+    assert proc.returncode == 1
+    assert proc.stderr == "stopped\nhook\nteardown\n"
+
+
+def test_interactive_flag_reaches_the_prompt():
+    proc = subprocess.run(
+        [sys.executable, "-i", "-m", "paramagloss.cli", "point", "--freq-ghz", "4.5"],
+        input="import sys; sys.stderr.write('at the prompt\\n')\n",
+        capture_output=True,
+        text=True,
+        env=_buffered_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "at the prompt\n" in proc.stderr
+    assert proc.stdout.startswith((GOLDEN_DIR / "point_4p5.csv").read_text())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_device_exit_code(unbuffered):
+    cmd = shlex.join([sys.executable, "-m", "paramagloss.cli", "point", "--freq-ghz", "4.5"])
+    env = _buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        cmd + " > /dev/full", shell=True, stderr=subprocess.PIPE, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_to_full_device_keeps_the_interpreter_report():
+    # argparse exits 0 with the help still in stdout's buffer; run's flush
+    # fails, so the run exits through shutdown, whose flush fails and exits 120.
+    cmd = shlex.join([sys.executable, "-m", "paramagloss.cli", "--help"])
+    proc = subprocess.run(
+        cmd + " > /dev/full",
+        shell=True,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_buffered_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 120
+    assert proc.stderr.startswith("Exception ignored")
+    assert "No space left on device" in proc.stderr
 
 
 def test_main_leaves_the_heap_unfrozen(tmp_path):

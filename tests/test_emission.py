@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -172,6 +173,14 @@ def test_emission_line_consistency():
         )
     with pytest.raises(InvalidInputs):
         line_from_rate("bad", 1276.0, -1.0)
+
+
+@pytest.mark.parametrize("field", ["lambda_vac", "omega_if", "a_md", "m_sq"])
+@pytest.mark.parametrize("value", [[1.0], np.ones(2)], ids=["list", "array"])
+def test_emission_line_takes_single_numbers(field, value):
+    fields = dict(label="x", lambda_vac=1e-6, omega_if=1e15, a_md=1.0, m_sq=1.0)
+    with pytest.raises(InvalidInputs, match=rf"^line 'x': {field} must be a single number"):
+        EmissionLine(**dict(fields, **{field: value}))
 
 
 def test_read_emission_table_default():

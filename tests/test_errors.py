@@ -300,7 +300,7 @@ RECORDS = [
                          lines=SPECIES.lines, linewidth_convention="angular_rate"),
      {"linewidth_convention": "cyclic_times_2pi"}),
     (Spectrum, dict(freqs_ghz=np.ones(2), per_species={"Cr": np.zeros(2)}, total=np.zeros(2)), {}),
-    (LineshapeSpec, dict(kind="lorentzian", gamma=1.0), {"gamma": 0.0}),
+    (LineshapeSpec, dict(kind="lorentzian", gamma=1.0), {}),
     (EmissionLine, dict(label="x", lambda_vac=1e-6, omega_if=OMEGA, a_md=1.0, m_sq=1.0), {}),
     (SpinOperators, dict(two_s=3, sx=OPS.sx, sy=OPS.sy, sz=OPS.sz), {}),
     (SpinHamiltonianParams, dict(d=1e10, g_e=2.0, e=1e9, b_field=(0.0, 0.0, 0.1)),
@@ -357,9 +357,12 @@ LINES_WILD = st.one_of(
 
 
 def assert_finite(result):
-    """Every number in result, through records, dicts and sequences, is finite."""
+    """Every number in result, through records (fields and properties), dicts and
+    sequences, is finite."""
     if isinstance(result, Record):
-        for name in type(result).__slots__:
+        cls = type(result)
+        properties = [name for name, attr in vars(cls).items() if isinstance(attr, property)]
+        for name in (*cls.__slots__, *properties):
             assert_finite(getattr(result, name))
     elif isinstance(result, dict):
         for value in result.values():

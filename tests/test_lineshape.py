@@ -62,7 +62,7 @@ def test_spec_validation_and_dispatch():
     for gamma in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInputs, match="^gamma must be finite and > 0"):
             LineshapeSpec(kind="lorentzian", gamma=gamma)
-    with pytest.raises(InvalidInputs):
+    with pytest.raises(TypeError, match="gamma"):  # the width has no default
         LineshapeSpec(kind="lorentzian")
     # sigma_md evaluates the spec's Lorentzian at the detuning.
     spec = LineshapeSpec(kind="lorentzian", gamma=2.0)
@@ -72,7 +72,7 @@ def test_spec_validation_and_dispatch():
 def test_delta_kind_has_no_density():
     # A delta line has no pointwise density, so no spec describes one.
     with pytest.raises(InvalidInputs, match="unknown lineshape kind 'delta'"):
-        LineshapeSpec(kind="delta")
+        LineshapeSpec(kind="delta", gamma=1.0)
 
 
 def test_temperature_factor_limits():

@@ -12,16 +12,14 @@ import sys
 
 import pytest
 
-# Runs `python -m paramagloss.cli <argv>` through runpy, then prints the exit
-# code and the loaded module names as the last line of stderr.
+# Runs `python -m paramagloss.cli <argv>` through runpy; an exit hook,
+# registered first and so run last, prints the loaded module names as the
+# last line of stderr.
 RUN_AND_LIST_MODULES = (
-    "import json, runpy, sys\n"
+    "import atexit, json, runpy, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
     "sys.argv = ['paramag-loss', *sys.argv[1:]]\n"
-    "try:\n"
-    "    runpy.run_module('paramagloss.cli', run_name='__main__', alter_sys=True)\n"
-    "except SystemExit as exc:\n"
-    "    code = exc.code\n"
-    "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+    "runpy.run_module('paramagloss.cli', run_name='__main__', alter_sys=True)\n"
 )
 
 
@@ -79,8 +77,8 @@ CHAINS = {
 def test_each_command_imports_only_its_chain(command):
     argv, loaded, absent = CHAINS[command]
     proc = _python(RUN_AND_LIST_MODULES, *argv)
-    code, modules = json.loads(proc.stderr.splitlines()[-1])
-    assert code == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stderr.splitlines()[-1])
     assert f"paramagloss.{loaded}" in modules
     assert not {f"paramagloss.{name}" for name in absent} & set(modules)
     assert_no_generated_records(modules)
@@ -96,8 +94,8 @@ def test_argparse_ended_run_loads_no_numpy(argv, code):
     # flag parser: no numpy and no package module beyond cli (which runs as
     # __main__ here) and constants.
     proc = _python(RUN_AND_LIST_MODULES, *argv)
-    exit_code, modules = json.loads(proc.stderr.splitlines()[-1])
-    assert exit_code == code, proc.stderr
+    assert proc.returncode == code, proc.stderr
+    modules = json.loads(proc.stderr.splitlines()[-1])
     assert "numpy" not in modules
     package = {name for name in modules if name.split(".")[0] == "paramagloss"}
     assert package == {"paramagloss", "paramagloss.constants"}
@@ -142,9 +140,9 @@ def test_submodules_resolve_as_package_attributes():
 
 def test_no_collection_runs_inside_the_entry():
     # A collection counts when its caller's stack holds the run() of the
-    # module that runpy executes as __main__.
+    # module that runpy executes as __main__; an exit hook reports.
     code = (
-        "import gc, runpy, sys\n"
+        "import atexit, gc, runpy, sys\n"
         "inside = []\n"
         "def hook(phase, info):\n"
         "    frame = sys._getframe(1) if phase == 'start' else None\n"
@@ -153,15 +151,14 @@ def test_no_collection_runs_inside_the_entry():
         "        if (code, name) == ('run', '__main__'):\n"
         "            inside.append(info['generation'])\n"
         "        frame = frame.f_back\n"
+        "def report():\n"
+        "    gc.callbacks.remove(hook)\n"
+        "    print(inside, gc.isenabled(), file=sys.stderr)\n"
+        "atexit.register(report)\n"
         "gc.callbacks.append(hook)\n"
         "sys.argv = ['paramag-loss', 'sweep', '--points', '2001', '--format', 'json']\n"
-        "try:\n"
-        "    runpy.run_module('paramagloss.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-        "gc.callbacks.remove(hook)\n"
-        "print(inside, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        "runpy.run_module('paramagloss.cli', run_name='__main__', alter_sys=True)\n"
     )
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[] False True\n"
+    assert proc.stderr == "[] False\n"
