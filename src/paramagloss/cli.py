@@ -19,11 +19,12 @@ output.
 
 Start-up is most of a short run, so a run imports only its command's chain:
 this module needs the standard library and constants to parse the flags,
-and main then looks up the names of the parsed command's _CHAINS entry,
-which __getattr__ imports and binds.  tempcurve loads no database code,
-emission no ensemble, and no command the spin matrices.  run, the program's
-entry, keeps the garbage collector off over those imports and ends the
-process once the output is flushed, without tearing the interpreter down.
+each subparser names its command's module, and main then looks up the
+names _MODULE_OF places there or in errors and ioformat, which __getattr__
+imports and binds.  tempcurve loads no database code, emission no
+ensemble, and no command the spin matrices.  run, the program's entry,
+keeps the garbage collector off over those imports and ends the process
+once the output is flushed, without tearing the interpreter down.
 """
 
 from __future__ import annotations
@@ -39,27 +40,20 @@ import sys
 
 from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, angular_to_ghz, ghz_to_angular
 
-# The names each command looks up in this module, by the module that defines
-# them.  __getattr__ binds one on its first lookup on this module, importing
-# its module, and main looks up those of the command it runs before running
-# it; a name already bound, such as a tracer's wrapper, is never looked up
-# through __getattr__ and so is kept.
-_SHARED = (
-    ("errors", ("InvalidInputs", "ParamagLossError", "evaluate")),
-    ("ioformat", ("default_db_path", "default_emission_path", "write_csv", "write_json")),
-)
-_CHAINS = {
-    "sweep": (*_SHARED, ("ensemble", ("load_species_db", "sweep"))),
-    "point": (*_SHARED, ("ensemble", ("database_loss", "load_species_db"))),
-    "emission": (
-        *_SHARED,
-        ("emission", ("EXTRACTION_COLUMNS", "extraction_rows", "read_emission_table")),
-    ),
-    "tempcurve": (*_SHARED, ("lineshape", ("tanh_factor", "temperature_factor"))),
-    "powercurve": (*_SHARED, ("ensemble", ("load_species_db", "species_loss"))),
-}
+# The module of each name the commands look up in this module.  __getattr__
+# binds one on its first lookup on this module, importing its module, and
+# main looks up those of errors, ioformat and the parsed command's chain
+# before running it; a name already bound, such as a tracer's wrapper, is
+# never looked up through __getattr__ and so is kept.
 _MODULE_OF = {
-    name: module for chain in _CHAINS.values() for module, names in chain for name in names
+    "InvalidInputs": "errors", "ParamagLossError": "errors", "evaluate": "errors",
+    "default_db_path": "ioformat", "default_emission_path": "ioformat",
+    "write_csv": "ioformat", "write_json": "ioformat",
+    "database_loss": "ensemble", "load_species_db": "ensemble",
+    "species_loss": "ensemble", "sweep": "ensemble",
+    "EXTRACTION_COLUMNS": "emission", "extraction_rows": "emission",
+    "read_emission_table": "emission",
+    "tanh_factor": "lineshape", "temperature_factor": "lineshape",
 }
 
 
@@ -128,14 +122,22 @@ def _write_output(args: argparse.Namespace, writer, *data) -> int:
             writer(sys.stdout, *data)
             sys.stdout.flush()
     except OSError as exc:
-        if args.output is None and sys.stdout is not None:
-            # A closed pipe or a full disk: send what is still buffered to
-            # devnull, so the flush at interpreter exit does not fail again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        target = "stdout" if args.output is None else args.output
-        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
-        return 3
+        return _cannot_write(args.output, exc)
     return 0
+
+
+def _cannot_write(path: str | None, exc: OSError) -> int:
+    """Report a failed write of the file at path, or of stdout if path is None: exit code 3."""
+    if path is None and sys.stdout is not None:
+        # A closed pipe or a full disk: send what is still buffered to
+        # devnull, so no later flush fails again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    target = "stdout" if path is None else path
+    try:
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
+    except OSError:
+        pass  # stderr is unwritable too: the exit code is the only report
+    return 3
 
 
 def _grid(start: float, stop: float, points: int) -> np.ndarray:
@@ -175,12 +177,9 @@ def cmd_point(args: argparse.Namespace):
     rows = [["freq_ghz", args.freq_ghz], *losses.items(), ["total", total]]
     for key in ("n_r", "temp_k", "p_over_pc"):
         rows.append([key, "none" if metadata[key] is None else metadata[key]])
-    for sp in db:
-        rows += [
-            [f"{sp.name}.gamma_rad_per_s", sp.gamma],
-            [f"{sp.name}.linewidth_convention", sp.linewidth_convention],
-            [f"{sp.name}.weights", sp.lines.weights],
-        ]
+    for sp in metadata["species"]:
+        for key in ("gamma_rad_per_s", "linewidth_convention", "weights"):
+            rows.append([f"{sp['name']}.{key}", sp[key]])
     payload = {
         "command": "point",
         "freq_ghz": args.freq_ghz,
@@ -272,6 +271,15 @@ PROBE_GHZ = _number(
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own print_help drops an OSError of this write, so help
+        # lost to an unwritable stdout would exit 0; main reports it instead.
+        file = file or sys.stdout or sys.stderr
+        if file is not None:
+            file.write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Flags shared by several subcommands, each declared once as a parent parser.
     db = argparse.ArgumentParser(add_help=False)
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: csv)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paramag-loss",
         description="Microwave loss from paramagnetic defect spin transitions.",
     )
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "sweep", parents=[db, conditions, output], help="loss-tangent spectrum over a GHz range"
     )
-    sub.set_defaults(run=cmd_sweep)
+    sub.set_defaults(run=cmd_sweep, chain="ensemble")
     sub.add_argument("--fmin-ghz", type=POSITIVE, default=1.0)
     sub.add_argument("--fmax-ghz", type=FINITE, default=15.0)
     sub.add_argument("--points", type=POINTS, default=1401)
@@ -309,26 +317,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "point", parents=[db, conditions, output], help="loss at a single frequency"
     )
-    sub.set_defaults(run=cmd_point)
+    sub.set_defaults(run=cmd_point, chain="ensemble")
     sub.add_argument("--freq-ghz", type=PROBE_GHZ, required=True)
 
     sub = subs.add_parser(
         "emission", parents=[output], help="moment extraction from emission rates"
     )
-    sub.set_defaults(run=cmd_emission)
+    sub.set_defaults(run=cmd_emission, chain="emission")
     sub.add_argument(
         "--table", dest="table_path", help="emission-line table JSON (default: bundled)"
     )
 
     sub = subs.add_parser("tempcurve", parents=[output], help="temperature factor over a T range")
-    sub.set_defaults(run=cmd_tempcurve)
+    sub.set_defaults(run=cmd_tempcurve, chain="lineshape")
     sub.add_argument("--freq-ghz", type=POSITIVE, required=True)
     sub.add_argument("--tmin-k", type=NON_NEGATIVE, default=0.01)
     sub.add_argument("--tmax-k", type=FINITE, default=10.0)
     sub.add_argument("--points", type=POINTS, default=101)
 
     sub = subs.add_parser("powercurve", parents=[db, output], help="loss versus drive power")
-    sub.set_defaults(run=cmd_powercurve)
+    sub.set_defaults(run=cmd_powercurve, chain="ensemble")
     sub.add_argument("--species", help="species name (default: first in database)")
     sub.add_argument(
         "--freq-ghz",
@@ -343,10 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except OSError as exc:  # the help text could not be written
+        return _cannot_write(None, exc)
     this = sys.modules[__name__]
-    for _, names in _CHAINS[args.command]:
-        for name in names:
+    for name, module in _MODULE_OF.items():
+        if module in ("errors", "ioformat", args.chain):
             getattr(this, name)
     try:
         header, rows, payload = args.run(args)
@@ -366,12 +377,13 @@ def run() -> None:
     or argparse has exited with an int code, shutdown would only flush the
     output and then tear down every module and object, which changes no
     output.  So run does the first part itself, running the atexit hooks
-    and flushing stdout and stderr, and then ends the process with os._exit.
-    It exits through sys.exit, and so through the interpreter's own
-    shutdown, when another thread is alive, when -i asks for the prompt
-    after the run, when the code is not an int, or when a flush raises, so
-    each of those ends as it always has.  main itself stays free of this,
-    so callers in process keep their collector and their interpreter.
+    and flushing stdout and stderr, and then ends the process with os._exit;
+    a flush that fails exits 3, as a failed write in main does.  It exits
+    through sys.exit, and so through the interpreter's own shutdown, when
+    another thread is alive, when -i asks for the prompt after the run, or
+    when the code is not an int, so each of those ends as it always has.
+    main itself stays free of this, so callers in process keep their
+    collector and their interpreter.
     """
     gc.disable()
     try:
@@ -387,14 +399,14 @@ def run() -> None:
         # The hooks run first, as in shutdown, so what they write is flushed
         # too; they are then unregistered, and a fallback exit skips them.
         atexit._run_exitfuncs()
-        try:
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                if stream is not None and not stream.closed:
                     stream.flush()
-        except Exception:
-            pass  # shutdown flushes again and reports what fails
-        else:
-            os._exit(code)
+            except OSError as exc:
+                # Only stdout's failure can still be reported, on stderr.
+                code = _cannot_write(None, exc) if stream is sys.stdout else 3
+        os._exit(code)
     sys.exit(code)
 
 

@@ -803,21 +803,28 @@ def test_full_device_exit_code(unbuffered):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_help_to_full_device_keeps_the_interpreter_report():
-    # argparse exits 0 with the help still in stdout's buffer; run's flush
-    # fails, so the run exits through shutdown, whose flush fails and exits 120.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_help_to_full_device_exit_code(unbuffered):
+    # Buffered, the help waits in stdout's buffer and run's flush fails;
+    # unbuffered, its write fails inside argparse, which would drop the error.
     cmd = shlex.join([sys.executable, "-m", "paramagloss.cli", "--help"])
+    env = _buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.run(
-        cmd + " > /dev/full",
-        shell=True,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=_buffered_env(),
-        timeout=120,
+        cmd + " > /dev/full", shell=True, stderr=subprocess.PIPE, text=True, env=env, timeout=120
     )
-    assert proc.returncode == 120
-    assert proc.stderr.startswith("Exception ignored")
-    assert "No space left on device" in proc.stderr
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["point", "--freq-ghz", "4.5"], ["--help"]], ids=["point", "help"])
+def test_full_device_on_stdout_and_stderr_exit_code(argv):
+    # The report cannot be written either, so the exit code is all there is.
+    cmd = shlex.join([sys.executable, "-m", "paramagloss.cli", *argv])
+    proc = subprocess.run(cmd + " > /dev/full 2>&1", shell=True, env=_clean_env(), timeout=120)
+    assert proc.returncode == 3
 
 
 def test_main_leaves_the_heap_unfrozen(tmp_path):

@@ -1,16 +1,23 @@
 """What a fresh interpreter loads and collects to run one subcommand.
 
-Each test starts its own interpreter, because this one has long since
-imported the whole package.
+Each test that watches imports or binding starts its own interpreter,
+because this one has long since imported the whole package; the check of
+the names each command reads needs only cli's code and runs here.
 """
 
+import argparse
+import builtins
+import dis
 import functools
+import inspect
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from paramagloss import cli
 
 # Runs `python -m paramagloss.cli <argv>` through runpy; an exit hook,
 # registered first and so run last, prints the loaded module names as the
@@ -162,3 +169,133 @@ def test_no_collection_runs_inside_the_entry():
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[] False\n"
+
+
+# cli's lazy names, which a benchmark tracer may also wrap on cli: the
+# module cli binds each one from, and the modules every command binds from.
+MODULE_OF = cli._MODULE_OF
+SHARED = ("errors", "ioformat")
+
+# Prints, as JSON, the package modules that the lines run after
+# `import paramagloss.cli` in a fresh interpreter import.
+LOADED_AFTER_CLI = (
+    "import json, sys\n"
+    "import paramagloss.cli as cli\n"
+    "before = set(sys.modules)\n"
+    "{}\n"
+    "loaded = set(sys.modules) - before\n"
+    "print(json.dumps(sorted(m for m in loaded if m.split('.')[0] == 'paramagloss')))\n"
+)
+
+
+def _loaded_after_cli(lines):
+    proc = _python(LOADED_AFTER_CLI.format(lines))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@functools.cache
+def _chain_of(module):
+    return _loaded_after_cli(f"import paramagloss.{module}")
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_OF))
+def test_each_lazy_name_imports_only_its_module(name):
+    module = MODULE_OF[name]
+    lookup = (
+        f"value = cli.{name}\n"
+        "import importlib\n"
+        f"assert value is getattr(importlib.import_module('paramagloss.{module}'), {name!r})\n"
+        f"assert vars(cli)[{name!r}] is value"
+    )
+    assert _loaded_after_cli(lookup) == _chain_of(module)
+
+
+# Binds a recording wrapper on cli for each lazy function before the first
+# run, as the tracer does, then runs each command and prints, per command,
+# the wrapped names it called.
+RUN_WRAPPED = (
+    "import inspect, json, os, sys\n"
+    "from paramagloss import cli\n"
+    "called, wrappers = [], {}\n"
+    "def wrap(name, fn):\n"
+    "    def wrapper(*args, **kwargs):\n"
+    "        called.append(name)\n"
+    "        return fn(*args, **kwargs)\n"
+    "    return wrapper\n"
+    "for name in cli._MODULE_OF:\n"
+    "    if inspect.isfunction(getattr(cli, name)):\n"
+    "        wrappers[name] = wrap(name, getattr(cli, name))\n"
+    "        setattr(cli, name, wrappers[name])\n"
+    "report = {}\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    called.clear()\n"
+    "    assert cli.main([*argv, '--output', os.devnull]) == 0, argv\n"
+    "    report[argv[0]] = sorted(set(called))\n"
+    "assert all(getattr(cli, name) is fn for name, fn in wrappers.items())\n"
+    "print(json.dumps(report))\n"
+)
+
+
+def test_wrappers_bound_before_a_run_are_what_each_command_calls():
+    runs = [
+        ["sweep", "--points", "3"],
+        ["point", "--freq-ghz", "4.5", "--format", "json"],
+        ["emission"],
+        ["tempcurve", "--freq-ghz", "11.45", "--points", "3"],
+        ["powercurve", "--freq-ghz", "9.0", "--points", "3"],
+    ]
+    proc = _python(RUN_WRAPPED, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "sweep": ["default_db_path", "load_species_db", "sweep", "write_csv"],
+        "point": ["database_loss", "default_db_path", "load_species_db", "write_json"],
+        "emission": [
+            "default_emission_path", "extraction_rows", "read_emission_table", "write_csv",
+        ],
+        "tempcurve": ["evaluate", "tanh_factor", "temperature_factor", "write_csv"],
+        "powercurve": [
+            "default_db_path", "evaluate", "load_species_db", "species_loss", "write_csv",
+        ],
+    }
+
+
+def _globals_read(fn):
+    """The global names fn reads, also in its nested code and in cli's helpers it calls."""
+    names, seen, stack = set(), set(), [fn.__code__]
+    while stack:
+        code = stack.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        for ins in dis.get_instructions(code):
+            if ins.opname == "LOAD_GLOBAL":
+                names.add(ins.argval)
+                helper = vars(cli).get(ins.argval)
+                if inspect.isfunction(helper) and helper.__module__ == cli.__name__:
+                    stack.append(helper.__code__)
+        stack += [const for const in code.co_consts if inspect.iscode(const)]
+    return names
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_each_command_reads_only_names_its_chain_binds(command):
+    # main binds the lazy names of errors, ioformat and the module the
+    # subparser names; any other name a command reads must be bound when
+    # cli is imported, or be a builtin.
+    sub = _subparsers()[command]
+    chain = sub.get_default("chain")
+    assert chain in set(MODULE_OF.values()) - set(SHARED)
+    assert all(action.dest != "chain" for action in sub._actions)
+    eager = set(vars(cli)) - set(MODULE_OF)
+    for name in _globals_read(sub.get_default("run")):
+        if name in MODULE_OF:
+            assert MODULE_OF[name] in (*SHARED, chain), (name, MODULE_OF[name])
+        else:
+            assert name in eager or hasattr(builtins, name), name
