@@ -263,7 +263,7 @@ NON_NEGATIVE = _number(float, "a finite number >= 0", lambda x: 0.0 <= x < math.
 # n_r cancels from the loss; it is only checked and echoed into the run metadata.
 REFRACTIVE_INDEX = _number(float, "a finite number >= 1", lambda x: 1.0 <= x < math.inf)
 POINTS = _number(int, f"between 2 and {MAX_POINTS}", lambda n: 2 <= n <= MAX_POINTS)
-# The probe frequency bound of species_loss, checked here so that its error names the flag.
+# The probe frequency bound of database_loss, checked here so that its error names the flag.
 PROBE_GHZ = _number(
     float,
     f"a finite number > 0 whose angular frequency is at most {MAX_RATE:.3g} rad/s",

@@ -19,7 +19,8 @@ import numpy as np
 from . import _kernels
 from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, MD_PREFACTOR, TWO_PI, C
 from .errors import (
-    DatabaseError, InvalidInputs, Record, broadcast_shape, evaluate, is_real, require_number,
+    DatabaseError, InvalidInputs, Record, broadcast_shape, evaluate, is_real, require,
+    require_number,
 )
 from .ioformat import NAME_RULE, finite_float, number_field, plain_name, read_json_array
 from .ladder import MAX_TWO_S, ladder_m, line_coupling_sq
@@ -179,19 +180,28 @@ def check_unique_names(db, error=InvalidInputs) -> None:
         raise error(f"species {', '.join(map(repr, repeated))}: listed more than once")
 
 
-def species_loss(
-    sp: DefectSpecies,
-    omega,
-    temp_k=None,
-    power=None,
-):
-    """Loss-tangent contribution of one species over a grid.
+def species_loss(sp: DefectSpecies, omega, temp_k=None, power=None):
+    """Loss-tangent contribution of one species: the total of database_loss([sp], ...)."""
+    return database_loss([sp], omega, temp_k, power)[1]
 
-    The probe frequency omega [rad/s] and the drive `power` (P/P_c) are
-    scalars or arrays over one grid; scalars alone give a float.  Every
-    grid point sums the lines in listed order, so a point equals the same
-    point of a sweep bit for bit.
+
+def database_loss(db, omega, temp_k=None, power=None):
+    """Loss tangent of each species in db and their total, as (per_species, total).
+
+    omega [rad/s] is one probe frequency, which gives floats, or a grid
+    array; power (P/P_c) is a scalar or an array over that grid.  They and
+    temp_k are checked once per call, before the species loop, so an empty
+    db rejects what a one-species db does.  Species are added in list order
+    and each sums its lines in listed order, so runs are bit-identical and a
+    point equals the same point of a sweep.  Species names must be unique,
+    since per_species is keyed by name.  The sum of the species' peak_loss
+    bounds the total, and is checked to be finite first.
     """
+    check_unique_names(db)
+    if not math.isfinite(sum(sp.peak_loss for sp in db)):
+        names = ", ".join(repr(sp.name) for sp in db)
+        raise InvalidInputs(f"species {names}: peak losses sum to an infinite total loss")
+    shape = broadcast_shape(omega=omega, power=power)
     if not is_real(omega):
         raise InvalidInputs(f"angular probe frequency must be a real number, got {omega!r}")
     omega = np.asarray(omega, dtype=np.float64)
@@ -203,40 +213,27 @@ def species_loss(
             f"angular probe frequency must be in (0, {MAX_RATE:.3g}] rad/s,"
             f" got {omega[~ok][0].item()!r}"
         )
-    centers, amps = sp.lines.centers, sp.amps
     if temp_k is not None:
-        amps = amps * temperature_factor(centers, require_number("temp_k", temp_k))
-    gamma = sp.gamma
+        temp_k = require_number("temp_k", temp_k)
     if power is not None:
-        try:
-            gamma = power_broadened_gamma(gamma, power)
-        except InvalidInputs as exc:
-            raise InvalidInputs(f"species {sp.name!r}: {exc}") from None
-    if not 0.5 * np.max(gamma) <= MAX_RATE:
-        raise InvalidInputs(f"species {sp.name!r}: power-broadened linewidth overflows")
-    out = np.zeros(broadcast_shape(omega=omega, power=gamma))
-    _kernels.lorentzian_mix(np.broadcast_to(omega, out.shape), centers, gamma, amps, out)
-    return float(out) if out.ndim == 0 else out
-
-
-def database_loss(db, omega, temp_k=None, power=None):
-    """Loss tangent of each species in db and their total, as (per_species, total).
-
-    omega [rad/s] is one probe frequency, which gives floats, or a grid
-    array; power (P/P_c) is a scalar or an array over that grid.  Species are
-    added in list order, so runs are bit-identical.  Species names must be
-    unique, since per_species is keyed by name.  The sum of the species'
-    peak_loss bounds the total, and is checked to be finite first.
-    """
-    check_unique_names(db)
-    if not math.isfinite(sum(sp.peak_loss for sp in db)):
-        names = ", ".join(repr(sp.name) for sp in db)
-        raise InvalidInputs(f"species {names}: peak losses sum to an infinite total loss")
+        power = require("p_over_pc", power)
+    omega = np.broadcast_to(omega, shape)
     per_species = {}
-    total = np.zeros(broadcast_shape(omega=omega, power=power))
+    total = np.zeros(shape)
     for sp in db:
-        per_species[sp.name] = species_loss(sp, omega, temp_k, power)
-        total += per_species[sp.name]
+        amps, gamma = sp.amps, sp.gamma
+        if temp_k is not None:
+            amps = amps * temperature_factor(sp.lines.centers, temp_k)
+        if power is not None:
+            try:
+                gamma = power_broadened_gamma(gamma, power)
+            except InvalidInputs as exc:
+                raise InvalidInputs(f"species {sp.name!r}: {exc}") from None
+        if not 0.5 * np.max(gamma) <= MAX_RATE:
+            raise InvalidInputs(f"species {sp.name!r}: power-broadened linewidth overflows")
+        loss = _kernels.lorentzian_mix(omega, sp.lines.centers, gamma, amps, np.zeros(shape))
+        per_species[sp.name] = float(loss) if loss.ndim == 0 else loss
+        total += loss
     return per_species, (float(total) if total.ndim == 0 else total)
 
 

@@ -378,21 +378,39 @@ def test_overflowing_rates_rejected():
         sweep([CR], 1.0, 1e150, 3)
 
 
+# The probe, temperature and drive are checked once per call, before the
+# species loop, so a database of no species rejects them as one species does.
+ONE_AND_NO_SPECIES = (
+    lambda *args, **kwargs: species_loss(CR, *args, **kwargs),
+    lambda *args, **kwargs: database_loss([], *args, **kwargs),
+)
+
+
 def test_species_loss_validation():
-    with pytest.raises(InvalidInputs):
-        species_loss(CR, 0.0)
+    for loss in ONE_AND_NO_SPECIES:
+        with pytest.raises(InvalidInputs):
+            loss(0.0)
+        for kwargs, message in [
+            (dict(temp_k="x"), "temp_k must be finite and >= 0, got 'x'"),
+            (dict(temp_k=float("nan")), "temp_k must be finite and >= 0, got nan"),
+            (dict(power=-1.0), "p_over_pc must be finite and >= 0, got -1.0"),
+        ]:
+            with pytest.raises(InvalidInputs) as exc:
+                loss(OMEGA_45, **kwargs)
+            assert str(exc.value) == message
 
 
 def test_species_loss_names_first_bad_probe_value():
     grid = np.linspace(-1.0, 1e10, 2000)
     grid[5] = float("nan")
-    with pytest.raises(InvalidInputs) as exc:
-        species_loss(CR, grid)
-    assert str(exc.value) == "angular probe frequency must be in (0, 9.48e+153] rad/s, got -1.0"
-    with pytest.raises(InvalidInputs, match=r"got nan$"):
-        species_loss(CR, np.array([OMEGA_45, float("nan"), -1.0]))
-    with pytest.raises(InvalidInputs, match=r"got inf$"):
-        species_loss(CR, np.array([[OMEGA_45], [float("inf")]]))
+    for loss in ONE_AND_NO_SPECIES:
+        with pytest.raises(InvalidInputs) as exc:
+            loss(grid)
+        assert str(exc.value) == "angular probe frequency must be in (0, 9.48e+153] rad/s, got -1.0"
+        with pytest.raises(InvalidInputs, match=r"got nan$"):
+            loss(np.array([OMEGA_45, float("nan"), -1.0]))
+        with pytest.raises(InvalidInputs, match=r"got inf$"):
+            loss(np.array([[OMEGA_45], [float("inf")]]))
 
 
 @pytest.mark.parametrize(
@@ -400,8 +418,9 @@ def test_species_loss_names_first_bad_probe_value():
     [(np.array([]), None), (OMEGA_45, np.array([])), (np.array([]), 2.0), (np.empty((0, 3)), None)],
 )
 def test_species_loss_rejects_empty_grids(omega, power):
-    with pytest.raises(InvalidInputs, match="^omega and power must not be empty arrays$"):
-        species_loss(CR, omega, power=power)
+    for loss in ONE_AND_NO_SPECIES:
+        with pytest.raises(InvalidInputs, match="^omega and power must not be empty arrays$"):
+            loss(omega, power=power)
 
 
 def test_sweep_range_validation():

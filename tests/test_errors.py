@@ -216,6 +216,7 @@ def test_results_outside_float_range_raise(call, args, message):
         (line_coupling_sq, (3, (None, 0.5), 2.0), "(None, 0.5): m = None is not a half-integer"),
         (extract_moment, (1.0, None), "lambda_vac must be finite, got None"),
         (sweep, ([SPECIES], 1.0, None, 5), "fmax must be finite, got None"),
+        (sweep, ([], 1.0, 2.0, 3, "x"), "temp_k must be finite and >= 0, got 'x'"),
     ],
 )
 def test_non_numbers_raise_naming_the_argument(call, args, message):
@@ -269,6 +270,9 @@ NUMERIC = [
      ("omega", "temp_k", "power")),
     (sweep, dict(db=[SPECIES], fmin_ghz=1.0, fmax_ghz=15.0, points=3, temp_k=0.1, power=1.0),
      ("fmin_ghz", "fmax_ghz", "points", "temp_k", "power")),
+    # A database of no species checks the temperature and drive all the same.
+    (sweep, dict(db=[], fmin_ghz=1.0, fmax_ghz=15.0, points=3, temp_k=0.1, power=1.0),
+     ("temp_k", "power")),
     (DefectSpecies, dict(name="Cr", two_s=3, n_def=1e23, gamma=1e8, transition=(1.5, 0.5),
                          lines=SPECIES.lines), ("two_s", "n_def", "gamma", "transition")),
     (SpeciesLines, dict(centers=[OMEGA], g=[1.984], weights=[1.0]), ("centers", "g", "weights")),
@@ -376,6 +380,11 @@ def test_numeric_table_covers_all():
     assert {call.__name__ for call, _, _ in NUMERIC} | NOT_NUMERIC == set(paramagloss.__all__)
 
 
+def row_id(call, kwargs):
+    """The test id of a NUMERIC row: its call's name, marked for an empty database."""
+    return call.__name__ + ("-no_species" if kwargs.get("db") == [] else "")
+
+
 def assert_finite_or_library_error(call, kwargs):
     """call(**kwargs) gives finite values or raises ParamagLossError, and warns of nothing."""
     with warnings.catch_warnings():
@@ -390,7 +399,7 @@ def assert_finite_or_library_error(call, kwargs):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize(
-    "call, kwargs, args", [pytest.param(*row, id=row[0].__name__) for row in NUMERIC]
+    "call, kwargs, args", [pytest.param(*row, id=row_id(*row[:2])) for row in NUMERIC]
 )
 def test_any_argument_gives_finite_values_or_a_library_error(call, kwargs, args, data):
     kwargs = dict(kwargs)
@@ -404,7 +413,7 @@ def test_any_argument_gives_finite_values_or_a_library_error(call, kwargs, args,
 @pytest.mark.parametrize(
     "call, kwargs, arg",
     [
-        pytest.param(call, kwargs, arg, id=f"{call.__name__}-{arg}")
+        pytest.param(call, kwargs, arg, id=f"{row_id(call, kwargs)}-{arg}")
         for call, kwargs, args in NUMERIC
         for arg in args
     ],
