@@ -38,7 +38,7 @@ import math
 import os
 import sys
 
-from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, angular_to_ghz, ghz_to_angular
+from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, TWO_PI, angular_to_ghz, ghz_to_angular
 
 # The module of each name the commands look up in this module.  __getattr__
 # binds one on its first lookup on this module, importing its module, and
@@ -204,10 +204,7 @@ def cmd_emission(args: argparse.Namespace):
 def cmd_tempcurve(args: argparse.Namespace):
     if not args.tmin_k < args.tmax_k:
         raise InvalidInputs(f"need tmin < tmax, got [{args.tmin_k}, {args.tmax_k}]")
-    try:
-        omega_if = ghz_to_angular(args.freq_ghz)
-    except InvalidInputs:  # past the float range: the thermal factors take their limit
-        omega_if = math.inf
+    omega_if = TWO_PI * 1.0e9 * args.freq_ghz  # inf past the float range: the thermal limit
     temps = _grid(args.tmin_k, args.tmax_k, args.points)
     header = ["temp_k", "w_factor", "tanh_factor"]
     columns = (temps, temperature_factor(omega_if, temps), tanh_factor(omega_if, temps))

@@ -231,7 +231,7 @@ def database_loss(db, omega, temp_k=None, power=None):
                 raise InvalidInputs(f"species {sp.name!r}: {exc}") from None
         if not 0.5 * np.max(gamma) <= MAX_RATE:
             raise InvalidInputs(f"species {sp.name!r}: power-broadened linewidth overflows")
-        loss = _kernels.lorentzian_mix(omega, sp.lines.centers, gamma, amps, np.zeros(shape))
+        loss = _kernels.lorentzian_mix(omega, sp.lines.centers, gamma, amps)
         per_species[sp.name] = float(loss) if loss.ndim == 0 else loss
         total += loss
     return per_species, (float(total) if total.ndim == 0 else total)
@@ -263,6 +263,8 @@ def sweep(
     if not fmax <= MAX_GHZ:
         raise InvalidInputs(f"angular frequency of fmax {fmax_ghz} GHz overflows")
     freqs = np.linspace(fmin, fmax, points)
+    if broadcast_shape(grid=freqs, power=power) != freqs.shape:
+        raise InvalidInputs(f"power of shape {np.shape(power)} does not fit grid {freqs.shape}")
     # fmin > 0 and fmax <= MAX_GHZ bound the grid, so the bare product of
     # ghz_to_angular is finite and needs none of its checks.
     per_species, total = database_loss(db, TWO_PI * 1.0e9 * freqs, temp_k, power)

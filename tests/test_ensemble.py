@@ -374,6 +374,11 @@ def test_overflowing_rates_rejected():
         species_loss(CR, float("inf"))
     with pytest.raises(InvalidInputs, match="linewidth"):
         species_loss(CR, OMEGA_45, power=1e308)
+    # A width past the float range in power_broadened_gamma itself, named by species.
+    big = DefectSpecies(name="Big", two_s=CR.two_s, n_def=CR.n_def, gamma=1.8e154,
+                        transition=CR.transition, lines=CR.lines)
+    with pytest.raises(InvalidInputs, match="^species 'Big': power-broadened linewidth overflows$"):
+        database_loss([big], 7e10, power=1e308)
     with pytest.raises(InvalidInputs, match="angular frequency"):
         sweep([CR], 1.0, 1e150, 3)
 
@@ -437,6 +442,10 @@ def test_sweep_range_validation():
         with pytest.raises(InvalidInputs, match="^points must be an integer >= 2"):
             sweep([CR], 1.0, 15.0, points)
     assert len(sweep([CR], 1.0, 15.0, np.int64(3)).freqs_ghz) == 3
+    # A drive that broadcasts past the grid would give columns of another shape.
+    with pytest.raises(InvalidInputs, match=r"^power of shape \(2, 1\) does not fit .* \(3,\)$"):
+        sweep([CR], 1.0, 15.0, 3, power=np.ones((2, 1)))
+    assert sweep([CR], 1.0, 15.0, 3, power=np.ones(3)).total.shape == (3,)
 
 
 def test_sweep_grid_and_point_agreement():

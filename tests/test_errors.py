@@ -386,7 +386,8 @@ def row_id(call, kwargs):
 
 
 def assert_finite_or_library_error(call, kwargs):
-    """call(**kwargs) gives finite values or raises ParamagLossError, and warns of nothing."""
+    """call(**kwargs) gives finite values or raises ParamagLossError, and warns of nothing;
+    a Spectrum's total and species columns have its grid's shape."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -394,6 +395,9 @@ def assert_finite_or_library_error(call, kwargs):
         except ParamagLossError:
             return
     assert_finite(result)
+    if isinstance(result, Spectrum):
+        for column in (result.total, *result.per_species.values()):
+            assert column.shape == result.freqs_ghz.shape, kwargs
 
 
 @settings(max_examples=100, deadline=None)
