@@ -9,6 +9,7 @@ tempcurve   temperature factor and its tanh comparison over a T range
 powercurve  on-resonance and detuned loss versus drive power
 
 All user input is in GHz / MHz / K / cm^-3: the flags are converted here,
+each probe flag to rad/s by RAD_PER_S_PER_GHZ once its type has bounded it,
 the database's fields by ensemble.parse_species.
 Each command returns a CSV table and a JSON payload of plain numbers,
 arrays and strings, and main writes the one the format asks for; numbers,
@@ -19,12 +20,13 @@ output.
 
 Start-up is most of a short run, so a run imports only its command's chain:
 this module needs the standard library and constants to parse the flags,
-each subparser names its command's module, and main then looks up the
-names _MODULE_OF places there or in errors and ioformat, which __getattr__
-imports and binds.  tempcurve loads no database code, emission no
-ensemble, and no command the spin matrices.  run, the program's entry,
+each subparser names its command's module, and main then binds in this
+module's namespace, through __getattr__, each name _MODULE_OF places there
+or in errors and ioformat that is not bound yet.  tempcurve loads no
+database code, emission no ensemble, and no command the spin matrices.  run, the program's entry,
 keeps the garbage collector off over those imports and ends the process
-once the output is flushed, without tearing the interpreter down.
+once the output is flushed, without tearing the interpreter down, unless
+a profiler or tracer still has to write its results at shutdown.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ import math
 import os
 import sys
 
-from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, TWO_PI, angular_to_ghz, ghz_to_angular
+from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, RAD_PER_S_PER_GHZ, angular_to_ghz
 
 # The module of each name the commands look up in this module.  __getattr__
 # binds one on its first lookup on this module, importing its module, and
-# main looks up those of errors, ioformat and the parsed command's chain
-# before running it; a name already bound, such as a tracer's wrapper, is
-# never looked up through __getattr__ and so is kept.
+# main binds those of errors, ioformat and the parsed command's chain that
+# are not in globals() yet before running it; so a name already bound, such
+# as a tracer's wrapper, is kept.
 _MODULE_OF = {
     "InvalidInputs": "errors", "ParamagLossError": "errors", "evaluate": "errors",
     "default_db_path": "ioformat", "default_emission_path": "ioformat",
@@ -171,7 +173,7 @@ def cmd_sweep(args: argparse.Namespace):
 def cmd_point(args: argparse.Namespace):
     db = load_species_db(resolve_db_path(args.db_path))
     losses, total = database_loss(
-        db, ghz_to_angular(args.freq_ghz), temp_k=args.temp_k, power=args.p_over_pc
+        db, RAD_PER_S_PER_GHZ * args.freq_ghz, temp_k=args.temp_k, power=args.p_over_pc
     )
     metadata = _run_metadata(args, db)
     rows = [["freq_ghz", args.freq_ghz], *losses.items(), ["total", total]]
@@ -204,7 +206,7 @@ def cmd_emission(args: argparse.Namespace):
 def cmd_tempcurve(args: argparse.Namespace):
     if not args.tmin_k < args.tmax_k:
         raise InvalidInputs(f"need tmin < tmax, got [{args.tmin_k}, {args.tmax_k}]")
-    omega_if = TWO_PI * 1.0e9 * args.freq_ghz  # inf past the float range: the thermal limit
+    omega_if = RAD_PER_S_PER_GHZ * args.freq_ghz  # inf past the float range: the thermal limit
     temps = _grid(args.tmin_k, args.tmax_k, args.points)
     header = ["temp_k", "w_factor", "tanh_factor"]
     columns = (temps, temperature_factor(omega_if, temps), tanh_factor(omega_if, temps))
@@ -219,14 +221,11 @@ def cmd_powercurve(args: argparse.Namespace):
         raise InvalidInputs(f"species {args.species!r} not in database")
     sp = matches[0]
     omega_res = float(sp.lines.centers[0])
-    omega_det = ghz_to_angular(args.freq_ghz)
+    omega_det = RAD_PER_S_PER_GHZ * args.freq_ghz
     ratios = _grid(0.0, args.pmax_over_pc, args.points)
+    loss = species_loss(sp, [omega_res, omega_det], power=ratios[:, None])  # (points, 2)
     header = ["p_over_pc", "loss_on_resonance", "loss_detuned"]
-    columns = (
-        ratios,
-        species_loss(sp, omega_res, power=ratios),
-        species_loss(sp, omega_det, power=ratios),
-    )
+    columns = (ratios, loss[:, 0], loss[:, 1])
     payload = {
         "command": "powercurve",
         "species": sp.name,
@@ -352,10 +351,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except OSError as exc:  # the help text could not be written
         return _cannot_write(None, exc)
-    this = sys.modules[__name__]
     for name, module in _MODULE_OF.items():
-        if module in ("errors", "ioformat", args.chain):
-            getattr(this, name)
+        if module in ("errors", "ioformat", args.chain) and name not in globals():
+            __getattr__(name)
     try:
         header, rows, payload = args.run(args)
     except ParamagLossError as exc:
@@ -377,8 +375,10 @@ def run() -> None:
     and flushing stdout and stderr, and then ends the process with os._exit;
     a flush that fails exits 3, as a failed write in main does.  It exits
     through sys.exit, and so through the interpreter's own shutdown, when
-    another thread is alive, when -i asks for the prompt after the run, or
-    when the code is not an int, so each of those ends as it always has.
+    another thread is alive, when -i asks for the prompt after the run,
+    when the code is not an int, or when a profiler or tracer is installed
+    (cProfile -o and trace write their results after the run returns), so
+    each of those ends as it always has.
     main itself stays free of this, so callers in process keep their
     collector and their interpreter.
     """
@@ -392,6 +392,8 @@ def run() -> None:
         isinstance(code, int)
         and not sys.flags.inspect
         and (threading is None or threading.active_count() == 1)
+        and sys.getprofile() is None
+        and sys.gettrace() is None
     ):
         # The hooks run first, as in shutdown, so what they write is flushed
         # too; they are then unregistered, and a fallback exit skips them.

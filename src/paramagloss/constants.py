@@ -10,6 +10,8 @@ import math
 import sys
 
 TWO_PI = 2.0 * math.pi
+# Angular frequency [rad/s] of 1 GHz: every GHz <-> rad/s conversion scales by it.
+RAD_PER_S_PER_GHZ = TWO_PI * 1.0e9
 
 # Fundamental constants in SI units, pinned to CODATA 2018.
 C = 2.99792458e8           # speed of light [m/s]
@@ -28,7 +30,7 @@ MAX_RATE = math.sqrt(sys.float_info.max / 2.0)
 
 # Largest cyclic frequency [GHz] whose angular frequency is at most MAX_RATE;
 # callers compare GHz with it before converting.
-MAX_GHZ = MAX_RATE / (TWO_PI * 1.0e9)
+MAX_GHZ = MAX_RATE / RAD_PER_S_PER_GHZ
 
 # Most points of a sweep grid: each float64 column of it is at most 80 MB.
 MAX_POINTS = 10**7
@@ -43,10 +45,10 @@ def ghz_to_angular(freq_ghz):
     # Imported here: cli parses its flags with this module before numpy loads.
     from .errors import evaluate, require
 
-    omega = evaluate(lambda: TWO_PI * 1.0e9 * require("freq_ghz", freq_ghz, -math.inf))
+    omega = evaluate(lambda: RAD_PER_S_PER_GHZ * require("freq_ghz", freq_ghz, -math.inf))
     return require("angular frequency", omega, -math.inf)
 
 
 def angular_to_ghz(omega):
     """Angular frequency in rad/s to cyclic frequency in GHz."""
-    return omega / (TWO_PI * 1.0e9)
+    return omega / RAD_PER_S_PER_GHZ

@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 
 from . import _kernels
-from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, MD_PREFACTOR, TWO_PI, C
+from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, MD_PREFACTOR, RAD_PER_S_PER_GHZ, TWO_PI, C
 from .errors import (
     DatabaseError, InvalidInputs, Record, broadcast_shape, evaluate, is_real, require,
     require_number,
@@ -267,7 +267,7 @@ def sweep(
         raise InvalidInputs(f"power of shape {np.shape(power)} does not fit grid {freqs.shape}")
     # fmin > 0 and fmax <= MAX_GHZ bound the grid, so the bare product of
     # ghz_to_angular is finite and needs none of its checks.
-    per_species, total = database_loss(db, TWO_PI * 1.0e9 * freqs, temp_k, power)
+    per_species, total = database_loss(db, RAD_PER_S_PER_GHZ * freqs, temp_k, power)
     for arr in (freqs, total, *per_species.values()):
         arr.setflags(write=False)
     return Spectrum(freqs_ghz=freqs, per_species=per_species, total=total)
@@ -313,7 +313,8 @@ def parse_species(entry: dict, index: int) -> DefectSpecies:
         for column, key in zip(columns, ("g", "freq_ghz", "weight")):
             column.append(number_field(raw, key, line))
     g, freq_ghz, weights = columns
-    centers = evaluate(lambda: TWO_PI * 1.0e9 * np.array(freq_ghz))  # quoted as is past MAX_RATE
+    # DefectSpecies quotes a center past MAX_RATE, inf included, as is.
+    centers = evaluate(lambda: RAD_PER_S_PER_GHZ * np.array(freq_ghz))
     try:
         return DefectSpecies(
             name=name,

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import pstats
 import re
 import shlex
 import subprocess
@@ -598,7 +599,15 @@ def test_powercurve_builds_couplings_once(monkeypatch, tmp_path):
         calls.append(args)
         return coupling(*args)
 
+    evaluated = []
+    species_loss = cli.species_loss
+
+    def evaluating(sp, omega, **kwargs):
+        evaluated.append((sp.name, np.shape(omega), np.shape(kwargs["power"])))
+        return species_loss(sp, omega, **kwargs)
+
     monkeypatch.setattr(ensemble, "line_coupling_sq", counting)
+    monkeypatch.setattr(cli, "species_loss", evaluating)
     monkeypatch.delenv("PARAMAG_LOSS_DB", raising=False)
     argv = [
         "powercurve", "--freq-ghz", "9", "--species", "V", "--points", "2000",
@@ -610,6 +619,8 @@ def test_powercurve_builds_couplings_once(monkeypatch, tmp_path):
     assert sum(len(sp.lines) for sp in db) == 10
     # One array call per species covers all of its lines.
     assert built == len(db) == 3
+    # Both loss columns come from one evaluation over the (points, 2) grid.
+    assert evaluated == [("V", (2,), (2000, 1))]
 
 
 def test_traced_entry_points_resolve():
@@ -647,16 +658,25 @@ def test_wrapper_bound_before_a_run_is_kept(tmp_path, monkeypatch):
     assert calls == [(1.0, 15.0)]
 
 
+# As under cProfile and trace, sys.modules["__main__"] stays the calling
+# script while cli runs under that name.
+RUN_AS_MAIN = "import runpy\nrunpy.run_module('paramagloss.cli', run_name='__main__')\n"
+
+
 @pytest.mark.parametrize(
     "golden, argv",
     [
-        ("point_4p5.csv", ["point", "--freq-ghz", "4.5"]),
-        ("sweep_101.json", ["sweep", "--points", "101", "--format", "json"]),
+        ("point_4p5.csv", ["-m", "paramagloss.cli", "point", "--freq-ghz", "4.5"]),
+        (
+            "sweep_101.json",
+            ["-m", "paramagloss.cli", "sweep", "--points", "101", "--format", "json"],
+        ),
+        ("point_4p5.csv", ["-c", RUN_AS_MAIN, "point", "--freq-ghz", "4.5"]),
     ],
 )
 def test_module_run_writes_golden_bytes(golden, argv):
     proc = subprocess.run(
-        [sys.executable, "-m", "paramagloss.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         env=_clean_env(),
         timeout=120,
@@ -756,6 +776,33 @@ def test_live_thread_takes_the_normal_exit():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "thread done\nteardown\n"
     assert proc.stdout == (GOLDEN_DIR / "point_4p5.csv").read_text()
+
+
+@pytest.mark.parametrize("install", ["sys.settrace", "sys.setprofile"])
+def test_tracer_takes_the_normal_exit(install):
+    # A tracer or profiler writes its results at shutdown, after run returns.
+    script = f"{install}(lambda *args: None)\nsys.exit(cli.run())\n"
+    proc = _witnessed(script, "point", "--freq-ghz", "4.5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "teardown\n"
+    assert proc.stdout == (GOLDEN_DIR / "point_4p5.csv").read_text()
+
+
+def test_profiled_module_run_writes_its_profile(tmp_path):
+    profile = tmp_path / "prof.out"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "cProfile", "-o", str(profile),
+            "-m", "paramagloss.cli", "point", "--freq-ghz", "4.5",
+        ],
+        capture_output=True,
+        env=_clean_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / "point_4p5.csv").read_bytes()
+    stats = pstats.Stats(str(profile)).stats
+    assert any(func[2] == "cmd_point" for func in stats)
 
 
 def test_non_int_exit_code_takes_the_normal_exit():

@@ -334,6 +334,13 @@ def test_species_loss_grids_match_points():
     ratios = np.linspace(0.0, 431.0, 200)
     curve = species_loss(VA, OMEGA_45, power=ratios)
     assert np.array_equal(curve, [species_loss(VA, OMEGA_45, power=float(p)) for p in ratios])
+    # powercurve's one call: drive ratio by probe, on resonance and detuned.
+    for sp in load_species_db(default_db_path()):
+        probes = [float(sp.lines.centers[0]), OMEGA_45]
+        both = species_loss(sp, probes, power=ratios[:, None])
+        assert both.shape == (ratios.size, 2)
+        for column, w in zip(both.T, probes):
+            assert np.array_equal(column, species_loss(sp, w, power=ratios))
 
 
 def test_line_table_built_once(monkeypatch):
