@@ -15,7 +15,6 @@ _EXPORTS = {
     "DefectSpecies": "ensemble",
     "EigenDecomposition": "linalg",
     "EmissionLine": "emission",
-    "LineshapeSpec": "lineshape",
     "ParamagLossError": "errors",
     "SpeciesLines": "ensemble",
     "SpinHamiltonianParams": "spin",

@@ -14,24 +14,24 @@ from .constants import MD_PREFACTOR, C
 from .errors import broadcast_shape, evaluate, require
 
 
-def sigma_md(omega, omega_if, coupling_sq, shape: ls.LineshapeSpec,
-             n_r: float = 1.0, temp_k=None):
+def sigma_md(omega, omega_if, coupling_sq, gamma, n_r: float = 1.0, temp_k=None):
     """Magnetic-dipole absorption cross section [m^2] at probe frequency omega.
 
     coupling_sq is the squared dimensionless matrix element (polarization
-    resolved, or the unpolarized average).  The Lorentzian of `shape` is
-    evaluated at omega - omega_if.  If temp_k is given, the thermal
-    occupation factor multiplies the result.  A cross section past the
-    float range raises InvalidInputs.
+    resolved, or the unpolarized average).  The Lorentzian of FWHM gamma
+    [rad/s] is evaluated at omega - omega_if.  If temp_k is given, the
+    thermal occupation factor multiplies the result.  A cross section past
+    the float range raises InvalidInputs.
     """
     omega = require("omega", omega, strict=True)
     omega_if = require("omega_if", omega_if, strict=True)
     n_r = require("n_r", n_r, 1.0)
     coupling_sq = require("coupling_sq", coupling_sq)
     broadcast_shape(
-        omega=omega, omega_if=omega_if, coupling_sq=coupling_sq, n_r=n_r, temp_k=temp_k
+        omega=omega, omega_if=omega_if, coupling_sq=coupling_sq, gamma=gamma, n_r=n_r,
+        temp_k=temp_k,
     )
-    density = ls.lorentzian(omega - omega_if, shape.gamma)
+    density = ls.lorentzian(omega - omega_if, gamma)
     factor = 1.0 if temp_k is None else ls.temperature_factor(omega_if, temp_k)
     value = evaluate(lambda: n_r * MD_PREFACTOR * coupling_sq * omega * density * factor)
     return require("cross section", value)

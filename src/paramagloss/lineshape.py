@@ -8,23 +8,7 @@ line center, omega - omega_if.
 import numpy as np
 
 from .constants import HBAR, KB
-from .errors import (
-    InvalidInputs, Record, broadcast_shape, evaluate, is_real, require, require_number,
-)
-
-
-class LineshapeSpec(Record):
-    """Broadening model plus its width: a Lorentzian of FWHM gamma [rad/s].
-
-    kind names the model; "lorentzian" is the only one.
-    """
-
-    __slots__ = ("kind", "gamma")
-
-    def __init__(self, kind: str, gamma: float):
-        if kind != "lorentzian":
-            raise InvalidInputs(f"unknown lineshape kind {kind!r}; expected 'lorentzian'")
-        self._set_fields(kind, require("gamma", gamma, strict=True))
+from .errors import InvalidInputs, broadcast_shape, evaluate, is_real, require, require_number
 
 
 def lorentzian(detuning, gamma):

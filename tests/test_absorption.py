@@ -12,7 +12,7 @@ from paramagloss.absorption import (
     sigma_md,
 )
 from paramagloss.errors import InvalidInputs
-from paramagloss.lineshape import LineshapeSpec, temperature_factor
+from paramagloss.lineshape import temperature_factor
 from conftest import BOHR_RADIUS, FINE_STRUCTURE
 
 TWO_PI = 2.0 * math.pi
@@ -21,11 +21,10 @@ OMEGA_RES = TWO_PI * 11.45e9
 GAMMA = TWO_PI * 27e6
 COUPLING = 1.984**2 / 2.0
 N_DEF = 1e17 * 1e6
-LORENTZ = LineshapeSpec(kind="lorentzian", gamma=GAMMA)
 
 
 def _chain(omega, n_r=1.0, n_def=N_DEF, coupling=COUPLING, temp_k=None):
-    sigma = sigma_md(omega, OMEGA_RES, coupling, LORENTZ, n_r=n_r, temp_k=temp_k)
+    sigma = sigma_md(omega, OMEGA_RES, coupling, GAMMA, n_r=n_r, temp_k=temp_k)
     return loss_tangent(absorption_coefficient(n_def, sigma), omega, n_r=n_r)
 
 
@@ -37,46 +36,47 @@ def test_prefactors_from_raw_constants():
 
 def test_sigma_md_on_resonance_value():
     # Independent constant-by-constant evaluation of the peak cross section.
-    sigma = sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, LORENTZ)
+    sigma = sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, GAMMA)
     assert sigma == pytest.approx(5.706544200151563e-24, rel=1e-12)
 
 
 def test_sigma_md_zero_coupling():
-    assert sigma_md(OMEGA_RES, OMEGA_RES, 0.0, LORENTZ) == 0.0
+    assert sigma_md(OMEGA_RES, OMEGA_RES, 0.0, GAMMA) == 0.0
 
 
 def test_sigma_md_linear_in_n_r():
-    base = sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, LORENTZ, n_r=1.0)
-    doubled = sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, LORENTZ, n_r=2.0)
+    base = sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, GAMMA, n_r=1.0)
+    doubled = sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, GAMMA, n_r=2.0)
     assert doubled == pytest.approx(2.0 * base, rel=1e-14)
 
 
 def test_sigma_md_temperature_multiplier():
-    bare = sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, LORENTZ)
-    warm = sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, LORENTZ, temp_k=0.3)
+    bare = sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, GAMMA)
+    warm = sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, GAMMA, temp_k=0.3)
     assert warm == pytest.approx(bare * temperature_factor(OMEGA_RES, 0.3), rel=1e-14)
 
 
-def test_sigma_md_rejects_delta_and_bad_inputs():
-    with pytest.raises(InvalidInputs, match="delta"):
-        sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, LineshapeSpec(kind="delta", gamma=GAMMA))
+def test_sigma_md_rejects_bad_inputs():
+    for gamma in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputs, match="^gamma must be finite and > 0"):
+            sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, gamma)
     with pytest.raises(InvalidInputs):
-        sigma_md(0.0, OMEGA_RES, COUPLING, LORENTZ)
+        sigma_md(0.0, OMEGA_RES, COUPLING, GAMMA)
     with pytest.raises(InvalidInputs):
-        sigma_md(OMEGA_RES, -1.0, COUPLING, LORENTZ)
+        sigma_md(OMEGA_RES, -1.0, COUPLING, GAMMA)
     with pytest.raises(InvalidInputs):
-        sigma_md(OMEGA_RES, OMEGA_RES, -0.5, LORENTZ)
+        sigma_md(OMEGA_RES, OMEGA_RES, -0.5, GAMMA)
     with pytest.raises(InvalidInputs):
-        sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, LORENTZ, n_r=0.5)
+        sigma_md(OMEGA_RES, OMEGA_RES, COUPLING, GAMMA, n_r=0.5)
     nan, inf = float("nan"), float("inf")
     for args, kwargs in (
-        ((1.0, 1.0, nan, LORENTZ), {}),
-        ((OMEGA_RES, OMEGA_RES, inf, LORENTZ), {}),
-        ((inf, OMEGA_RES, COUPLING, LORENTZ), {}),
-        ((nan, OMEGA_RES, COUPLING, LORENTZ), {}),
-        ((OMEGA_RES, inf, COUPLING, LORENTZ), {}),
-        ((OMEGA_RES, OMEGA_RES, COUPLING, LORENTZ), {"n_r": nan}),
-        ((OMEGA_RES, OMEGA_RES, COUPLING, LORENTZ), {"n_r": inf}),
+        ((1.0, 1.0, nan, GAMMA), {}),
+        ((OMEGA_RES, OMEGA_RES, inf, GAMMA), {}),
+        ((inf, OMEGA_RES, COUPLING, GAMMA), {}),
+        ((nan, OMEGA_RES, COUPLING, GAMMA), {}),
+        ((OMEGA_RES, inf, COUPLING, GAMMA), {}),
+        ((OMEGA_RES, OMEGA_RES, COUPLING, GAMMA), {"n_r": nan}),
+        ((OMEGA_RES, OMEGA_RES, COUPLING, GAMMA), {"n_r": inf}),
     ):
         with pytest.raises(InvalidInputs):
             sigma_md(*args, **kwargs)

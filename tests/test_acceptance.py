@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from paramagloss import (
-    LineshapeSpec,
     a_md,
     absorption_coefficient,
     basis_state,
@@ -34,7 +33,6 @@ CR_OMEGA = TWO_PI * 11.45e9
 CR_GAMMA = TWO_PI * 27e6
 CR_COUPLING = line_coupling_sq(3, (1.5, 0.5), 1.984)
 CR_DENSITY = 1.0e17 * 1.0e6
-CR_SHAPE = LineshapeSpec("lorentzian", gamma=CR_GAMMA)
 
 ON_RESONANCE_ORACLE = 2.3779818380231274e-03
 
@@ -61,7 +59,7 @@ def report(capsys):
 
 
 def _chain(omega: float, n_r: float = 1.0) -> float:
-    sig = sigma_md(omega, CR_OMEGA, CR_COUPLING, CR_SHAPE, n_r=n_r)
+    sig = sigma_md(omega, CR_OMEGA, CR_COUPLING, CR_GAMMA, n_r=n_r)
     return loss_tangent(absorption_coefficient(CR_DENSITY, sig), omega, n_r=n_r)
 
 
@@ -131,11 +129,10 @@ def test_emission_detailed_balance(report):
     omega_if = wavelength_to_angular(1276e-9)
     m_sq = 0.3135
     gamma = TWO_PI * 5e9
-    shape = LineshapeSpec("lorentzian", gamma=gamma)
     worst = 0.0
     for n_r in (1.0, 1.77):
         def integrand(omega):
-            sig = sigma_md(omega, omega_if, m_sq, shape, n_r=n_r)
+            sig = sigma_md(omega, omega_if, m_sq, gamma, n_r=n_r)
             return (C / n_r) * sig * photon_dos(omega, n_r=n_r)
 
         rate, _ = quad(

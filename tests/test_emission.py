@@ -24,7 +24,6 @@ from paramagloss.emission import (
 from paramagloss.absorption import sigma_md
 from paramagloss.errors import DatabaseError, InvalidInputs
 from paramagloss.ioformat import default_emission_path, write_csv
-from paramagloss.lineshape import LineshapeSpec
 from conftest import BOHR_RADIUS, C_LIGHT, FINE_STRUCTURE
 
 TWO_PI = 2.0 * math.pi
@@ -143,10 +142,9 @@ def test_detailed_balance():
     gamma = TWO_PI * 5e9
     omega_if = wavelength_to_angular(1276e-9)
     m_sq = 0.3135
-    shape = LineshapeSpec(kind="lorentzian", gamma=gamma)
     for n_r in (1.0, 1.77):
         integrand = lambda w: (C_LIGHT / n_r) * sigma_md(
-            w, omega_if, m_sq, shape, n_r=n_r
+            w, omega_if, m_sq, gamma, n_r=n_r
         ) * photon_dos(w, n_r)
         integral, _ = quad(
             integrand,

@@ -29,7 +29,6 @@ from paramagloss.errors import InvalidInputs, ParamagLossError, Record, require
 from paramagloss.ladder import line_coupling_sq
 from paramagloss.linalg import EigenDecomposition, diagonalize
 from paramagloss.lineshape import (
-    LineshapeSpec,
     lorentzian,
     power_broadened_gamma,
     tanh_factor,
@@ -136,12 +135,10 @@ SPECIES = DefectSpecies(
 
 # Each call with valid keyword arguments, and the numeric arguments to break.
 BOUNDARY = [
-    (sigma_md, dict(omega=OMEGA, omega_if=OMEGA, coupling_sq=1.0,
-                    shape=LineshapeSpec("lorentzian", 1e6), n_r=1.0),
-     ("omega", "omega_if", "coupling_sq", "n_r")),
+    (sigma_md, dict(omega=OMEGA, omega_if=OMEGA, coupling_sq=1.0, gamma=1e6, n_r=1.0),
+     ("omega", "omega_if", "coupling_sq", "gamma", "n_r")),
     (absorption_coefficient, dict(n_def=1e23, sigma=1e-30), ("n_def", "sigma")),
     (loss_tangent, dict(a=1.0, omega=OMEGA, n_r=1.0), ("a", "omega", "n_r")),
-    (LineshapeSpec, dict(kind="lorentzian", gamma=1.0), ("gamma",)),
     (lorentzian, dict(detuning=0.0, gamma=1.0), ("detuning", "gamma")),
     (power_broadened_gamma, dict(gamma0=1.0, power=1.0), ("gamma0", "power")),
     (wavelength_to_angular, dict(lambda_vac=1e-6), ("lambda_vac",)),
@@ -190,7 +187,7 @@ def test_non_finite_argument_raises_naming_it(call, kwargs, arg, bad):
         (loss_tangent, (0.0, 1e-320), "loss tangent must be finite and >= 0, got nan"),
         (absorption_coefficient, (1e308, 1e308),
          "absorption coefficient must be finite and >= 0, got inf"),
-        (sigma_md, (1e150, 1e150, 1e300, LineshapeSpec("lorentzian", 1.0)),
+        (sigma_md, (1e150, 1e150, 1e300, 1.0),
          "cross section must be finite and >= 0, got inf"),
         (power_broadened_gamma, (1e308, 1e308), "power-broadened linewidth overflows"),
         (species_loss, (SPECIES, OMEGA, None, 1e308),
@@ -234,7 +231,7 @@ def test_list_arguments_give_arrays():
         (lorentzian, ([0.0], 1.0)),
         (photon_dos, ([1e9], 1.0)),
         (a_md, ([1e-6], [1.0], 1.0)),
-        (sigma_md, ([1e10], [1e10], [1.0], LineshapeSpec("lorentzian", [1e6]), [1.0])),
+        (sigma_md, ([1e10], [1e10], [1.0], [1e6], [1.0])),
         (absorption_coefficient, ([1e23], [1e-30])),
         (loss_tangent, ([1.0], [OMEGA], [1.0])),
     ]:
@@ -247,12 +244,11 @@ OPS = spin_operators(3)
 # Every function and record of paramagloss.__all__ that takes numbers: a valid
 # call, and the arguments a property below replaces with arbitrary values.
 NUMERIC = [
-    (sigma_md, dict(omega=OMEGA, omega_if=OMEGA, coupling_sq=1.0,
-                    shape=LineshapeSpec("lorentzian", 1e6), n_r=1.0, temp_k=0.1),
-     ("omega", "omega_if", "coupling_sq", "n_r", "temp_k")),
+    (sigma_md, dict(omega=OMEGA, omega_if=OMEGA, coupling_sq=1.0, gamma=1e6, n_r=1.0,
+                    temp_k=0.1),
+     ("omega", "omega_if", "coupling_sq", "gamma", "n_r", "temp_k")),
     (absorption_coefficient, dict(n_def=1e23, sigma=1e-30), ("n_def", "sigma")),
     (loss_tangent, dict(a=1.0, omega=OMEGA, n_r=1.0), ("a", "omega", "n_r")),
-    (LineshapeSpec, dict(kind="lorentzian", gamma=1.0), ("gamma",)),
     (lorentzian, dict(detuning=0.0, gamma=1.0), ("detuning", "gamma")),
     (power_broadened_gamma, dict(gamma0=1.0, power=1.0), ("gamma0", "power")),
     (temperature_factor, dict(omega_if=OMEGA, temp=0.1), ("omega_if", "temp")),
@@ -304,7 +300,6 @@ RECORDS = [
                          lines=SPECIES.lines, linewidth_convention="angular_rate"),
      {"linewidth_convention": "cyclic_times_2pi"}),
     (Spectrum, dict(freqs_ghz=np.ones(2), per_species={"Cr": np.zeros(2)}, total=np.zeros(2)), {}),
-    (LineshapeSpec, dict(kind="lorentzian", gamma=1.0), {}),
     (EmissionLine, dict(label="x", lambda_vac=1e-6, omega_if=OMEGA, a_md=1.0, m_sq=1.0), {}),
     (SpinOperators, dict(two_s=3, sx=OPS.sx, sy=OPS.sy, sz=OPS.sz), {}),
     (SpinHamiltonianParams, dict(d=1e10, g_e=2.0, e=1e9, b_field=(0.0, 0.0, 0.1)),

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from paramagloss.absorption import MD_PREFACTOR, sigma_md
 from paramagloss.errors import InvalidInputs
 from paramagloss.lineshape import (
-    LineshapeSpec,
     lorentzian,
     power_broadened_gamma,
     tanh_factor,
@@ -55,24 +54,8 @@ def test_width_validation():
             lorentzian(0.0, gamma)
 
 
-def test_spec_validation_and_dispatch():
-    for kind in ("boxcar", "gaussian", "voigt"):
-        with pytest.raises(InvalidInputs, match="unknown lineshape kind"):
-            LineshapeSpec(kind=kind, gamma=1.0)
-    for gamma in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(InvalidInputs, match="^gamma must be finite and > 0"):
-            LineshapeSpec(kind="lorentzian", gamma=gamma)
-    with pytest.raises(TypeError, match="gamma"):  # the width has no default
-        LineshapeSpec(kind="lorentzian")
-    # sigma_md evaluates the spec's Lorentzian at the detuning.
-    spec = LineshapeSpec(kind="lorentzian", gamma=2.0)
-    assert sigma_md(1.3, 1.0, 1.0, spec) == MD_PREFACTOR * 1.3 * lorentzian(1.3 - 1.0, 2.0)
-
-
-def test_delta_kind_has_no_density():
-    # A delta line has no pointwise density, so no spec describes one.
-    with pytest.raises(InvalidInputs, match="unknown lineshape kind 'delta'"):
-        LineshapeSpec(kind="delta", gamma=1.0)
+def test_sigma_md_evaluates_the_lorentzian_at_the_detuning():
+    assert sigma_md(1.3, 1.0, 1.0, 2.0) == MD_PREFACTOR * 1.3 * lorentzian(0.3, 2.0)
 
 
 def test_temperature_factor_limits():
