@@ -86,7 +86,9 @@ class DefectSpecies(Record):
     with peak_loss = sum(amps) * 2 / (pi gamma), which bounds the species'
     loss at any probe frequency, temperature and drive power.
     linewidth_convention is how the database spelled the linewidth, kept
-    for run metadata only: gamma is already angular.
+    for run metadata only: gamma is already angular.  n_def, gamma and the
+    transition pair are kept as the floats that were checked, so a caller
+    changing its own arrays or lists afterwards changes no field.
     """
 
     __slots__ = (
@@ -111,6 +113,7 @@ class DefectSpecies(Record):
         for key, value in (("n_def", n_def), ("gamma", gamma)):
             if not (np.ndim(value) == 0 and is_real(value)):
                 fail(f"{key} must be a real number, got {value!r}")
+        n_def, gamma = float(n_def), float(gamma)
         if plain_name(name) is None:
             fail(f"field 'name' {NAME_RULE}")
         if name in OUTPUT_KEYS or "." in name:
@@ -133,6 +136,7 @@ class DefectSpecies(Record):
             ladder_m(two_s, transition)
         except InvalidInputs as exc:
             fail(f"field 'transition' {exc}")
+        transition = tuple(map(float, transition))
         if len(lines) == 0:
             fail("field 'lines' must hold at least one line")
         # Half a ladder element, sqrt(S(S+1) - m(m+1)) / 2, is at most (two_s + 1) / 4,
@@ -156,7 +160,7 @@ class DefectSpecies(Record):
         amps.setflags(write=False)
         # The loss never exceeds the on-resonance peak sum(amps) * 2 / (pi gamma):
         # power broadening and the thermal factor only lower it.
-        peak_loss = sum(amps.tolist()) * 2.0 / (math.pi * float(gamma))
+        peak_loss = sum(amps.tolist()) * 2.0 / (math.pi * gamma)
         if not math.isfinite(peak_loss):
             fail("fields 'concentration_per_cm3' and 'linewidth_mhz' give an infinite peak loss")
         self._set_fields(
@@ -189,13 +193,14 @@ def database_loss(db, omega, temp_k=None, power=None):
     """Loss tangent of each species in db and their total, as (per_species, total).
 
     omega [rad/s] is one probe frequency, which gives floats, or a grid
-    array; power (P/P_c) is a scalar or an array over that grid.  They and
-    temp_k are checked once per call, before the species loop, so an empty
-    db rejects what a one-species db does.  Species are added in list order
-    and each sums its lines in listed order, so runs are bit-identical and a
-    point equals the same point of a sweep.  Species names must be unique,
-    since per_species is keyed by name.  The sum of the species' peak_loss
-    bounds the total, and is checked to be finite first.
+    array; power (P/P_c) is a scalar or an array over that grid.  They,
+    temp_k and each species' width at the largest drive, its widest, are
+    checked once per call before the species loop, so an empty db rejects
+    what a one-species db does.  Species are added in list order and each
+    sums its lines in listed order, so runs are bit-identical and a point
+    equals the same point of a sweep.  Species names must be unique, since
+    per_species is keyed by name.  The sum of the species' peak_loss bounds
+    the total, and is checked to be finite first.
     """
     check_unique_names(db)
     if not math.isfinite(sum(sp.peak_loss for sp in db)):
@@ -217,6 +222,10 @@ def database_loss(db, omega, temp_k=None, power=None):
         temp_k = require_number("temp_k", temp_k)
     if power is not None:
         power = require("p_over_pc", power)
+        widest = math.sqrt(1.0 + float(np.max(power)))
+        for sp in db:
+            if not 0.5 * (sp.gamma * widest) <= MAX_RATE:
+                raise InvalidInputs(f"species {sp.name!r}: power-broadened linewidth overflows")
     omega = np.broadcast_to(omega, shape)
     per_species = {}
     total = np.zeros(shape)
@@ -225,12 +234,7 @@ def database_loss(db, omega, temp_k=None, power=None):
         if temp_k is not None:
             amps = amps * temperature_factor(sp.lines.centers, temp_k)
         if power is not None:
-            try:
-                gamma = power_broadened_gamma(gamma, power)
-            except InvalidInputs as exc:
-                raise InvalidInputs(f"species {sp.name!r}: {exc}") from None
-        if not 0.5 * np.max(gamma) <= MAX_RATE:
-            raise InvalidInputs(f"species {sp.name!r}: power-broadened linewidth overflows")
+            gamma = power_broadened_gamma(gamma, power)
         loss = _kernels.lorentzian_mix(omega, sp.lines.centers, gamma, amps)
         per_species[sp.name] = float(loss) if loss.ndim == 0 else loss
         total += loss

@@ -79,10 +79,10 @@ def basis_state(two_s: int, m) -> np.ndarray:
 class SpinHamiltonianParams(Record):
     """Zero-field-splitting and Zeeman parameters.
 
-    d, e are the axial and rhombic splittings in rad/s; b_field is the
-    static field in tesla, kept as a tuple of three floats.  The
-    conventional ordering |e| <= |d|/3 is enforced (so e must vanish when d
-    does).
+    d, e are the axial and rhombic splittings in rad/s, kept with g_e as
+    the floats that were checked; b_field is the static field in tesla,
+    kept as a tuple of three floats.  The conventional ordering
+    |e| <= |d|/3 is enforced (so e must vanish when d does).
     """
 
     __slots__ = ("d", "g_e", "e", "b_field")
@@ -91,15 +91,17 @@ class SpinHamiltonianParams(Record):
         b = np.asarray(require("b_field", b_field, -np.inf), dtype=float)
         if b.shape != (3,):
             raise InvalidInputs(f"b_field must be a 3-vector, got shape {b.shape}")
-        for name, value in (("d", d), ("e", e), ("g_e", g_e)):
+        d, e, g = (
             require_number(name, value, -np.inf)
-        if not g_e > 0.0:
+            for name, value in (("d", d), ("e", e), ("g_e", g_e))
+        )
+        if not g > 0.0:
             raise InvalidInputs(f"g_e must be positive, got {g_e}")
         if abs(e) > abs(d) / 3.0:
             raise InvalidInputs(
                 f"rhombicity |e| = {abs(e):.6g} exceeds |d|/3 = {abs(d) / 3.0:.6g}"
             )
-        self._set_fields(d, g_e, e, (float(b[0]), float(b[1]), float(b[2])))
+        self._set_fields(d, g, e, (float(b[0]), float(b[1]), float(b[2])))
 
 
 def build_hamiltonian(two_s: int, params: SpinHamiltonianParams) -> np.ndarray:

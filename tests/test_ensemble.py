@@ -373,6 +373,12 @@ def test_line_table_built_once(monkeypatch):
     assert np.array_equal(va.lines.centers, [ghz_to_angular(f) for _, f in V_LINES])
 
 
+def _broad(gamma):
+    """Cr with FWHM gamma [rad/s], named Big."""
+    return DefectSpecies(name="Big", two_s=CR.two_s, n_def=CR.n_def, gamma=gamma,
+                         transition=CR.transition, lines=CR.lines)
+
+
 def test_overflowing_rates_rejected():
     for omega in (float("inf"), 1e200):
         with pytest.raises(InvalidInputs, match="line 0: field 'freq_ghz'"):
@@ -381,13 +387,47 @@ def test_overflowing_rates_rejected():
         species_loss(CR, float("inf"))
     with pytest.raises(InvalidInputs, match="linewidth"):
         species_loss(CR, OMEGA_45, power=1e308)
-    # A width past the float range in power_broadened_gamma itself, named by species.
-    big = DefectSpecies(name="Big", two_s=CR.two_s, n_def=CR.n_def, gamma=1.8e154,
-                        transition=CR.transition, lines=CR.lines)
+    # A broadened width past the float range itself, named by species.
     with pytest.raises(InvalidInputs, match="^species 'Big': power-broadened linewidth overflows$"):
-        database_loss([big], 7e10, power=1e308)
+        database_loss([_broad(1.8e154)], 7e10, power=1e308)
     with pytest.raises(InvalidInputs, match="angular frequency"):
         sweep([CR], 1.0, 1e150, 3)
+
+
+def test_drive_bound_is_checked_before_any_kernel_call(monkeypatch):
+    calls = []
+    mix = ensemble._kernels.lorentzian_mix
+    monkeypatch.setattr(ensemble._kernels, "lorentzian_mix", lambda *a: calls.append(a) or mix(*a))
+    with pytest.raises(InvalidInputs, match="^species 'Big': power-broadened linewidth overflows$"):
+        database_loss([CR, _broad(1.8e154)], 7e10, power=10.0)
+    assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma=st.floats(min_value=1e153, max_value=2.0 * ensemble.MAX_RATE),
+    steps=st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+    far=st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=2),
+)
+def test_drive_bound_rejects_exactly_an_overflowing_width(gamma, steps, far):
+    # Drives a few ulps either side of the one whose broadened half-width is MAX_RATE.
+    edge = (2.0 * ensemble.MAX_RATE / gamma) ** 2 - 1.0
+    near = []
+    for k in steps:
+        p = edge
+        for _ in range(abs(k)):
+            p = math.nextafter(p, math.copysign(math.inf, k))
+        near.append(p)
+    power = np.maximum(np.array(near + far), 0.0)
+    with np.errstate(over="ignore"):
+        overflows = not 0.5 * np.max(gamma * np.sqrt(1.0 + power)) <= ensemble.MAX_RATE
+    db = [CR, _broad(gamma)]
+    if overflows:
+        with pytest.raises(InvalidInputs, match="^species 'Big': power-broadened linewidth overflows$"):
+            database_loss(db, 7e10, power=power)
+    else:
+        per_species, total = database_loss(db, 7e10, power=power)
+        assert np.isfinite(total).all() and np.isfinite(per_species["Big"]).all()
 
 
 # The probe, temperature and drive are checked once per call, before the

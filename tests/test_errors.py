@@ -26,7 +26,7 @@ from paramagloss.emission import (
 )
 from paramagloss.ensemble import DefectSpecies, SpeciesLines, Spectrum, species_loss, sweep
 from paramagloss.errors import InvalidInputs, ParamagLossError, Record, require
-from paramagloss.ladder import line_coupling_sq
+from paramagloss.ladder import ladder_m, line_coupling_sq
 from paramagloss.linalg import EigenDecomposition, diagonalize
 from paramagloss.lineshape import (
     lorentzian,
@@ -197,6 +197,14 @@ def test_non_finite_argument_raises_naming_it(call, kwargs, arg, bad):
         (a_md, (np.array([[5.2952471745e14]]), 1e308),
          "emission rate at omega_if=array([[5.29524717e+14]]), m_sq=1e+308, n_r=1.0 "
          "must be finite and >= 0, got inf"),
+        # eigh's eigenvalues of such a matrix could pass the float range.
+        (diagonalize, ([[1e308, 0.0], [0.0, 1.0]],),
+         "matrix entries must be at most 4.49e+307 in modulus, got 1e+308"),
+        # Sx and Sy hold 64 between m = +-1/2 of S = 255/2, and 64 * 1.7e308
+        # overflows inside evaluate, so nothing warns.
+        (transition_moment, (basis_state(255, 0.5), basis_state(255, -0.5), spin_operators(255),
+                             1.7e308),
+         "transition moment must be finite, got [(inf+0j), infj, 0j]"),
     ],
 )
 def test_results_outside_float_range_raise(call, args, message):
@@ -214,6 +222,10 @@ def test_results_outside_float_range_raise(call, args, message):
         (extract_moment, (1.0, None), "lambda_vac must be finite, got None"),
         (sweep, ([SPECIES], 1.0, None, 5), "fmax must be finite, got None"),
         (sweep, ([], 1.0, 2.0, 3, "x"), "temp_k must be finite and >= 0, got 'x'"),
+        (line_coupling_sq, (3, (1.5,), 2.0), "transition must be a pair (m_i, m_f), got (1.5,)"),
+        (ladder_m, (3, 3), "transition must be a pair (m_i, m_f), got 3"),
+        (DefectSpecies, ("x", 3, 1e23, 1e8, None, SPECIES.lines),
+         "species 'x': field 'transition' transition must be a pair (m_i, m_f), got None"),
     ],
 )
 def test_non_numbers_raise_naming_the_argument(call, args, message):
@@ -331,6 +343,25 @@ def test_records_take_their_fields_in_order_and_stay_read_only(cls, fields, defa
     assert pickle.dumps(pickle.loads(pickle.dumps(record))) == pickle.dumps(record)
     # Records compare and hash by identity.
     assert record == record and record != shallow and len({record, shallow}) == 2
+
+
+def test_records_keep_the_numbers_they_checked():
+    # Changing a caller's 0-d array or list after construction changes no field.
+    n_def, gamma, transition = np.array(1e23), np.array(1e8), [1.5, 0.5]
+    species = DefectSpecies("Cr", 3, n_def, gamma, transition, SPECIES.lines)
+    loss = species_loss(species, OMEGA)
+    n_def[()], gamma[()], transition[0] = 5.0, 1.0, 99.0
+    assert (species.n_def, species.gamma, species.transition) == (1e23, 1e8, (1.5, 0.5))
+    assert species_loss(species, OMEGA) == loss
+    d, g_e, e = np.array(1e10), np.array(2.0), np.array(1e9)
+    params = SpinHamiltonianParams(d=d, g_e=g_e, e=e)
+    hamiltonian = build_hamiltonian(3, params)
+    d[()], g_e[()], e[()] = 0.0, -1.0, 5e9
+    assert (params.d, params.g_e, params.e) == (1e10, 2.0, 1e9)
+    assert np.array_equal(build_hamiltonian(3, params), hamiltonian)
+    for value in (species.n_def, species.gamma, *species.transition, params.d, params.g_e,
+                  params.e):
+        assert type(value) is float
 
 
 NOT_LISTS = (
