@@ -11,7 +11,8 @@ def lorentzian_mix(omega, centers, gamma, amps):
     to omega, so one call covers an omega grid or a power grid.  Lines are
     added in listed order so the summation order is fixed.  Each line runs
     (amps[l] * pref) / (d * d + half_sq) with d = omega - centers[l] in
-    five in-place passes over one scratch buffer.
+    five in-place passes over one scratch buffer, so it allocates nothing
+    on a frequency grid, and only the array amps[l] * pref on a power grid.
     """
     half = 0.5 * gamma
     pref = half / np.pi

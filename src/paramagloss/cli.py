@@ -23,10 +23,7 @@ this module needs the standard library and constants to parse the flags,
 each subparser names its command's module, and main then binds in this
 module's namespace, through __getattr__, each name _MODULE_OF places there
 or in errors and ioformat that is not bound yet.  tempcurve loads no
-database code, emission no ensemble, and no command the spin matrices.  run, the program's entry,
-keeps the garbage collector off over those imports and ends the process
-once the output is flushed, without tearing the interpreter down, unless
-a profiler or tracer still has to write its results at shutdown.
+database code, emission no ensemble, and no command the spin matrices.
 """
 
 from __future__ import annotations
@@ -46,7 +43,9 @@ from .constants import MAX_GHZ, MAX_POINTS, MAX_RATE, RAD_PER_S_PER_GHZ, angular
 # binds one on its first lookup on this module, importing its module, and
 # main binds those of errors, ioformat and the parsed command's chain that
 # are not in globals() yet before running it; so a name already bound, such
-# as a tracer's wrapper, is kept.
+# as a tracer's wrapper, is kept.  main reads its own globals(), not
+# sys.modules, whose "__main__" is the runner's module under cProfile -m,
+# trace --module and runpy.run_module(run_name="__main__").
 _MODULE_OF = {
     "InvalidInputs": "errors", "ParamagLossError": "errors", "evaluate": "errors",
     "default_db_path": "ioformat", "default_emission_path": "ioformat",
@@ -371,14 +370,15 @@ def run() -> None:
     that numpy's and the command's imports leave.  Once main has returned,
     or argparse has exited with an int code, shutdown would only flush the
     output and then tear down every module and object, which changes no
-    output.  So run does the first part itself, running the atexit hooks
-    and flushing stdout and stderr, and then ends the process with os._exit;
-    a flush that fails exits 3, as a failed write in main does.  It exits
-    through sys.exit, and so through the interpreter's own shutdown, when
-    another thread is alive, when -i asks for the prompt after the run,
-    when the code is not an int, or when a profiler or tracer is installed
-    (cProfile -o and trace write their results after the run returns), so
-    each of those ends as it always has.
+    output: each file a command writes is closed before main returns, and
+    main has pointed a failed stdout at devnull.  So run does the first
+    part itself, running the atexit hooks and flushing stdout and stderr,
+    and then ends the process with os._exit; a flush that fails exits 3, as
+    a failed write in main does.  It exits through sys.exit, and so through
+    the interpreter's own shutdown, when another thread is alive, when -i
+    asks for the prompt after the run, when the code is not an int, or when
+    a profiler or tracer is installed (cProfile -o and trace write their
+    results after the run returns), so each of those ends as it always has.
     main itself stays free of this, so callers in process keep their
     collector and their interpreter.
     """

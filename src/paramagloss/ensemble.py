@@ -132,6 +132,11 @@ class DefectSpecies(Record):
                 "field 'linewidth_mhz' must give a positive FWHM whose half-width squares to a "
                 f"normal double, got {gamma:.6g} rad/s"
             )
+        try:  # read once, so a generator's pair reaches both the check and the field
+            m_i, m_f = transition
+            transition = (m_i, m_f)
+        except (TypeError, ValueError):
+            pass  # not a pair: ladder_m names it as given
         try:
             ladder_m(two_s, transition)
         except InvalidInputs as exc:
@@ -193,14 +198,17 @@ def database_loss(db, omega, temp_k=None, power=None):
     """Loss tangent of each species in db and their total, as (per_species, total).
 
     omega [rad/s] is one probe frequency, which gives floats, or a grid
-    array; power (P/P_c) is a scalar or an array over that grid.  They,
-    temp_k and each species' width at the largest drive, its widest, are
-    checked once per call before the species loop, so an empty db rejects
-    what a one-species db does.  Species are added in list order and each
-    sums its lines in listed order, so runs are bit-identical and a point
-    equals the same point of a sweep.  Species names must be unique, since
-    per_species is keyed by name.  The sum of the species' peak_loss bounds
-    the total, and is checked to be finite first.
+    array; power (P/P_c) is a scalar or an array over that grid.  All is
+    checked once per call, before the species loop, in this order: the
+    names are unique (per_species is keyed by name); the sum of the
+    species' peak_loss, which bounds the total, is finite; the shapes of
+    omega and power, then omega's values; temp_k; power; and each species'
+    width at the largest drive, its widest, since each rounded step of
+    gamma * sqrt(1 + P/P_c) grows or stays as P grows.  So an empty db
+    rejects what a one-species db does, a call that fails runs no kernel,
+    and the loop, the kernel's one caller, only computes.  Species are
+    added in list order and each sums its lines in listed order, so runs
+    are bit-identical and a point equals the same point of a sweep.
     """
     check_unique_names(db)
     if not math.isfinite(sum(sp.peak_loss for sp in db)):

@@ -12,7 +12,10 @@ silences numpy's floating-point warnings, and only ioformat.finite_float,
 which converts a JSON integer, catches OverflowError.
 
 Record is the base of the package's records: plain __slots__ classes whose
-fields are set once, in __init__.
+fields are set once, in __init__.  Not dataclasses: a module with no cached
+bytecode compiles on every start, and a @dataclass also compiles the
+methods it writes each time its module runs (CHANGES.md, "Database
+commands start without generated code or spin's matrix algebra").
 """
 
 import math

@@ -8,7 +8,8 @@ use '\\n' line endings, so identical runs produce byte-identical output.
 read_json_array is the one read of every JSON input file, number_field
 and finite_float its one numeric read, and plain_name the one check of the
 names and labels the writers spell; default_db_path and
-default_emission_path name the two bundled input files.
+default_emission_path name the two bundled input files, joined from the
+package directory so that no run imports importlib.resources.
 
 Grid columns (CSV) and arrays (JSON) go through one chunk writer,
 _write_cells, CHUNK rows or values at a time, and no writer holds more than

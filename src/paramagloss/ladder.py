@@ -2,8 +2,9 @@
 exist, and the squared coupling of a Delta m = +-1 line in closed form.
 
 A species needs only this from the spin algebra, so loading a database
-builds no spin matrix and imports no Hamiltonian code.  Sublevels are
-numbered in the m-descending basis of the spin module, 0 for m = +S.
+builds no spin matrix, costs the same at any spin, and neither imports nor
+compiles the Hamiltonian code.  Sublevels are numbered in the m-descending
+basis of the spin module, 0 for m = +S.
 """
 
 import math
@@ -61,10 +62,11 @@ def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e):
 
     g_e is one g-factor, which gives a float, or a 1-D array of them, which
     gives one coupling per entry; each must be finite and > 0 and give a
-    finite coupling, else InvalidInputs names g.  Sx and Sy each carry half
-    of the ladder element of the lower sublevel m and Sz nothing, so every
-    entry equals spin.unpolarized_coupling(spin.transition_moment(psi_i,
-    psi_f, ops, g)) bit for bit.
+    finite coupling, else InvalidInputs names g.  Sx and Sy each carry
+    half = sqrt(S(S+1) - m(m+1)) / 2, half the ladder element of the lower
+    sublevel m, and Sz nothing, so each entry is ((g half)^2 + (g half)^2) / 3:
+    the float operations, and so the bits, of
+    spin.unpolarized_coupling(spin.transition_moment(psi_i, psi_f, ops, g)).
     """
     m, s = ladder_m(two_s, transition), two_s / 2.0
     g = np.asarray(require("g", g_e, strict=True), dtype=np.float64)

@@ -1,4 +1,18 @@
-"""End-to-end CLI behavior: formats, determinism, and exit codes."""
+"""End-to-end CLI behavior: formats, determinism, and exit codes.
+
+Most cases run cli.main in process.  The process entry, cli.run, runs the
+way a program is started: `python -m paramagloss.cli` and
+runpy.run_module(..., run_name="__main__"), which leaves the calling
+script as sys.modules["__main__"], must write the golden bytes, and
+`python -m cProfile -o` must write them and a profile that pstats loads;
+the console script's run() gives exit codes 0, 2 and 3.  run ends the
+process with os._exit once the exit hooks have run and what they wrote is
+flushed.  A full device exits 3, and so does --help on one, with a
+buffered or an unbuffered stdout, and with stderr on it too.  run takes
+the interpreter's own exit instead when a thread is alive, under -i, for a
+non-int exit code, and under sys.settrace or sys.setprofile.  An
+in-process main leaves the collector as it found it.
+"""
 
 import gc
 import json

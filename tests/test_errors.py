@@ -359,8 +359,11 @@ def test_records_keep_the_numbers_they_checked():
     d[()], g_e[()], e[()] = 0.0, -1.0, 5e9
     assert (params.d, params.g_e, params.e) == (1e10, 2.0, 1e9)
     assert np.array_equal(build_hamiltonian(3, params), hamiltonian)
-    for value in (species.n_def, species.gamma, *species.transition, params.d, params.g_e,
-                  params.e):
+    # A generator's pair is read once, before the ladder check, and kept.
+    once = DefectSpecies("x", 3, 1e23, 1e8, (m for m in (1.5, 0.5)), SPECIES.lines)
+    assert once.transition == (1.5, 0.5)
+    for value in (species.n_def, species.gamma, *species.transition, *once.transition,
+                  params.d, params.g_e, params.e):
         assert type(value) is float
 
 

@@ -7,6 +7,8 @@ cell for JSON.  The digit kernel (ioformat._sci9_cells) is held to
 "%.8e" % x byte for byte on ~2e6 adversarial values through the chunk
 writer both formats share (ioformat._write_cells), with a number speller
 that refuses every value, so no cell can come from the per-value path.
+The bundled sweep and powercurve must take the kernel, and the property
+tests, like the golden cases in test_golden.py, also run with a CHUNK of 7.
 Whole outputs are compared with assert_same_text, which names the first
 differing line.
 """

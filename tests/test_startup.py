@@ -1,5 +1,13 @@
 """What a fresh interpreter loads and collects to run one subcommand.
 
+Each command imports only its chain (CHAINS), the package's names and
+modules resolve lazily, and no collection runs inside cli.run.  The
+benchmark's tracer relies on three more rules, checked here: each name of
+cli._MODULE_OF imports only its own module's chain, a wrapper bound on
+cli before a run is what the command calls, and every lazy name a command
+reads (found by dis in its nested code and cli's helpers) belongs to
+errors, ioformat or the chain its subparser names.
+
 Each test that watches imports or binding starts its own interpreter,
 because this one has long since imported the whole package; the check of
 the names each command reads needs only cli's code and runs here.
