@@ -216,6 +216,8 @@ def cmd_tempcurve(args: argparse.Namespace):
 def cmd_powercurve(args: argparse.Namespace):
     db = load_species_db(resolve_db_path(args.db_path))
     matches = [s for s in db if args.species in (None, s.name)]
+    if not db and args.species is None:
+        raise InvalidInputs("database holds no species")
     if not matches:
         raise InvalidInputs(f"species {args.species!r} not in database")
     sp = matches[0]

@@ -1,6 +1,6 @@
 """Shared helpers: independently typed constants, a CLI runner, a text
-comparison that reports its first difference, and a read-only loader of
-the benchmark's modules.
+comparison that reports its first difference, a check that a grid's JSON
+numbers are its CSV cells, and a read-only loader of the benchmark's modules.
 
 The constant literals here are typed from the CODATA 2018 tables on
 purpose, not imported from the package, so a typo in the package values
@@ -8,6 +8,7 @@ would show up as a test failure.
 """
 
 import functools
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,19 @@ def assert_same_text(got: str, want: str) -> None:
         if a != b:
             raise AssertionError(f"line {number} differs:\n  got  {a!r}\n  want {b!r}")
     raise AssertionError(f"got {len(got_lines)} lines, want {len(want_lines)}")
+
+
+def assert_json_numbers_are_csv_cells(csv_text: str, json_text: str) -> None:
+    """Each array of a grid's JSON holds, token for token, its CSV column's cells."""
+    header, *rows = csv_text.splitlines()
+    columns = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+    payload = json.loads(json_text, parse_float=str)
+    if "freqs_ghz" in payload:  # a sweep nests the species and names the grid freqs_ghz
+        payload.update(payload.pop("species"), freq_ghz=payload.pop("freqs_ghz"))
+    arrays = {key: value for key, value in payload.items() if isinstance(value, list)}
+    assert sorted(arrays) == sorted(columns)
+    for key, cells in columns.items():
+        assert_same_text("\n".join(map(str, arrays[key])), "\n".join(cells))
 
 
 @functools.cache

@@ -28,23 +28,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import perfbench_module, run_cli
+from conftest import assert_json_numbers_are_csv_cells, perfbench_module, run_cli
+from golden_cases import CASES, GOLDEN_DIR
 from paramagloss import cli, ensemble, ioformat
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 CR_45 = 8.97232140725922e-09
 FE_45 = 2.1128703931021166e-08
 V_45 = 1.9480116532842068e-09
 FLOAT_MAX = "1.7976931348623157e308"
-
-GOLDEN_45_ROW = (
-    "4.50000000e+00,8.97232141e-09,2.11287039e-08,1.94801165e-09,3.20490370e-08"
-)
-GOLDEN_GD_ROW = (
-    "Gd,3.07000000e+02,9.76522664e+02,3.02400000e+01,1.08128045e-02,1.03984636e-01"
-)
 
 
 def _clean_env(**extra):
@@ -74,7 +67,7 @@ def test_sweep_default_grid(tmp_path):
     assert header == ["freq_ghz", "Cr", "Fe", "V", "total"]
     assert len(rows) == 1401
     row_45 = next(row for row in rows if row[0] == "4.50000000e+00")
-    assert ",".join(row_45) == GOLDEN_45_ROW
+    assert ",".join(row_45) in (GOLDEN_DIR / "sweep_101.csv").read_text().splitlines()
     cr = _column(header, rows, "Cr")
     freqs = _column(header, rows, "freq_ghz")
     assert cr[np.argmin(np.abs(freqs - 4.5))] == pytest.approx(9.0e-9, rel=0.05)
@@ -133,7 +126,6 @@ def test_emission_default_table():
     header, rows = _parse_csv(out)
     assert header == ["label", "lambda_nm", "freq_thz", "a_md_hz", "m_sq", "m_abs"]
     assert [row[0] for row in rows] == ["Gd", "Sm", "Eu", "Er", "Dy"]
-    assert ",".join(rows[0]) == GOLDEN_GD_ROW
     published = {"Gd": 0.0108, "Sm": 0.0096, "Eu": 0.1044, "Er": 0.3135, "Dy": 0.2858}
     m_sq = _column(header, rows, "m_sq")
     for row, value in zip(rows, m_sq):
@@ -203,7 +195,7 @@ def test_powercurve_monotonicity():
     assert np.all(np.diff(wing) > 0.0)
 
 
-def test_powercurve_species_selection():
+def test_powercurve_species_selection(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(
         ["powercurve", "--freq-ghz", "12.30", "--species", "Fe", "--format", "json"],
         env=_clean_env(),
@@ -212,11 +204,16 @@ def test_powercurve_species_selection():
     payload = json.loads(out)
     assert payload["species"] == "Fe"
     assert payload["resonance_ghz"] == pytest.approx(12.03, rel=1e-9)
-    code, _, err = run_cli(
-        ["powercurve", "--freq-ghz", "12.30", "--species", "Nb"], env=_clean_env()
-    )
-    assert code == 2
-    assert "Nb" in err
+    monkeypatch.delenv("PARAMAG_LOSS_DB", raising=False)
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    for argv, fault in [
+        (["--species", "Nb"], "species 'Nb' not in database"),
+        (["--species", "Nb", "--db", str(empty)], "species 'Nb' not in database"),
+        (["--db", str(empty)], "database holds no species"),
+    ]:
+        assert cli.main(["powercurve", "--freq-ghz", "12.30", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {fault}\n"
 
 
 def test_powercurve_takes_no_refractive_index(capsys):
@@ -242,25 +239,12 @@ def test_repeat_runs_byte_identical(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_csv_and_json_encode_same_values(tmp_path):
-    env = _clean_env()
+def test_csv_and_json_encode_same_values():
     base = ["sweep", "--fmin-ghz", "4", "--fmax-ghz", "5", "--points", "51"]
-    csv_path = tmp_path / "s.csv"
-    json_path = tmp_path / "s.json"
-    assert run_cli(base + ["--output", str(csv_path)], env=env)[0] == 0
-    assert (
-        run_cli(base + ["--format", "json", "--output", str(json_path)], env=env)[0] == 0
-    )
-    header, rows = _parse_csv(csv_path.read_text())
-    payload = json.loads(json_path.read_text())
-    for i, row in enumerate(rows):
-        assert float(row[0]) == payload["freqs_ghz"][i]
-        for name in ("Cr", "Fe", "V"):
-            csv_value = float(row[header.index(name)])
-            json_value = payload["species"][name][i]
-            assert abs(csv_value - json_value) <= 1e-12 * max(abs(csv_value), 1e-300)
-        assert float(row[header.index("total")]) == payload["total"][i]
-    assert payload["metadata"]["species"][2]["weights"] == [0.125] * 8
+    csv_text = run_cli(base, env=_clean_env())[1]
+    json_text = run_cli([*base, "--format", "json"], env=_clean_env())[1]
+    assert_json_numbers_are_csv_cells(csv_text, json_text)
+    assert json.loads(json_text)["metadata"]["species"][2]["weights"] == [0.125] * 8
 
 
 def test_unwritable_output_exit_code(tmp_path):
@@ -680,12 +664,9 @@ RUN_AS_MAIN = "import runpy\nrunpy.run_module('paramagloss.cli', run_name='__mai
 @pytest.mark.parametrize(
     "golden, argv",
     [
-        ("point_4p5.csv", ["-m", "paramagloss.cli", "point", "--freq-ghz", "4.5"]),
-        (
-            "sweep_101.json",
-            ["-m", "paramagloss.cli", "sweep", "--points", "101", "--format", "json"],
-        ),
-        ("point_4p5.csv", ["-c", RUN_AS_MAIN, "point", "--freq-ghz", "4.5"]),
+        ("point_4p5.csv", ["-m", "paramagloss.cli", *CASES["point_4p5"]]),
+        ("sweep_101.json", ["-m", "paramagloss.cli", *CASES["sweep_101"], "--format", "json"]),
+        ("point_4p5.csv", ["-c", RUN_AS_MAIN, *CASES["point_4p5"]]),
     ],
 )
 def test_module_run_writes_golden_bytes(golden, argv):
@@ -786,7 +767,7 @@ def test_live_thread_takes_the_normal_exit():
         "threading.Thread(target=late).start()\n"
         "sys.exit(cli.run())\n"
     )
-    proc = _witnessed(script, "point", "--freq-ghz", "4.5")
+    proc = _witnessed(script, *CASES["point_4p5"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "thread done\nteardown\n"
     assert proc.stdout == (GOLDEN_DIR / "point_4p5.csv").read_text()
@@ -796,7 +777,7 @@ def test_live_thread_takes_the_normal_exit():
 def test_tracer_takes_the_normal_exit(install):
     # A tracer or profiler writes its results at shutdown, after run returns.
     script = f"{install}(lambda *args: None)\nsys.exit(cli.run())\n"
-    proc = _witnessed(script, "point", "--freq-ghz", "4.5")
+    proc = _witnessed(script, *CASES["point_4p5"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "teardown\n"
     assert proc.stdout == (GOLDEN_DIR / "point_4p5.csv").read_text()
@@ -805,10 +786,8 @@ def test_tracer_takes_the_normal_exit(install):
 def test_profiled_module_run_writes_its_profile(tmp_path):
     profile = tmp_path / "prof.out"
     proc = subprocess.run(
-        [
-            sys.executable, "-m", "cProfile", "-o", str(profile),
-            "-m", "paramagloss.cli", "point", "--freq-ghz", "4.5",
-        ],
+        [sys.executable, "-m", "cProfile", "-o", str(profile), "-m", "paramagloss.cli",
+         *CASES["point_4p5"]],
         capture_output=True,
         env=_clean_env(),
         timeout=120,
@@ -836,7 +815,7 @@ def test_non_int_exit_code_takes_the_normal_exit():
 
 def test_interactive_flag_reaches_the_prompt():
     proc = subprocess.run(
-        [sys.executable, "-i", "-m", "paramagloss.cli", "point", "--freq-ghz", "4.5"],
+        [sys.executable, "-i", "-m", "paramagloss.cli", *CASES["point_4p5"]],
         input="import sys; sys.stderr.write('at the prompt\\n')\n",
         capture_output=True,
         text=True,

@@ -3,7 +3,6 @@
 import io
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from paramagloss.absorption import sigma_md
 from paramagloss.errors import DatabaseError, InvalidInputs
 from paramagloss.ioformat import default_emission_path, write_csv
 from conftest import BOHR_RADIUS, C_LIGHT, FINE_STRUCTURE
+from golden_cases import GOLDEN_DIR
 
 TWO_PI = 2.0 * math.pi
 
@@ -259,5 +259,5 @@ def test_extraction_csv_format():
     ]
     buf = io.StringIO()
     write_csv(buf, EXTRACTION_COLUMNS, rows)
-    golden = (Path(__file__).parent / "golden" / "emission.csv").read_text().splitlines()
+    golden = (GOLDEN_DIR / "emission.csv").read_text().splitlines()
     assert buf.getvalue().splitlines() == golden[:2]

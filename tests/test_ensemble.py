@@ -7,13 +7,13 @@ import re
 import subprocess
 import sys
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_cases import CASES, GOLDEN_DIR
 from paramagloss import cli, ensemble, spin
 from paramagloss.constants import ghz_to_angular
 from paramagloss.ensemble import (
@@ -353,7 +353,7 @@ def test_line_table_built_once(monkeypatch):
 
     monkeypatch.setattr(ensemble, "line_coupling_sq", counting)
     # A load makes one array call per species, covering all of its lines.
-    for path in (default_db_path(), Path(__file__).parent / "golden" / "many_lines_db.json"):
+    for path in (default_db_path(), GOLDEN_DIR / "many_lines_db.json"):
         calls.clear()
         db = load_species_db(path)
         assert [len(args[2]) for args in calls] == [len(sp.lines) for sp in db]
@@ -628,9 +628,8 @@ def test_species_path_builds_no_spin_matrix(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("PARAMAG_LOSS_DB", raising=False)
     assert [sp.name for sp in load_species_db(default_db_path())] == ["Cr", "Fe", "V"]
     assert len(load_species_db(_every_spin_db(tmp_path))) == 254
-    assert cli.main(["point", "--freq-ghz", "4.5"]) == 0
-    golden = Path(__file__).parent / "golden" / "point_4p5.csv"
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert cli.main(CASES["point_4p5"]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "point_4p5.csv").read_text(encoding="utf-8")
 
 
 def test_sweep_additivity():
