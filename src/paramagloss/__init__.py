@@ -13,7 +13,7 @@ import importlib
 # uses one subcommand or one function loads only the modules that it needs.
 _EXPORTS = {
     "DefectSpecies": "ensemble",
-    "EigenDecomposition": "linalg",
+    "EigenDecomposition": "spin",
     "EmissionLine": "emission",
     "ParamagLossError": "errors",
     "SpeciesLines": "ensemble",
@@ -26,7 +26,7 @@ _EXPORTS = {
     "build_hamiltonian": "spin",
     "default_db_path": "ioformat",
     "default_emission_path": "ioformat",
-    "diagonalize": "linalg",
+    "diagonalize": "spin",
     "extract_moment": "emission",
     "ghz_to_angular": "constants",
     "line_coupling_sq": "ladder",

@@ -132,16 +132,10 @@ class DefectSpecies(Record):
                 "field 'linewidth_mhz' must give a positive FWHM whose half-width squares to a "
                 f"normal double, got {gamma:.6g} rad/s"
             )
-        try:  # read once, so a generator's pair reaches both the check and the field
-            m_i, m_f = transition
-            transition = (m_i, m_f)
-        except (TypeError, ValueError):
-            pass  # not a pair: ladder_m names it as given
         try:
-            ladder_m(two_s, transition)
+            transition = ladder_m(two_s, transition)[1]
         except InvalidInputs as exc:
             fail(f"field 'transition' {exc}")
-        transition = tuple(map(float, transition))
         if len(lines) == 0:
             fail("field 'lines' must hold at least one line")
         # Half a ladder element, sqrt(S(S+1) - m(m+1)) / 2, is at most (two_s + 1) / 4,

@@ -69,18 +69,6 @@ def is_real(value) -> bool:
     return np.asarray(value).dtype.kind in "iuf"
 
 
-def complex_array(what: str, value) -> np.ndarray:
-    """value as a complex128 array, if every entry is an int, float or complex number.
-
-    Otherwise raises InvalidInputs naming `what`; entries are not checked
-    to be finite.
-    """
-    arr = np.asarray(value)
-    if not (is_real(arr) or arr.dtype.kind == "c"):
-        raise InvalidInputs(f"{what} must hold numbers, got {value!r}")
-    return arr.astype(np.complex128)
-
-
 def evaluate(compute):
     """compute(), with a result past the float range given as inf or nan, not raised.
 

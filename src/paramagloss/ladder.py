@@ -41,9 +41,10 @@ def sublevel_index(two_s: int, m) -> int:
     return (two_s - two_m) // 2
 
 
-def ladder_m(two_s: int, transition: tuple[float, float]) -> float:
+def ladder_m(two_s: int, transition: tuple[float, float]) -> tuple[float, tuple[float, float]]:
     """Lower m of a transition (m_i, m_f) between sublevels that changes m by
-    exactly 1; InvalidInputs naming the pair otherwise."""
+    exactly 1, and the pair as read, as floats; InvalidInputs naming the pair
+    otherwise.  The pair is read once, so a one-shot iterator gives it too."""
     try:
         m_i, m_f = transition
     except (TypeError, ValueError):
@@ -54,7 +55,7 @@ def ladder_m(two_s: int, transition: tuple[float, float]) -> float:
         raise InvalidInputs(f"({m_i}, {m_f}): {exc}") from None
     if abs(k_i - k_f) != 1:
         raise InvalidInputs(f"({m_i}, {m_f}) must change m by 1")
-    return two_s / 2.0 - max(k_i, k_f)
+    return two_s / 2.0 - max(k_i, k_f), (float(m_i), float(m_f))
 
 
 def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e):
@@ -68,7 +69,7 @@ def line_coupling_sq(two_s: int, transition: tuple[float, float], g_e):
     the float operations, and so the bits, of
     spin.unpolarized_coupling(spin.transition_moment(psi_i, psi_f, ops, g)).
     """
-    m, s = ladder_m(two_s, transition), two_s / 2.0
+    m, s = ladder_m(two_s, transition)[0], two_s / 2.0
     g = np.asarray(require("g", g_e, strict=True), dtype=np.float64)
     half = 0.5 * math.sqrt(s * (s + 1.0) - m * (m + 1.0))
     coupling = evaluate(lambda: 2.0 * np.square(g * half) / 3.0)  # (|M_x|^2 + |M_y|^2) / 3

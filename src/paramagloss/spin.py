@@ -1,5 +1,5 @@
-"""Spin operators, zero-field-splitting Hamiltonians, and magnetic-dipole
-transition matrix elements.
+"""Spin operators, zero-field-splitting Hamiltonians, their eigensolver, and
+magnetic-dipole transition matrix elements.
 
 Conventions
 -----------
@@ -9,15 +9,39 @@ Conventions
 * Operator matrices are in units of hbar (dimensionless entries).
 * Hamiltonians are expressed in angular-frequency units, rad/s.
 
+diagonalize is the eigensolver of these Hamiltonians: a thin wrapper over
+LAPACK ``eigh`` that validates its input and returns ascending eigenvalues
+with read-only arrays.  Repeated calls on the same input return identical
+results.
+
 The sublevel ladder and the closed-form line coupling, which a species
 needs without any matrix, are in the ladder module.
 """
+
+import sys
 
 import numpy as np
 
 from . import ladder
 from .constants import HBAR, MUB
-from .errors import InvalidInputs, Record, complex_array, evaluate, require, require_number
+from .errors import InvalidInputs, Record, evaluate, is_real, require, require_number
+
+HERMITIAN_RTOL = 1e-12
+
+
+def complex_array(what: str, value, shape: tuple | None = None) -> np.ndarray:
+    """value as a complex128 array, if every entry is an int, float or complex number
+    and, when shape is given, the array has that shape.
+
+    Otherwise raises InvalidInputs naming `what`; entries are not checked
+    to be finite.
+    """
+    arr = np.asarray(value)
+    if not (is_real(arr) or arr.dtype.kind == "c"):
+        raise InvalidInputs(f"{what} must hold numbers, got {value!r}")
+    if shape is not None and arr.shape != shape:
+        raise InvalidInputs(f"{what} must have shape {shape}, got {arr.shape}")
+    return arr.astype(np.complex128)
 
 
 def m_values(two_s: int) -> np.ndarray:
@@ -126,24 +150,79 @@ def build_hamiltonian(two_s: int, params: SpinHamiltonianParams) -> np.ndarray:
     return h
 
 
+class EigenDecomposition(Record):
+    """Eigenvalues in ascending order with matching orthonormal eigenvector
+    columns, both read-only."""
+
+    __slots__ = ("eigenvalues", "eigenvectors")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self._set_fields(eigenvalues, eigenvectors)
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.shape[0]
+
+
+def require_hermitian(h) -> np.ndarray:
+    """Return h as a complex array, raising InvalidInputs if it is not square,
+    finite and Hermitian within HERMITIAN_RTOL (relative to the largest entry)."""
+    h = complex_array("matrix", h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
+        raise InvalidInputs(f"expected a square matrix of dim >= 1, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise InvalidInputs("matrix has a non-finite entry")
+    scale = evaluate(lambda: float(np.abs(h).max()))
+    # Every entry of H -+ H^dag is at most 2 * scale and every eigenvalue dim * scale.
+    limit = sys.float_info.max / (2 * h.shape[0])
+    if not scale <= limit:
+        raise InvalidInputs(
+            f"matrix entries must be at most {limit:.3g} in modulus, got {scale:.3g}"
+        )
+    deviation = float(np.abs(h - h.conj().T).max())
+    if deviation > HERMITIAN_RTOL * scale:
+        raise InvalidInputs(
+            f"matrix is not Hermitian: max |H - H^dag| = {deviation:.3e} "
+            f"exceeds {HERMITIAN_RTOL:.1e} * max|H| = {HERMITIAN_RTOL * scale:.3e}"
+        )
+    return h
+
+
+def diagonalize(h) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
+
+    Raises InvalidInputs on a non-Hermitian matrix or one larger than the
+    largest Hamiltonian build_hamiltonian makes, dim MAX_TWO_S + 1.  Output
+    satisfies ||V^dag V - I||_max < 1e-10 and
+    ||H V - V Lambda||_max < 1e-10 * max|H|.
+    """
+    h = require_hermitian(h)
+    n, limit = h.shape[0], ladder.MAX_TWO_S + 1
+    if n > limit:
+        raise InvalidInputs(f"dim {n} exceeds the supported maximum {limit}")
+    # Symmetrize so eigh sees an exactly Hermitian matrix; the allowed
+    # input asymmetry is below everything we care about.  eigh returns the
+    # eigenvalues in ascending order.
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    vals = np.ascontiguousarray(vals)
+    vecs = np.ascontiguousarray(vecs)
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
+    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+
+
 def transition_moment(psi_i, psi_f, ops: SpinOperators, g_e: float,
                       orbital_moment=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Matrix element <f| (L + g_e S)/hbar |i> as a read-only complex 3-vector.
 
-    psi_i and psi_f are normalized states.  The orbital contribution is
-    supplied by the caller as three complex numbers (zero for a pure spin
-    transition with a quenched orbital moment); the spin part is
-    g_e <psi_f| S_alpha |psi_i>.
+    psi_i and psi_f are normalized states of shape (ops.dim,).  The orbital
+    contribution is supplied by the caller as three complex numbers (zero
+    for a pure spin transition with a quenched orbital moment); the spin
+    part is g_e <psi_f| S_alpha |psi_i>.
     """
-    psi_i = complex_array("psi_i", psi_i).reshape(-1)
-    psi_f = complex_array("psi_f", psi_f).reshape(-1)
-    if psi_i.shape[0] != ops.dim or psi_f.shape[0] != ops.dim:
-        raise InvalidInputs(
-            f"state dims {psi_i.shape[0]}, {psi_f.shape[0]} do not match operator dim {ops.dim}"
-        )
-    orb = complex_array("orbital_moment", orbital_moment)
-    if orb.shape != (3,):
-        raise InvalidInputs(f"orbital_moment must have three components, got {orb.shape}")
+    psi_i = complex_array("psi_i", psi_i, (ops.dim,))
+    psi_f = complex_array("psi_f", psi_f, (ops.dim,))
+    orb = complex_array("orbital_moment", orbital_moment, (3,))
     g_e = require_number("g_e", g_e, -np.inf)
     bra = psi_f.conj()
     m_vec = evaluate(
@@ -157,6 +236,6 @@ def transition_moment(psi_i, psi_f, ops: SpinOperators, g_e: float,
 
 def unpolarized_coupling(m_vec) -> float:
     """Orientation-averaged squared coupling (1/3) sum_alpha |M_alpha|^2 of a 3-vector."""
-    m_vec = complex_array("m_vec", m_vec)
+    m_vec = complex_array("m_vec", m_vec, (3,))
     coupling = evaluate(lambda: float(np.sum(np.abs(m_vec) ** 2) / 3.0))
     return require("unpolarized coupling", coupling)

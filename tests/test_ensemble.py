@@ -28,6 +28,7 @@ from paramagloss.ensemble import (
 )
 from paramagloss.errors import DatabaseError, InvalidInputs, ParamagLossError
 from paramagloss.ioformat import default_db_path, default_emission_path
+from paramagloss.ladder import ladder_m
 from paramagloss.lineshape import temperature_factor
 from paramagloss.spin import basis_state, spin_operators, transition_moment, unpolarized_coupling
 
@@ -272,6 +273,22 @@ def test_line_coupling_rejects_what_species_reject(transition):
         line_coupling_sq(3, transition, 2.0)
     with pytest.raises(InvalidInputs, match=f"^species 'x': field 'transition' {pair}"):
         _species(transition=transition)
+
+
+@pytest.mark.parametrize(
+    "two_s, transition, m, pair",
+    [
+        (3, (1.5, 0.5), 0.5, (1.5, 0.5)),
+        (3, [np.float32(-0.5), np.array(0.5)], -0.5, (-0.5, 0.5)),
+        (3, (m for m in (-0.5, -1.5)), -1.5, (-0.5, -1.5)),  # read once
+        (2, (0, 1), 0.0, (0.0, 1.0)),
+    ],
+    ids=["tuple", "numpy", "generator", "ints"],
+)
+def test_ladder_m_gives_the_lower_m_and_the_pair_as_floats(two_s, transition, m, pair):
+    got = ladder_m(two_s, transition)
+    assert got == (m, pair)
+    assert [type(x) for x in (got[0], *got[1])] == [float] * 3
 
 
 @pytest.mark.parametrize("g", [NAN, INF, -INF, 1e300, -1.0, 0.0, np.array([2.0, NAN])])

@@ -27,7 +27,6 @@ from paramagloss.emission import (
 from paramagloss.ensemble import DefectSpecies, SpeciesLines, Spectrum, species_loss, sweep
 from paramagloss.errors import InvalidInputs, ParamagLossError, Record, require
 from paramagloss.ladder import ladder_m, line_coupling_sq
-from paramagloss.linalg import EigenDecomposition, diagonalize
 from paramagloss.lineshape import (
     lorentzian,
     power_broadened_gamma,
@@ -35,10 +34,12 @@ from paramagloss.lineshape import (
     temperature_factor,
 )
 from paramagloss.spin import (
+    EigenDecomposition,
     SpinHamiltonianParams,
     SpinOperators,
     basis_state,
     build_hamiltonian,
+    diagonalize,
     spin_operators,
     transition_moment,
     unpolarized_coupling,
@@ -359,7 +360,7 @@ def test_records_keep_the_numbers_they_checked():
     d[()], g_e[()], e[()] = 0.0, -1.0, 5e9
     assert (params.d, params.g_e, params.e) == (1e10, 2.0, 1e9)
     assert np.array_equal(build_hamiltonian(3, params), hamiltonian)
-    # A generator's pair is read once, before the ladder check, and kept.
+    # A generator's pair is read once, by the ladder check, and kept.
     once = DefectSpecies("x", 3, 1e23, 1e8, (m for m in (1.5, 0.5)), SPECIES.lines)
     assert once.transition == (1.5, 0.5)
     for value in (species.n_def, species.gamma, *species.transition, *once.transition,

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from paramagloss.errors import InvalidInputs
-from paramagloss.linalg import EigenDecomposition, diagonalize, require_hermitian
+from paramagloss.ladder import MAX_TWO_S
+from paramagloss.spin import (
+    EigenDecomposition,
+    SpinHamiltonianParams,
+    build_hamiltonian,
+    diagonalize,
+    require_hermitian,
+)
 
 
 def _random_hermitian(rng, n, scale=1.0):
@@ -155,8 +162,18 @@ def test_small_asymmetry_tolerated():
 
 
 def test_dimension_cap():
-    with pytest.raises(InvalidInputs, match="exceeds the supported maximum"):
-        diagonalize(np.eye(33))
+    # Every Hamiltonian build_hamiltonian makes can be diagonalized; one of
+    # 2S = MAX_TWO_S takes ~1 s, so the suite checks 2S = 32.
+    params = SpinHamiltonianParams(d=-3.6e10, g_e=2.0, e=1e10, b_field=(0.01, 0.02, 0.03))
+    h = build_hamiltonian(32, params)
+    dec = diagonalize(h)
+    assert dec.dim == 33 and np.all(np.diff(dec.eigenvalues) >= 0.0)
+    residual = h @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+    assert np.abs(residual).max() < 1e-10 * np.abs(h).max()
+    limit = MAX_TWO_S + 1
+    message = f"^dim {limit + 1} exceeds the supported maximum {limit}$"
+    with pytest.raises(InvalidInputs, match=message):
+        diagonalize(np.eye(limit + 1))
 
 
 def test_non_square_rejected():

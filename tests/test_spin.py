@@ -1,17 +1,18 @@
 """Spin operators, Hamiltonians, and transition moments."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from paramagloss.constants import ghz_to_angular
 from paramagloss.errors import InvalidInputs
-from paramagloss.linalg import diagonalize
 from paramagloss.spin import (
     SpinHamiltonianParams,
     basis_state,
     build_hamiltonian,
+    diagonalize,
     m_values,
     spin_operators,
     transition_moment,
@@ -275,11 +276,31 @@ def test_unpolarized_coupling_accepts_vector():
     assert unpolarized_coupling((3.0, 0.0, 0.0)) == pytest.approx(3.0, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "m_vec, shape",
+    [([1.0, 2.0, 3.0, 4.0, 5.0], (5,)), (np.eye(4), (4, 4)), (1.0, ()), ([], (0,)),
+     ([[1.0, 0.0, 0.0]], (1, 3))],
+    ids=["5-vector", "matrix", "scalar", "empty", "row"],
+)
+def test_unpolarized_coupling_takes_only_a_3_vector(m_vec, shape):
+    message = f"m_vec must have shape (3,), got {shape}"
+    with pytest.raises(InvalidInputs, match=f"^{re.escape(message)}$"):
+        unpolarized_coupling(m_vec)
+
+
 def test_dimension_mismatch():
-    ops = spin_operators(3)
-    with pytest.raises(InvalidInputs):
-        transition_moment(basis_state(1, 0.5), basis_state(3, 0.5), ops, 2.0)
-    with pytest.raises(InvalidInputs):
-        transition_moment(
-            basis_state(3, 0.5), basis_state(3, 0.5), ops, 2.0, orbital_moment=(1.0,)
-        )
+    # Each state is a vector of the operator dim: a (2, 2) array of dim 4
+    # entries is no state.
+    ops, state = spin_operators(3), basis_state(3, 0.5)
+    for psi_i, psi_f, name, shape in (
+        (basis_state(1, 0.5), state, "psi_i", (2,)),
+        (state.reshape(2, 2), state, "psi_i", (2, 2)),
+        (state, state.reshape(2, 2), "psi_f", (2, 2)),
+        (1.0, state, "psi_i", ()),
+    ):
+        message = f"{name} must have shape (4,), got {shape}"
+        with pytest.raises(InvalidInputs, match=f"^{re.escape(message)}$"):
+            transition_moment(psi_i, psi_f, ops, 2.0)
+    message = "orbital_moment must have shape (3,), got (1,)"
+    with pytest.raises(InvalidInputs, match=f"^{re.escape(message)}$"):
+        transition_moment(state, state, ops, 2.0, orbital_moment=(1.0,))

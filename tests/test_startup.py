@@ -72,18 +72,18 @@ def assert_no_generated_records(modules):
 CHAINS = {
     "tempcurve": (
         ["tempcurve", "--freq-ghz", "11.45", "--points", "3"], "lineshape",
-        ["ensemble", "ladder", "spin", "emission", "linalg", "_kernels"],
+        ["ensemble", "ladder", "spin", "emission", "_kernels"],
     ),
     "emission": (["emission"], "emission", ["ensemble", "ladder", "spin", "lineshape"]),
     "sweep": (
-        ["sweep", "--points", "11"], "ensemble", ["absorption", "emission", "linalg", "spin"],
+        ["sweep", "--points", "11"], "ensemble", ["absorption", "emission", "spin"],
     ),
     "point": (
-        ["point", "--freq-ghz", "4.5"], "ensemble", ["absorption", "emission", "linalg", "spin"],
+        ["point", "--freq-ghz", "4.5"], "ensemble", ["absorption", "emission", "spin"],
     ),
     "powercurve": (
         ["powercurve", "--freq-ghz", "9.0", "--points", "3"], "ensemble",
-        ["absorption", "emission", "linalg", "spin"],
+        ["absorption", "emission", "spin"],
     ),
 }
 
@@ -145,7 +145,7 @@ def test_submodules_resolve_as_package_attributes():
         "import paramagloss\n"
         "assert issubclass(paramagloss.errors.InvalidInputs, paramagloss.ParamagLossError)\n"
         "for name in ('_kernels', 'absorption', 'constants', 'emission', 'ensemble',\n"
-        "             'ioformat', 'ladder', 'linalg', 'lineshape', 'spin'):\n"
+        "             'ioformat', 'ladder', 'lineshape', 'spin'):\n"
         "    module = getattr(paramagloss, name)\n"
         "    assert module.__name__ == 'paramagloss.' + name, name\n"
     )
